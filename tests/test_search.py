@@ -11,7 +11,12 @@ The golden ledgers under ``tests/goldens/`` were written by the engine
 
 ``--search bandit`` (the default) must keep producing those exact bytes,
 and both goldens must resume untouched — the search layer is strictly
-additive to the on-disk contract.
+additive to the on-disk contract.  Two more goldens were written by the
+engine before the search-strategy split, one for each remaining format:
+
+* ``fuzz_oracle_format3.jsonl`` — TINY with the ``fma-rewrite`` and
+  ``mul-one`` oracle relations, format 3;
+* ``fuzz_mcts_format5.jsonl`` — the MCTS config, format 5.
 """
 
 from __future__ import annotations
@@ -39,6 +44,15 @@ TINY = FuzzConfig(
 )
 MCTS = dataclasses.replace(TINY, search="mcts")
 FORMAT4 = dataclasses.replace(TINY, stacks=("nvcc", "cpu"), max_mutants=10)
+ORACLE3 = dataclasses.replace(TINY, oracle_relations=("fma-rewrite", "mul-one"))
+
+#: (golden file, the config that wrote it) for every readable format.
+GOLDEN_CONFIGS = {
+    "fuzz_bandit_ledger.jsonl": TINY,
+    "fuzz_oracle_format3.jsonl": ORACLE3,
+    "fuzz_bandit_format4.jsonl": FORMAT4,
+    "fuzz_mcts_format5.jsonl": MCTS,
+}
 
 
 @pytest.fixture(scope="module")
@@ -194,3 +208,62 @@ class TestBackCompat:
         lines = [json.loads(line) for line in copy.read_text().splitlines()]
         assert lines[0]["fingerprint"]["format"] == 2
         assert all("search" not in rec for rec in lines if rec["kind"] == "batch")
+
+
+class TestGoldens:
+    """Formats 3 and 5 pinned to goldens like formats 2 and 4."""
+
+    @pytest.mark.parametrize(
+        "name", ["fuzz_oracle_format3.jsonl", "fuzz_mcts_format5.jsonl"]
+    )
+    def test_fresh_run_matches_golden(self, tmp_path, name):
+        fresh = tmp_path / name
+        run_fuzz(GOLDEN_CONFIGS[name], ledger=fresh)
+        assert fresh.read_bytes() == (GOLDENS / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "name", ["fuzz_oracle_format3.jsonl", "fuzz_mcts_format5.jsonl"]
+    )
+    def test_golden_resumes_untouched(self, tmp_path, name):
+        config = GOLDEN_CONFIGS[name]
+        golden = (GOLDENS / name).read_bytes()
+        copy = tmp_path / name
+        copy.write_bytes(golden)
+        resumed = run_fuzz(config, ledger=copy, resume=True)
+        assert resumed.resumed_iterations == config.max_mutants
+        assert resumed.mutants_run == 0
+        assert copy.read_bytes() == golden
+        header = json.loads(golden.decode().splitlines()[0])
+        assert header["fingerprint"] == config.fingerprint()
+
+
+#: Per-session counters that cover only the iterations a run executed
+#: itself, so a prefix run and its resumption must sum to a straight run.
+ADDITIVE_COUNTERS = (
+    "mutants_run",
+    "fresh_explored",
+    "mutants_no_site",
+    "mutants_invalid",
+    "mutants_noop",
+    "duplicates",
+    "pair_runs",
+    "raw_discrepancies",
+)
+
+
+class TestResumeAccounting:
+    @pytest.mark.parametrize("search", ["bandit", "mcts"])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_prefix_plus_resume_adds_up_to_straight(self, tmp_path, search, seed):
+        config = dataclasses.replace(TINY, seed=seed, search=search)
+        straight = run_fuzz(config)
+        path = tmp_path / "split.jsonl"
+        prefix = run_fuzz(dataclasses.replace(config, max_mutants=20), ledger=path)
+        resumed = run_fuzz(config, ledger=path, resume=True)
+        assert resumed.resumed_iterations == 20
+        for counter in ADDITIVE_COUNTERS:
+            assert (
+                getattr(prefix, counter) + getattr(resumed, counter)
+                == getattr(straight, counter)
+            ), counter
+        assert resumed.findings == straight.findings
