@@ -16,9 +16,11 @@ Layers:
   detection and dedup, built on :mod:`repro.analysis.triage`;
 * :mod:`repro.fuzz.ledger`    — the append-only JSONL findings ledger with
   campaign-checkpoint-style resume semantics;
-* :mod:`repro.fuzz.engine`    — the loop: power-scheduled seed pool,
-  batched execution through the campaign's sweep/cache machinery,
-  auto-minimization of novel findings via :mod:`repro.analysis.reduce`;
+* :mod:`repro.fuzz.search`    — the search strategies (bandit, mcts)
+  behind one ``SearchStrategy`` protocol;
+* :mod:`repro.fuzz.engine`    — the loop: batched execution through the
+  campaign's sweep/cache machinery, auto-minimization of novel findings
+  via :mod:`repro.analysis.reduce`;
 * :mod:`repro.fuzz.cli`       — the ``repro-fuzz`` console entry point.
 """
 

@@ -25,6 +25,7 @@ from repro.errors import HarnessError
 from repro.fp.types import FPType
 from repro.fuzz.engine import FuzzConfig, run_fuzz
 from repro.fuzz.mutators import MUTATION_NAMES
+from repro.fuzz.search import STRATEGIES
 from repro.fuzz.signature import signature_histogram
 from repro.oracle.relations import RELATION_NAMES
 from repro.stacks import DEFAULT_STACK_PAIR, STACK_NAMES, resolve_stacks
@@ -95,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--search",
-        choices=["bandit", "mcts"],
+        choices=list(STRATEGIES),
         default="bandit",
         help="iteration-selection strategy: the flat mutation bandit "
         "(default) or UCB1 tree search over IR-edit sequences, whose "

@@ -1,13 +1,14 @@
 """The feedback-guided fuzzing loop.
 
-One *iteration* = pick a seed from the pool (power-scheduled), pick a
-mutation, produce a mutant, and — if it is structurally valid and not a
-duplicate — run it through the shared execution layer: one
-:class:`~repro.exec.units.SweepRequest` per arm submitted to
-:class:`~repro.exec.service.ExecutionService`, with the HIPIFY twin's
-CUDA half replayed from the content-keyed run store exactly as the
-campaign's fused fp64 arms do (a mutant and its twin share one content
-id, so the hipify probe costs zero extra nvcc executions).
+One *iteration* = the search strategy (:mod:`repro.fuzz.search`) picks
+a program — a mutant of a fertile one, or a fresh generated one — and,
+if it is structurally valid and not a duplicate, it runs through the
+shared execution layer: one :class:`~repro.exec.units.SweepRequest` per
+arm submitted to :class:`~repro.exec.service.ExecutionService`, with the
+HIPIFY twin's CUDA half replayed from the content-keyed run store
+exactly as the campaign's fused fp64 arms do (a mutant and its twin
+share one content id, so the hipify probe costs zero extra nvcc
+executions).
 
 Feedback: every discrepancy is triaged
 (:func:`repro.analysis.triage.triage_discrepancy`) and condensed to a
@@ -15,47 +16,29 @@ Feedback: every discrepancy is triaged
 seen before — neither in the seed pool's own baseline nor in any earlier
 finding — is a **novel finding**: it is auto-minimized with
 :func:`repro.analysis.reduce.reduce_testcase`, appended to the ledger,
-and fed back three ways:
-
-* the mutant joins the seed pool and its parent's energy grows, so the
-  power schedule drifts toward regions of program space that keep
-  yielding new mechanisms;
-* the arm that produced it gains scheduling weight (an AFL-style bandit
-  over the seven mutators plus an *explore* arm that evaluates a fresh
-  generated program: a session whose novelty comes from call
-  substitution spends its budget there; a session whose pool runs dry
-  drifts back toward blind generation);
-* splice donors are drawn energy-weighted, so divergence-prone
-  subexpressions get transplanted into fresh contexts.
-
-That is the difference from the paper's blind generation: runs are spent
-*near* known divergence, not uniformly.  All three feedback channels are
-functions of the ledger's findings alone, which is what keeps a resumed
-session on the same trajectory as an uninterrupted one.
+and reported to the strategy, which steers later iterations toward
+whatever keeps paying.  That is the difference from the paper's blind
+generation: runs are spent *near* known divergence, not uniformly.
 
 Determinism: every random decision derives from
-``derive_seed(config.seed, purpose, iteration)``, the pool evolves only
-through ledger-recorded findings, and no wall-clock value feeds back into
-scheduling — so a seeded session run twice writes byte-identical ledgers,
-and an interrupted session resumed from its ledger produces the same
-findings as an uninterrupted one.  (A ``max_seconds`` budget can stop a
-session early between iterations; the *prefix* of findings is still
-deterministic.)
+``derive_seed(config.seed, purpose, iteration)``, strategy state evolves
+only through ledger-recorded results, and no wall-clock value feeds back
+into selection — so a seeded session run twice writes byte-identical
+ledgers, and an interrupted session resumed from its ledger produces the
+same findings as an uninterrupted one.  (A ``max_seconds`` budget can
+stop a session early between iterations; the *prefix* of findings is
+still deterministic.)
 
-Parallelism (``config.workers``): iteration *i*'s selection depends only
-on scheduler wins, the pool, and the dedup set — none of which change
-while evaluations come back clean — so the engine *speculates* a window
-of upcoming iterations against the frozen state, evaluates their mutants
+Parallelism (``config.workers``): while evaluations come back clean,
+selection state does not change, so the engine *speculates* a window of
+upcoming iterations against the frozen state, evaluates them
 concurrently through the service's process-pool backend, and commits the
-results in iteration order.  The first discrepant iteration changes the
-pool, invalidating everything speculated after it; those outcomes are
+results in iteration order.  The first commit that changes selection
+state invalidates everything speculated after it; those outcomes are
 discarded (their runs are not counted) and speculation restarts from the
 updated state.  The committed trajectory is therefore *exactly* the
 serial one: the ledger is byte-identical at every worker count.  Triage
 of a discrepant mutant's findings fans out over the same pool.
-Speculation pays off in proportion to how rarely mutants diverge — an
-FP64 session parallelizes almost perfectly, a divergence-rich FP32
-session mainly gains on the seed-pool baseline and triage.
 
 Accounting: ``pair_runs`` counts compared record pairs in baseline and
 mutation sweeps of *committed* iterations; discarded speculation, triage
@@ -65,45 +48,33 @@ run totals count campaign runs, not debugging reruns.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.reduce import kernel_size, reduce_testcase
 from repro.analysis.triage import Cause, TriageVerdict, triage_discrepancy
 from repro.codegen.cuda import render_cuda
 from repro.compilers.options import OptSetting, PAPER_OPT_SETTINGS
-from repro.errors import HarnessError, ReproError
+from repro.errors import GrammarError, HarnessError, ReproError
 from repro.exec import (
     CHUNK_CACHE,
     DerivedTestSpec,
     ExecutionService,
     SweepOutcome,
     SweepRequest,
-    content_id,
-    content_text,
     resolve_backend,
 )
 from repro.exec.units import RunnerSpec
 from repro.fp.classify import OutcomeClass
 from repro.fp.types import FPType
-from repro.fuzz.ledger import (
-    Finding,
-    FindingsLedger,
-    LedgerState,
-    LineageStep,
-    Promotion,
-    SearchTrace,
-)
-from repro.fuzz.mutators import MUTATION_NAMES, MUTATORS, apply_mutation
-from repro.fuzz.search import MctsSearch, PreparedIteration as _Prep
+from repro.fuzz.ledger import Finding, FindingsLedger, LedgerState
+from repro.fuzz.mutators import MUTATION_NAMES, MUTATORS
+from repro.fuzz.search import STRATEGIES, PreparedIteration
 from repro.fuzz.signature import DiscrepancySignature, signature_histogram
 from repro.harness.differential import Discrepancy, classify_pair
 from repro.harness.runner import DifferentialRunner
-from repro.ir.program import Kernel, Program
-from repro.ir.validate import validate_kernel
 from repro.oracle.engine import build_relation_requests, check_relation_outcomes
 from repro.oracle.relations import Relation, RelationViolation, resolve_relations
 from repro.stacks import DEFAULT_STACK_PAIR, pair_name, resolve_stacks, stack_pairs
@@ -211,11 +182,20 @@ class FuzzConfig:
             resolve_relations(self.oracle_relations)
         except ValueError as exc:
             raise HarnessError(str(exc)) from None
+        if not self.opts:
+            raise HarnessError("opts must name at least one optimization setting")
+        if self.oracle_ulp_bound < 0:
+            raise HarnessError("oracle_ulp_bound must be >= 0")
         resolve_stacks(self.stacks)  # raises HarnessError on bad names
-        if self.search not in ("bandit", "mcts"):
+        if self.search not in STRATEGIES:
             raise HarnessError(
-                f"unknown search strategy: {self.search!r} (bandit or mcts)"
+                f"unknown search strategy: {self.search!r} "
+                f"({' or '.join(STRATEGIES)})"
             )
+        try:
+            self.generator_config()
+        except GrammarError as exc:
+            raise HarnessError(str(exc)) from None
 
     @property
     def corpus_seed(self) -> int:
@@ -267,13 +247,11 @@ class FuzzConfig:
         default-pair config fingerprints exactly as before, so every
         format-2 and format-3 ledger still resumes (tested explicitly).
 
-        Format 5 is tree search: an mcts session's batch lines carry a
-        per-iteration ``search`` trace (selected node + reward) that a
-        bandit engine cannot replay, and its selection reads tree
-        statistics no bandit ledger records.  The format-5 keys
-        (``format: 5``, ``search``) are emitted only when ``search`` is
-        not the default bandit, so every format-2/3/4 ledger still
-        resumes under default-search configs (tested explicitly).
+        Format 5 is tree search.  Search strategies supply their own keys
+        (:meth:`repro.fuzz.search.SearchStrategy.fingerprint_keys`): mcts
+        adds ``format: 5`` and ``search``, the default bandit nothing, so
+        every format-2/3/4 ledger still resumes under default-search
+        configs (tested explicitly).
         """
         fp: Dict[str, object] = {
             "format": 2,
@@ -297,81 +275,8 @@ class FuzzConfig:
         if tuple(self.stacks) != DEFAULT_STACK_PAIR:
             fp["format"] = 4
             fp["stacks"] = list(self.stacks)
-        if self.search != "bandit":
-            fp["format"] = 5
-            fp["search"] = self.search
+        fp.update(STRATEGIES[self.search].fingerprint_keys())
         return fp
-
-
-class _Scheduler:
-    """Win-count bandit over the iteration's action.
-
-    The arms are the registered mutators plus (when enabled) "explore" —
-    evaluate a fresh generated program instead of mutating.  An arm's
-    selection weight is ``1 + its novel-signature findings so far``, so
-    budget flows to whatever is currently paying: a barren pool drifts
-    toward blind generation, a rich one concentrates on the mutators that
-    keep producing.  (Novelty rewards arrive in bursts — one divergent
-    program can yield several signatures across optimization settings —
-    which is why the simple win-count rule empirically beats rate-
-    normalized and UCB variants at session-sized attempt counts: it
-    commits to a paying region immediately instead of waiting for rate
-    estimates to stabilize.)
-
-    :meth:`select` is pure — it reads wins but mutates nothing — so the
-    speculative window can look several iterations ahead against frozen
-    state; attempts are counted at *commit* time, in iteration order.
-
-    Determinism/resume: wins are replayed from ledger findings (a
-    finding with an empty lineage is an explore win), and attempts from
-    re-simulating the selection sequence — selection at iteration *i*
-    depends only on prior selections and prior findings, both of which
-    the ledger determines — so a resumed scheduler is in exactly the
-    state the interrupted one was.
-    """
-
-    def __init__(self, config: "FuzzConfig") -> None:
-        self.explore_enabled = config.explore
-        self.mutations = config.mutations
-        self.arms: Tuple[str, ...] = (
-            ("explore",) if config.explore else ()
-        ) + config.mutations
-        self.attempts: Dict[str, int] = {a: 0 for a in self.arms}
-        self.wins: Dict[str, int] = {a: 0 for a in self.arms}
-
-    def select(self, rng: random.Random) -> str:
-        """Choose this iteration's action (no state is touched)."""
-        return rng.choices(
-            self.arms, weights=[1 + self.wins[a] for a in self.arms], k=1
-        )[0]
-
-    def count_attempt(self, arm: str) -> None:
-        self.attempts[arm] += 1
-
-    def pick(self, rng: random.Random) -> str:
-        """Choose and count in one step (the resume-replay path)."""
-        arm = self.select(rng)
-        self.count_attempt(arm)
-        return arm
-
-    def record_win(self, arm: str) -> None:
-        if arm in self.wins:
-            self.wins[arm] += 1
-
-
-@dataclass
-class _PoolEntry:
-    """One power-scheduled seed: a corpus program or a promoted mutant."""
-
-    test: TestCase
-    corpus_index: int
-    lineage: Tuple[LineageStep, ...]
-    content: str
-    energy: float = 1.0
-
-    @property
-    def key(self) -> Tuple[int, Tuple[LineageStep, ...]]:
-        return (self.corpus_index, self.lineage)
 
 
 @dataclass
@@ -458,11 +363,6 @@ class RandomSessionResult:
 # ---------------------------------------------------------------------------
 
 
-def _mutant_content_id(fptype: FPType, content: str) -> str:
-    """Mutant program ids keep their historical ``fuzz-`` shape."""
-    return content_id(fptype, content, prefix="fuzz")
-
-
 def _triage_verdict_task(
     payload: Tuple[TestCase, str, int, Tuple[str, str]],
 ) -> TriageVerdict:
@@ -483,6 +383,11 @@ def _triage_verdict_task(
     )
     verdict.isolation = None
     return verdict
+
+
+#: (evaluation arm, discrepancy) pairs, and the same signed.
+_Found = List[Tuple[str, Discrepancy]]
+_Entries = List[Tuple[str, Discrepancy, DiscrepancySignature]]
 
 
 class _Evaluator:
@@ -593,7 +498,7 @@ class _Evaluator:
 
     def absorb(
         self, outcomes: Sequence[SweepOutcome]
-    ) -> Tuple[List[Tuple[str, Discrepancy]], List[RelationViolation]]:
+    ) -> Tuple[_Found, List[RelationViolation]]:
         """Count one committed evaluation; collect its discrepancies and
         its oracle-relation violations.
 
@@ -601,7 +506,7 @@ class _Evaluator:
         request) carry rebound copies of already-counted runs, so only
         non-deduped outcomes contribute to the accounting.
         """
-        found: List[Tuple[str, Discrepancy]] = []
+        found: _Found = []
         oracle_outcomes: List[SweepOutcome] = []
         for outcome in outcomes:
             if not outcome.deduped:
@@ -625,7 +530,7 @@ class _Evaluator:
 
     def oracle_entries(
         self, violations: Sequence[RelationViolation]
-    ) -> List[Tuple[str, Discrepancy, DiscrepancySignature]]:
+    ) -> _Entries:
         """Condense relation violations to signature entries.
 
         The signature reuses the discrepancy slots under documented
@@ -634,7 +539,7 @@ class _Evaluator:
         (base, variant) instead of (nvcc, hipcc).  First-of-each-key
         dedup matches :meth:`signatures_for`.
         """
-        out: List[Tuple[str, Discrepancy, DiscrepancySignature]] = []
+        out: _Entries = []
         local_seen: Set[str] = set()
         for v in violations:
             dclass = classify_pair(float(v.base_printed), float(v.variant_printed))
@@ -664,9 +569,61 @@ class _Evaluator:
             out.append(("oracle", d, sig))
         return out
 
-    def signatures_for(
-        self, test: TestCase, found: Sequence[Tuple[str, Discrepancy]]
-    ) -> List[Tuple[str, Discrepancy, DiscrepancySignature]]:
+    def entries(
+        self, test: TestCase, found: _Found, violations: Sequence[RelationViolation]
+    ) -> _Entries:
+        """Every signature one evaluation earned: triaged discrepancies
+        first, then oracle violations."""
+        return self.signatures_for(test, found) + self.oracle_entries(violations)
+
+    def evaluate(
+        self, tests: Sequence[TestCase]
+    ) -> Iterator[Tuple[_Found, List[RelationViolation], _Entries]]:
+        """Sweep ``tests`` in order, yielding each one's discrepancies,
+        violations and signature entries (the baseline's and the control
+        arm's loop; no feedback, so the whole stream is submitted)."""
+        outcomes = self.service.run_sweeps(self.chunk_for(t) for t in tests)
+        for index, chunk in enumerate(outcomes):
+            found, violations = self.absorb(chunk)
+            yield found, violations, self.entries(tests[index], found, violations)
+
+    def build_finding(
+        self, p: PreparedIteration, platform_arm: str, d: Discrepancy, sig: DiscrepancySignature
+    ) -> Finding:
+        """Minimize and record one novel signature's finding."""
+        assert p.test is not None
+        target = p.test.hipified() if platform_arm == "hipify" else p.test
+        reduced_size: Optional[int] = None
+        reduced_cuda: Optional[str] = None
+        # Oracle findings are single-stack relation verdicts, not
+        # cross-vendor discrepancies; the differential delta debugger
+        # cannot reproduce them, so they stay unminimized.
+        if self.config.minimize and platform_arm != "oracle":
+            try:
+                reduction = reduce_testcase(
+                    target,
+                    OptSetting.from_label(d.opt_label),
+                    d.input_index,
+                    runner=self.runner_for(platform_arm),
+                )
+                reduced_size = reduction.reduced_size
+                reduced_cuda = render_cuda(reduction.reduced.program)
+            except (ValueError, ReproError):
+                pass  # finding stays unminimized; still novel
+        return Finding(
+            iteration=p.iteration,
+            arm=platform_arm,
+            mutant_id=p.test.test_id,
+            corpus_index=p.corpus_index,
+            lineage=p.lineage,
+            signature=sig,
+            discrepancy=d,
+            original_size=kernel_size(p.test.program.kernel),
+            reduced_size=reduced_size,
+            reduced_cuda=reduced_cuda,
+        )
+
+    def signatures_for(self, test: TestCase, found: _Found) -> _Entries:
         """Triage every discrepancy; keep the first of each signature.
 
         Triage is per-(opt, input) — two inputs diverging with the same
@@ -676,7 +633,7 @@ class _Evaluator:
         backend the independent triage probes fan out to workers;
         verdicts come back in order, so the dedup is unchanged.
         """
-        out: List[Tuple[str, Discrepancy, DiscrepancySignature]] = []
+        out: _Entries = []
         local_seen: Set[str] = set()
         for (arm, d), verdict in zip(found, self._verdicts(test, found)):
             sig = DiscrepancySignature.from_verdict(verdict, d, test.fptype)
@@ -685,9 +642,7 @@ class _Evaluator:
                 out.append((arm, d, sig))
         return out
 
-    def _verdicts(
-        self, test: TestCase, found: Sequence[Tuple[str, Discrepancy]]
-    ) -> List[TriageVerdict]:
+    def _verdicts(self, test: TestCase, found: _Found) -> List[TriageVerdict]:
         targets = [
             (test.hipified() if arm == "hipify" else test, arm, d)
             for arm, d in found
@@ -744,31 +699,6 @@ class _LazyCorpus:
         return [self._tests[i] for i in range(self.n_seed_programs)]
 
 
-def _replay_lineage(
-    corpus: _LazyCorpus, corpus_index: int, lineage: Sequence[LineageStep]
-) -> Kernel:
-    """Rebuild a mutant kernel from its ledger lineage."""
-    kernel = corpus.get(corpus_index).program.kernel
-    for step in lineage:
-        donor = (
-            corpus.get(step.donor_index).program.kernel
-            if step.donor_index is not None
-            else None
-        )
-        mutated = apply_mutation(kernel, step.mutation, step.seed, donor)
-        if mutated is None:
-            raise HarnessError(
-                f"ledger lineage does not replay: {step.mutation} produced no mutant"
-            )
-        kernel = mutated
-    return kernel
-
-
-# The speculated-iteration record (``_Prep``) lives in
-# :mod:`repro.fuzz.search` as ``PreparedIteration`` — both strategies
-# produce it, and the engine's window loop consumes it identically.
-
-
 # ---------------------------------------------------------------------------
 # The session
 # ---------------------------------------------------------------------------
@@ -781,6 +711,41 @@ def _service_for(config: "FuzzConfig") -> ExecutionService:
     return ExecutionService(
         backend=resolve_backend(config.backend, config.workers, config.bridge_url)
     )
+
+
+#: The result counter each skip kind lands in.
+_SKIP_COUNTERS = {
+    "no_site": "mutants_no_site",
+    "invalid": "mutants_invalid",
+    "noop": "mutants_noop",
+    "duplicate": "duplicates",
+}
+
+
+def _run_baseline(
+    evaluator: _Evaluator, seeds: Sequence[TestCase], progress
+) -> Tuple[List[DiscrepancySignature], List[int], int]:
+    """Evaluate the seed pool once: its own signatures (never novel), the
+    indices that already diverge, and the pair runs it cost."""
+    signatures: List[DiscrepancySignature] = []
+    hot_indices: List[int] = []
+    runs0 = evaluator.pair_runs
+    tracer = get_tracer()
+    t0 = time.perf_counter_ns() if tracer.enabled else 0
+    for index, (found, violations, entries) in enumerate(evaluator.evaluate(seeds)):
+        if found or violations:
+            hot_indices.append(index)
+        for _, _, sig in entries:
+            if sig.key not in {s.key for s in signatures}:
+                signatures.append(sig)
+        if progress is not None:
+            progress("baseline", index + 1, len(seeds))
+    if tracer.enabled:
+        tracer.record(
+            "fuzz.baseline", t0, time.perf_counter_ns(),
+            seeds=len(seeds), signatures=len(signatures),
+        )
+    return signatures, hot_indices, evaluator.pair_runs - runs0
 
 
 def run_fuzz(
@@ -822,171 +787,28 @@ def run_fuzz(
                 resuming = False
         book.open_for_append(config.fingerprint(), fresh=not resuming)
 
-    pool: List[_PoolEntry] = []
-    by_key: Dict[Tuple[int, Tuple[LineageStep, ...]], _PoolEntry] = {}
-    for index, test in enumerate(corpus.seed_tests()):
-        entry = _PoolEntry(
-            test=test,
-            corpus_index=index,
-            lineage=(),
-            content=content_text(test.program.kernel, test.inputs),
-        )
-        pool.append(entry)
-        by_key[entry.key] = entry
-
-    seen: Set[str] = set()
-    findings: List[Finding] = list(state.findings)
-    baseline_signatures: List[DiscrepancySignature]
-    hot_indices: List[int]
-    baseline_pair_runs: int
-
     try:
-        # -------------------------------------------------------- baseline
         if resuming and state.has_baseline:
             baseline_signatures = state.baseline_signatures
             hot_indices = state.hot_corpus_indices
             baseline_pair_runs = state.baseline_runs
         else:
-            baseline_signatures = []
-            hot_indices = []
-            runs0 = evaluator.pair_runs
-            tracer = get_tracer()
-            base_t0 = time.perf_counter_ns() if tracer.enabled else 0
-            seeds = corpus.seed_tests()
-            baseline_chunks = (evaluator.chunk_for(t) for t in seeds)
-            for index, outcomes in enumerate(service.run_sweeps(baseline_chunks)):
-                found, violations = evaluator.absorb(outcomes)
-                if found or violations:
-                    hot_indices.append(index)
-                entries = evaluator.signatures_for(
-                    seeds[index], found
-                ) + evaluator.oracle_entries(violations)
-                for _, _, sig in entries:
-                    if sig.key not in {s.key for s in baseline_signatures}:
-                        baseline_signatures.append(sig)
-                if progress is not None:
-                    progress("baseline", index + 1, config.n_seed_programs)
-            baseline_pair_runs = evaluator.pair_runs - runs0
-            if tracer.enabled:
-                tracer.record(
-                    "fuzz.baseline",
-                    base_t0,
-                    time.perf_counter_ns(),
-                    seeds=len(seeds),
-                    signatures=len(baseline_signatures),
-                )
+            baseline_signatures, hot_indices, baseline_pair_runs = _run_baseline(
+                evaluator, corpus.seed_tests(), progress
+            )
             if book is not None:
                 book.append_baseline(
                     baseline_pair_runs, baseline_signatures, hot_indices
                 )
 
-        seen.update(s.key for s in baseline_signatures)
-        for index in hot_indices:
-            pool[index].energy += config.novelty_bonus
-
-        scheduler = _Scheduler(config)
-        # The mcts strategy owns its own state (the tree + the coverage
-        # map); the bandit state (scheduler wins, pool energies) keeps
-        # running but is never consulted when search is active.
-        search: Optional[MctsSearch] = None
-        if config.search == "mcts":
-            search = MctsSearch(config, corpus, hot_indices)
-
-        # --------------------------------------- replay prior pool events
+        # Replay the ledger's completed iterations into the strategy
+        # (cheap: no compilation, no execution).
+        strategy = STRATEGIES[config.search](config, corpus, hot_indices)
         evaluated: Set[str] = set()
-
-        def add_pool_entry(
-            corpus_index: int, lineage: Tuple[LineageStep, ...], energy: float
-        ) -> None:
-            base = corpus.get(corpus_index)
-            if lineage:
-                kernel = _replay_lineage(corpus, corpus_index, lineage)
-                content = content_text(kernel, base.inputs)
-                program = Program(
-                    program_id=_mutant_content_id(config.fptype, content),
-                    kernel=kernel,
-                    seed=lineage[-1].seed,
-                    source_note="fuzz mutant",
-                )
-                test = TestCase(program, base.inputs)
-            else:
-                test = base  # an explore-arm program: the corpus test itself
-                content = content_text(test.program.kernel, test.inputs)
-            entry = _PoolEntry(
-                test=test,
-                corpus_index=corpus_index,
-                lineage=lineage,
-                content=content,
-                energy=energy,
-            )
-            pool.append(entry)
-            by_key[entry.key] = entry
-            evaluated.add(_mutant_content_id(config.fptype, content))
-
-        promoted_energy = config.promotion_energy
-        if search is not None:
-            # Re-run each completed iteration's *selection* against the
-            # growing tree (cheap: mutation application only, never
-            # execution) and fold in the ledger-recorded rewards.  This
-            # rebuilds the tree statistics, the coverage map, and —
-            # stricter than the bandit's pool-only reconstruction — the
-            # full evaluated-content dedup set, so the continuation is
-            # byte-identical to an uninterrupted session.
-            for f in state.findings:
-                seen.add(f.signature.key)
-            trace_by_iter = {t.iteration: t for t in state.search_steps}
-            for i in range(state.iterations_completed):
-                p = search.prepare(i, evaluated, set())
-                rec = trace_by_iter.get(i)
-                if p.skip is not None:
-                    if rec is not None:
-                        raise HarnessError(
-                            "ledger search trace does not replay: iteration "
-                            f"{i} re-prepared as a {p.skip} skip"
-                        )
-                    search.commit_skip(p)
-                    continue
-                if (
-                    rec is None
-                    or rec.corpus_index != p.corpus_index
-                    or rec.lineage != p.lineage
-                ):
-                    raise HarnessError(
-                        f"ledger search trace does not replay at iteration {i}"
-                    )
-                evaluated.add(p.content_id)
-                search.commit_replay(p, rec.reward, rec.diverged)
-        else:
-            # Re-simulate the completed iterations' *selections* (cheap: no
-            # compilation, no execution) while applying the ledger's findings
-            # and promotions at the iterations they occurred — this
-            # reconstructs the scheduler's counters and the pool's evolution
-            # exactly.
-            events_by_iter: Dict[int, List[Tuple[str, object]]] = {}
-            for kind, event in state.pool_events:
-                events_by_iter.setdefault(event.iteration, []).append((kind, event))  # type: ignore[union-attr]
-            for i in range(state.iterations_completed):
-                rng = random.Random(derive_seed(config.seed, "select", i))
-                scheduler.pick(rng)
-                for kind, event in events_by_iter.get(i, ()):
-                    if kind == "finding":
-                        f = event  # type: Finding
-                        seen.add(f.signature.key)
-                        scheduler.record_win(
-                            f.lineage[-1].mutation if f.lineage else "explore"
-                        )
-                        if f.lineage:
-                            parent = by_key.get((f.corpus_index, f.lineage[:-1]))
-                            if parent is not None:
-                                parent.energy += config.novelty_bonus
-                        if (f.corpus_index, f.lineage) not in by_key:
-                            add_pool_entry(
-                                f.corpus_index, f.lineage, 1.0 + config.novelty_bonus
-                            )
-                    else:
-                        p = event  # type: Promotion
-                        if (p.corpus_index, p.lineage) not in by_key:
-                            add_pool_entry(p.corpus_index, p.lineage, promoted_energy)
+        strategy.replay(state, evaluated)
+        seen: Set[str] = {s.key for s in baseline_signatures}
+        seen.update(f.signature.key for f in state.findings)
+        findings: List[Finding] = list(state.findings)
 
         result = FuzzResult(
             config=config,
@@ -1001,30 +823,24 @@ def run_fuzz(
         # ---------------------------------------------------- the loop
         runs0 = evaluator.pair_runs
         batch_findings: List[Finding] = []
-        batch_promotions: List[Promotion] = []
-        batch_search: List[SearchTrace] = []
         batch_start = state.iterations_completed
         batches_written = state.batches_completed
         stopped_by = "budget"
-        loop_tracer = get_tracer()
-        batch_t0 = time.perf_counter_ns() if loop_tracer.enabled else 0
+        tracer = get_tracer()
+        batch_t0 = time.perf_counter_ns() if tracer.enabled else 0
+        evaluate_span = f"fuzz.{config.search}.evaluate"
 
         def flush_batch(stop: int) -> None:
-            nonlocal batch_start, batches_written, batch_findings, batch_promotions
-            nonlocal batch_search, batch_t0
+            nonlocal batch_start, batches_written, batch_findings, batch_t0
+            records = strategy.take_batch_records()
             if book is not None and stop > batch_start:
                 book.append_batch(
-                    batches_written,
-                    batch_start,
-                    stop,
-                    batch_findings,
-                    batch_promotions,
-                    search=batch_search if search is not None else None,
+                    batches_written, batch_start, stop, batch_findings, **records
                 )
                 batches_written += 1
-            if loop_tracer.enabled and stop > batch_start:
+            if tracer.enabled and stop > batch_start:
                 now = time.perf_counter_ns()
-                loop_tracer.record(
+                tracer.record(
                     "fuzz.batch",
                     batch_t0,
                     now,
@@ -1038,147 +854,21 @@ def run_fuzz(
                 batch_t0 = now
             batch_start = stop
             batch_findings = []
-            batch_promotions = []
-            batch_search = []
 
-        def prepare_iteration(i: int, overlay: Set[str]) -> _Prep:
-            """Select and mutate against the *current* state, committing
-            nothing: scheduler counters, result counters, and the dedup
-            set are untouched (``overlay`` carries the window's own
-            content ids so speculated iterations dedup against each
-            other the way committed ones would).  The mcts strategy's
-            prepare additionally applies its prepare-time tree marks,
-            every one recorded in an undo delta (see
-            :mod:`repro.fuzz.search`)."""
-            if search is not None:
-                return search.prepare(i, evaluated, overlay)
-            rng = random.Random(derive_seed(config.seed, "select", i))
-            arm_choice = scheduler.select(rng)
-
-            if arm_choice == "explore":
-                # A fresh generated program; its index extends the corpus,
-                # so any finding's (corpus_index, lineage=()) replays.
-                corpus_index = config.n_seed_programs + i
-                test = corpus.get(corpus_index)
-                content = content_text(test.program.kernel, test.inputs)
-                cid = _mutant_content_id(config.fptype, content)
-                overlay.add(cid)
-                return _Prep(
-                    iteration=i,
-                    arm=arm_choice,
-                    kind="explore",
-                    test=test,
-                    content=content,
-                    content_id=cid,
-                    corpus_index=corpus_index,
-                    lineage=(),
-                )
-
-            parent = rng.choices(pool, weights=[e.energy for e in pool], k=1)[0]
-            donor_index: Optional[int] = None
-            donor: Optional[Kernel] = None
-            if MUTATORS[arm_choice].needs_donor:
-                # Donors come from corpus-backed entries (so the lineage
-                # stays a flat recipe) but are drawn energy-weighted:
-                # divergence-prone subexpressions travel first.
-                candidates = [e for e in pool if not e.lineage]
-                donor_entry = rng.choices(
-                    candidates, weights=[e.energy for e in candidates], k=1
-                )[0]
-                donor_index = donor_entry.corpus_index
-                donor = donor_entry.test.program.kernel
-            mseed = derive_seed(config.seed, "mutant", i)
-            kernel = apply_mutation(
-                parent.test.program.kernel, arm_choice, mseed, donor
-            )
-            if kernel is None:
-                return _Prep(iteration=i, arm=arm_choice, skip="no_site")
-            if validate_kernel(kernel):
-                return _Prep(iteration=i, arm=arm_choice, skip="invalid")
-            content = content_text(kernel, parent.test.inputs)
-            if content == parent.content:
-                return _Prep(iteration=i, arm=arm_choice, skip="noop")
-            cid = _mutant_content_id(config.fptype, content)
-            if cid in evaluated or cid in overlay:
-                return _Prep(iteration=i, arm=arm_choice, skip="duplicate")
-            overlay.add(cid)
-            program = Program(
-                program_id=cid,
-                kernel=kernel,
-                seed=mseed,
-                source_note="fuzz mutant",
-            )
-            return _Prep(
-                iteration=i,
-                arm=arm_choice,
-                kind="mutant",
-                test=TestCase(program, parent.test.inputs),
-                content=content,
-                content_id=cid,
-                corpus_index=parent.corpus_index,
-                lineage=parent.lineage + (LineageStep(arm_choice, mseed, donor_index),),
-                parent=parent,
-            )
-
-        def build_finding(
-            p: _Prep, platform_arm: str, d: Discrepancy, sig: DiscrepancySignature
-        ) -> Finding:
-            """Minimize and record one novel signature's finding (shared
-            by both strategies)."""
-            target = p.test.hipified() if platform_arm == "hipify" else p.test
-            reduced_size: Optional[int] = None
-            reduced_cuda: Optional[str] = None
-            # Oracle findings are single-stack relation verdicts, not
-            # cross-vendor discrepancies; the differential delta
-            # debugger cannot reproduce them, so they stay unminimized.
-            if config.minimize and platform_arm != "oracle":
-                try:
-                    reduction = reduce_testcase(
-                        target,
-                        OptSetting.from_label(d.opt_label),
-                        d.input_index,
-                        runner=evaluator.runner_for(platform_arm),
-                    )
-                    reduced_size = reduction.reduced_size
-                    reduced_cuda = render_cuda(reduction.reduced.program)
-                except (ValueError, ReproError):
-                    pass  # finding stays unminimized; still novel
-            return Finding(
-                iteration=p.iteration,
-                arm=platform_arm,
-                mutant_id=p.test.test_id,
-                corpus_index=p.corpus_index,
-                lineage=p.lineage,
-                signature=sig,
-                discrepancy=d,
-                original_size=kernel_size(p.test.program.kernel),
-                reduced_size=reduced_size,
-                reduced_cuda=reduced_cuda,
-            )
-
-        def commit_mcts(
-            p: _Prep,
-            found: List[Tuple[str, Discrepancy]],
+        def commit(
+            p: PreparedIteration,
+            found: _Found,
             violations: List[RelationViolation],
         ) -> bool:
-            """The mcts commit: counters and findings exactly as the
-            bandit's, then reward backprop instead of pool/scheduler
-            feedback.  True only for a nonzero reward — a zero-reward
-            commit adds nothing tree selection reads, so the speculative
-            window survives it (the engine's parallelism improves as the
-            coverage map saturates)."""
-            assert search is not None
+            """Apply one iteration's results in order — counters, triage
+            and findings here, the feedback in the strategy; True when
+            that changed state a later speculated selection reads."""
             if p.skip is not None:
-                if p.skip == "no_site":
-                    result.mutants_no_site += 1
-                elif p.skip == "invalid":
-                    result.mutants_invalid += 1
-                elif p.skip == "noop":
-                    result.mutants_noop += 1
-                else:
-                    result.duplicates += 1
-                search.commit_skip(p)
+                counter = _SKIP_COUNTERS[p.skip]
+                setattr(result, counter, getattr(result, counter) + 1)
+                strategy.commit_skip(p)
                 return False
+            assert p.test is not None
             evaluated.add(p.content_id)
             if p.kind == "explore":
                 result.fresh_explored += 1
@@ -1187,98 +877,15 @@ def run_fuzz(
             result.raw_discrepancies += len(found)
             result.oracle_violations += len(violations)
             novel = 0
-            if found or violations:
-                entries = evaluator.signatures_for(
-                    p.test, found
-                ) + evaluator.oracle_entries(violations)
-                for platform_arm, d, sig in entries:
-                    if sig.key in seen:
-                        continue
-                    seen.add(sig.key)
-                    novel += 1
-                    finding = build_finding(p, platform_arm, d, sig)
-                    findings.append(finding)
-                    batch_findings.append(finding)
-            diverged = bool(found)
-            reward = search.commit_evaluated(
-                p, novel, len(violations), diverged=diverged
-            )
-            batch_search.append(
-                SearchTrace(p.iteration, p.corpus_index, p.lineage, reward, diverged)
-            )
-            # A promotion (diverged) grows the tree even at zero reward,
-            # so speculation is stale either way.
-            return reward != 0.0 or diverged
-
-        def commit_iteration(
-            p: _Prep,
-            found: List[Tuple[str, Discrepancy]],
-            violations: List[RelationViolation],
-        ) -> bool:
-            """Apply one iteration's results in order; True when it
-            changed state a later speculated selection reads (which
-            invalidates anything speculated after it)."""
-            if search is not None:
-                return commit_mcts(p, found, violations)
-            scheduler.count_attempt(p.arm)
-            if p.skip is not None:
-                if p.skip == "no_site":
-                    result.mutants_no_site += 1
-                elif p.skip == "invalid":
-                    result.mutants_invalid += 1
-                elif p.skip == "noop":
-                    result.mutants_noop += 1
-                else:
-                    result.duplicates += 1
-                return False
-            evaluated.add(p.content_id)
-            if p.kind == "explore":
-                result.fresh_explored += 1
-            else:
-                result.mutants_run += 1
-
-            result.raw_discrepancies += len(found)
-            result.oracle_violations += len(violations)
-            if not found and not violations:
-                return False
-
-            promoted = False
-            new_entry = _PoolEntry(
-                test=p.test,
-                corpus_index=p.corpus_index,
-                lineage=p.lineage,
-                content=p.content,
-            )
-            entries = evaluator.signatures_for(
-                p.test, found
-            ) + evaluator.oracle_entries(violations)
-            for platform_arm, d, sig in entries:
+            for platform_arm, d, sig in evaluator.entries(p.test, found, violations):
                 if sig.key in seen:
                     continue
                 seen.add(sig.key)
-                finding = build_finding(p, platform_arm, d, sig)
+                novel += 1
+                finding = evaluator.build_finding(p, platform_arm, d, sig)
                 findings.append(finding)
                 batch_findings.append(finding)
-                if p.parent is not None:
-                    p.parent.energy += config.novelty_bonus
-                scheduler.record_win(p.arm)
-                if not promoted:
-                    promoted = True
-                    new_entry.energy = 1.0 + config.novelty_bonus
-                    pool.append(new_entry)
-                    by_key[new_entry.key] = new_entry
-
-            if not promoted:
-                # Discrepant but nothing novel: still an interesting input.
-                # It joins the pool (AFL's queue) — chains of mutations walk
-                # the signature space further than one hop can — and the
-                # promotion is ledgered so a resume rebuilds the same pool.
-                promotion = Promotion(p.iteration, p.corpus_index, p.lineage)
-                batch_promotions.append(promotion)
-                new_entry.energy = promoted_energy
-                pool.append(new_entry)
-                by_key[new_entry.key] = new_entry
-            return True
+            return strategy.commit(p, novel, len(violations), bool(found))
 
         # Speculation window: how many candidate evaluations are in
         # flight at once.  1 (serial) trivially matches the reference
@@ -1295,12 +902,15 @@ def run_fuzz(
                 ):
                     stopped_by = "wall-clock"
                     break
-                preps: List[_Prep] = []
+                # Prepare against the committed state: ``overlay`` carries
+                # the window's own content ids so speculated iterations
+                # dedup against each other the way committed ones would.
+                preps: List[PreparedIteration] = []
                 overlay: Set[str] = set()
                 n_eval = 0
                 j = i
                 while j < config.max_mutants and n_eval < window:
-                    p = prepare_iteration(j, overlay)
+                    p = strategy.prepare(j, evaluated, overlay)
                     preps.append(p)
                     if p.test is not None:
                         n_eval += 1
@@ -1315,20 +925,17 @@ def run_fuzz(
                         ]
                     )
                 for p in preps:
-                    found: List[Tuple[str, Discrepancy]] = []
+                    found: _Found = []
                     violations: List[RelationViolation] = []
                     if p.test is not None:
-                        span_mcts = search is not None and loop_tracer.enabled
-                        eval_t0 = time.perf_counter_ns() if span_mcts else 0
+                        eval_t0 = time.perf_counter_ns() if tracer.enabled else 0
                         found, violations = evaluator.absorb(next(outcome_iter))
-                        if span_mcts:
-                            loop_tracer.record(
-                                "fuzz.mcts.evaluate",
-                                eval_t0,
-                                time.perf_counter_ns(),
+                        if tracer.enabled:
+                            tracer.record(
+                                evaluate_span, eval_t0, time.perf_counter_ns(),
                                 iteration=p.iteration,
                             )
-                    changed = commit_iteration(p, found, violations)
+                    changed = commit(p, found, violations)
                     i = p.iteration + 1
                     result.iterations = i
                     # The flush check runs every iteration — including ones
@@ -1339,15 +946,13 @@ def run_fuzz(
                         if progress is not None:
                             progress("fuzz", i, config.max_mutants)
                     if changed:
-                        # The pool (or tree) changed: every later
-                        # speculation selected against stale state.  Drain
-                        # and discard (their runs are never counted), undo
-                        # the tree's speculative prepare-marks, then
+                        # Every later speculation selected against stale
+                        # state.  Drain and discard (their runs are never
+                        # counted), undo their prepare-time marks, then
                         # re-speculate.
                         for _ in outcome_iter:
                             pass
-                        if search is not None:
-                            search.invalidate()
+                        strategy.invalidate()
                         break
             flush_batch(result.iterations)
             if progress is not None and result.iterations:
@@ -1362,9 +967,8 @@ def run_fuzz(
         result.elapsed_seconds = time.perf_counter() - t0
         result.stopped_by = stopped_by
         result.exec_metrics = service.stats()
-        if search is not None:
-            result.search_stats = search.stats()
-            result.coverage = search.coverage.as_dict()
+        result.search_stats = strategy.stats()
+        result.coverage = strategy.coverage_summary()
         return result
     finally:
         service.close()
@@ -1388,7 +992,6 @@ def run_random_session(
     yields directly comparable at equal ``pair_runs``.
     """
     config = config or FuzzConfig()
-    skip = set(skip_signatures or ())
     # The control arm honors config.workers too: its chunks stream with
     # no feedback loop, so parallelism never changes the result — only
     # the wall clock, keeping the fuzz-vs-blind timing comparison fair.
@@ -1401,16 +1004,13 @@ def run_random_session(
         prefix="fuzzctl",
     )
     result = RandomSessionResult(n_programs=n_programs)
-    seen: Set[str] = set(skip)
+    seen: Set[str] = set(skip_signatures or ())
     try:
-        chunks = (evaluator.chunk_for(t) for t in corpus)
-        for index, outcomes in enumerate(service.run_sweeps(chunks)):
-            found, violations = evaluator.absorb(outcomes)
+        for index, (found, violations, entries) in enumerate(
+            evaluator.evaluate(corpus.tests)
+        ):
             result.raw_discrepancies += len(found)
             result.oracle_violations += len(violations)
-            entries = evaluator.signatures_for(
-                corpus.tests[index], found
-            ) + evaluator.oracle_entries(violations)
             for _, _, sig in entries:
                 if sig.key not in seen:
                     seen.add(sig.key)

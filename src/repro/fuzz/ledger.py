@@ -56,7 +56,7 @@ complete recipe, which is how a resumed session rebuilds its seed pool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.fuzz.signature import DiscrepancySignature
 from repro.harness.differential import Discrepancy
@@ -237,7 +237,7 @@ class LedgerState:
     findings: List[Finding] = field(default_factory=list)
     #: interleaved pool events in ledger order, for exact state replay:
     #: ``("finding", Finding)`` and ``("promotion", Promotion)``.
-    pool_events: List[Tuple[str, object]] = field(default_factory=list)
+    pool_events: List[Tuple[str, Union[Finding, Promotion]]] = field(default_factory=list)
     #: format-5 (mcts) per-iteration search records, in ledger order;
     #: empty for bandit-mode ledgers.
     search_steps: List[SearchTrace] = field(default_factory=list)

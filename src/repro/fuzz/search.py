@@ -1,8 +1,31 @@
-"""MCTS/UCB1 tree search over IR-edit sequences.
+"""Search strategies: how a fuzz session spends its iteration budget.
+
+:func:`repro.fuzz.engine.run_fuzz` owns what every strategy shares — the
+baseline, the speculative evaluation window, counters, triage and
+findings.  A :class:`SearchStrategy` owns the rest: which program to
+evaluate next and what each result teaches it.  ``FuzzConfig.search``
+picks one from :data:`STRATEGIES`:
+
+* ``"bandit"`` (:class:`BanditSearch`, the default) — a win-count bandit
+  over the mutators plus a fresh-generation arm, mutating an
+  energy-weighted flat pool of fertile programs;
+* ``"mcts"`` (:class:`MctsSearch`) — UCB1 tree search over IR-edit
+  sequences with a novelty/oracle/coverage reward blend.
+
+The engine builds the strategy once the baseline is known and replays
+the ledger into it.  Then, window by window, it prepares iterations
+ahead and commits them in order, calling ``invalidate`` whenever a
+commit reports that later selections changed.
+A third strategy is one class with the protocol's methods plus one
+:data:`STRATEGIES` entry: ``FuzzConfig`` validation, the ``repro-fuzz
+--search`` choices and the ledger fingerprint all read the registry.
+
+Tree search
+-----------
 
 The bandit strategy picks a *single* mutation of an energy-weighted pool
 entry each iteration; its unit of learning is the mutation operator.
-This module's unit of learning is the **edit sequence**: tree nodes are
+Tree search's unit of learning is the **edit sequence**: tree nodes are
 ``(corpus_index, lineage)`` programs — exactly the identity the ledger
 already uses — rooted at the seed pool.  Selection walks the tree by
 UCB1; at the selected node the search *expands*: it applies one of the
@@ -41,7 +64,7 @@ split each simulation's state changes by *what they depend on*:
   stands — never on the new program's evaluation — so speculated
   iterations may apply them eagerly.  Every change is recorded in an
   undo delta.
-* **Commit-time** (``commit_evaluated`` / ``commit_replay``): reward
+* **Commit-time** (``commit`` and its resume twin in ``replay``): reward
   backpropagation, child-node promotion, coverage observation.  These
   need the evaluation's results and run strictly in iteration order.
 
@@ -74,14 +97,17 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Dict, List, Optional, Protocol, Sequence, Set, Tuple, Type,
+)
 
 from repro.errors import HarnessError
 from repro.exec import content_id, content_text
+from repro.fp.types import FPType
 from repro.fuzz.coverage import CoverageTracker, kernel_features
-from repro.fuzz.ledger import LineageStep
+from repro.fuzz.ledger import LedgerState, LineageStep, Promotion, SearchTrace
 from repro.fuzz.mutators import MUTATORS, apply_mutation
-from repro.ir.program import Program
+from repro.ir.program import Kernel, Program
 from repro.ir.validate import validate_kernel
 from repro.telemetry.spans import get_tracer
 from repro.utils.rng import derive_seed
@@ -90,9 +116,13 @@ from repro.varity.testcase import TestCase
 __all__ = [
     "MAX_DEPTH",
     "EXPLORATION_C",
+    "STRATEGIES",
+    "BanditSearch",
     "MctsSearch",
     "PreparedIteration",
+    "SearchStrategy",
     "blend_reward",
+    "replay_lineage",
 ]
 
 #: Edit-sequence depth cap.  Deep chains are the point of tree search,
@@ -144,13 +174,35 @@ def blend_reward(novel: int, violations: int, new_features: int) -> float:
     return raw / (1.0 + raw)
 
 
+def mutant_content_id(fptype: FPType, content: str) -> str:
+    """Mutant program ids keep their historical ``fuzz-`` shape."""
+    return content_id(fptype, content, prefix="fuzz")
+
+
+def replay_lineage(corpus, corpus_index: int, lineage: Sequence[LineageStep]) -> Kernel:
+    """Rebuild a mutant kernel from its ledger lineage."""
+    kernel = corpus.get(corpus_index).program.kernel
+    for step in lineage:
+        donor = (
+            corpus.get(step.donor_index).program.kernel
+            if step.donor_index is not None
+            else None
+        )
+        mutated = apply_mutation(kernel, step.mutation, step.seed, donor)
+        if mutated is None:
+            raise HarnessError(
+                f"ledger lineage does not replay: {step.mutation} produced no mutant"
+            )
+        kernel = mutated
+    return kernel
+
+
 @dataclass
 class PreparedIteration:
     """One speculated iteration: everything selection decided, nothing
     committed.  ``skip`` names the counter a non-evaluable iteration
-    lands in; otherwise ``test`` is the candidate to evaluate.  (Shared
-    with the bandit strategy, whose ``parent`` field carries its pool
-    entry; the mcts strategy leaves it ``None``.)"""
+    lands in; otherwise ``test`` is the candidate to evaluate.
+    ``parent`` is the bandit's pool entry (``None`` under tree search)."""
 
     iteration: int
     arm: str
@@ -162,6 +214,279 @@ class PreparedIteration:
     corpus_index: int = -1
     lineage: Tuple[LineageStep, ...] = ()
     parent: Optional[object] = None
+
+
+class SearchStrategy(Protocol):
+    """What :func:`repro.fuzz.engine.run_fuzz` needs from a strategy
+    (see the module docstring for the call order).  Subclasses inherit
+    the no-op ``commit_skip`` and ``invalidate`` and the empty ``stats``
+    and ``coverage_summary``."""
+
+    def __init__(self, config, corpus, hot_indices: Sequence[int]) -> None:
+        """A fresh strategy over ``corpus`` once the baseline is known;
+        ``hot_indices`` are the seed programs that already diverge."""
+
+    @classmethod
+    def fingerprint_keys(cls) -> Dict[str, object]:
+        """Keys this strategy adds to the ledger fingerprint (a ``format``
+        key overrides the base format)."""
+
+    def prepare(
+        self, i: int, evaluated: Set[str], overlay: Set[str]
+    ) -> PreparedIteration:
+        """Select iteration ``i`` against the committed state.
+        ``evaluated`` holds every committed content id and ``overlay``
+        the window's own; a prepared candidate adds its id to
+        ``overlay``."""
+
+    def commit(
+        self, prep: PreparedIteration, novel: int, violations: int, diverged: bool
+    ) -> bool:
+        """Fold in an evaluated iteration: its count of novel findings and
+        of oracle violations, and whether it diverged across vendors.
+        True when a later selection could differ."""
+
+    def commit_skip(self, prep: PreparedIteration) -> None:
+        """Fold in a skipped iteration."""
+        return None
+
+    def invalidate(self) -> None:
+        """Undo every prepared-but-uncommitted iteration."""
+        return None
+
+    def replay(self, state: LedgerState, evaluated: Set[str]) -> None:
+        """Rebuild the committed state of ``state``'s completed iterations,
+        adding the content ids it knows were evaluated to ``evaluated``."""
+
+    def take_batch_records(self) -> Dict[str, Any]:
+        """This batch's strategy records as ``append_batch`` keywords;
+        resets the batch."""
+
+    def stats(self) -> Dict[str, object]:
+        """Out-of-band statistics for ``FuzzResult.search_stats``."""
+        return {}
+
+    def coverage_summary(self) -> Dict[str, object]:
+        """Grammar-feature coverage for ``FuzzResult.coverage``."""
+        return {}
+
+
+@dataclass
+class _PoolEntry:
+    """One power-scheduled seed: a corpus program or a promoted mutant."""
+
+    test: TestCase
+    corpus_index: int
+    lineage: Tuple[LineageStep, ...]
+    content: str
+    energy: float = 1.0
+
+    @property
+    def key(self) -> Tuple[int, Tuple[LineageStep, ...]]:
+        return (self.corpus_index, self.lineage)
+
+
+class BanditSearch(SearchStrategy):
+    """The default ``search="bandit"`` strategy: a power-scheduled flat
+    pool plus a win-count bandit over the iteration's action.
+
+    The arms are the registered mutators plus (when enabled) "explore" —
+    evaluate a fresh generated program instead of mutating.  An arm's
+    selection weight is ``1 + its novel-signature findings so far``, so
+    budget flows to whatever is currently paying: a barren pool drifts
+    toward blind generation, a rich one concentrates on the mutators that
+    keep producing.  (Novelty rewards arrive in bursts — one divergent
+    program can yield several signatures across optimization settings —
+    which is why the simple win-count rule empirically beats rate-
+    normalized and UCB variants at session-sized attempt counts: it
+    commits to a paying region immediately instead of waiting for rate
+    estimates to stabilize.)
+
+    Each novel finding adds ``novelty_bonus`` energy to the mutated
+    parent, and every diverging mutant joins the pool: at ``1 +
+    novelty_bonus`` energy when it carried a novel signature, at
+    ``promotion_energy`` otherwise (a ledgered :class:`Promotion` — AFL's
+    "interesting input" queue).  Selection reads only wins and the pool,
+    so :meth:`prepare` touches nothing and :meth:`invalidate` has nothing
+    to undo.  Resume replays the ledger's findings and promotions in
+    order, which reconstructs both exactly.
+    """
+
+    def __init__(self, config, corpus, hot_indices: Sequence[int]) -> None:
+        self.config = config
+        self.corpus = corpus
+        self.arms: Tuple[str, ...] = (
+            ("explore",) if config.explore else ()
+        ) + config.mutations
+        self.wins: Dict[str, int] = {a: 0 for a in self.arms}
+        self.pool: List[_PoolEntry] = []
+        self.by_key: Dict[Tuple[int, Tuple[LineageStep, ...]], _PoolEntry] = {}
+        self._promotions: List[Promotion] = []
+        for index, test in enumerate(corpus.seed_tests()):
+            self._add(
+                _PoolEntry(
+                    test=test,
+                    corpus_index=index,
+                    lineage=(),
+                    content=content_text(test.program.kernel, test.inputs),
+                )
+            )
+        for index in hot_indices:
+            self.pool[index].energy += config.novelty_bonus
+
+    @classmethod
+    def fingerprint_keys(cls) -> Dict[str, object]:
+        return {}  # bandit ledgers keep their pre-search formats 2–4
+
+    def _add(self, entry: _PoolEntry) -> None:
+        self.pool.append(entry)
+        self.by_key[entry.key] = entry
+
+    def prepare(
+        self, i: int, evaluated: Set[str], overlay: Set[str]
+    ) -> PreparedIteration:
+        config = self.config
+        rng = random.Random(derive_seed(config.seed, "select", i))
+        arm = rng.choices(
+            self.arms, weights=[1 + self.wins[a] for a in self.arms], k=1
+        )[0]
+
+        if arm == "explore":
+            # A fresh generated program; its index extends the corpus,
+            # so any finding's (corpus_index, lineage=()) replays.
+            corpus_index = config.n_seed_programs + i
+            test = self.corpus.get(corpus_index)
+            content = content_text(test.program.kernel, test.inputs)
+            cid = mutant_content_id(config.fptype, content)
+            overlay.add(cid)
+            return PreparedIteration(
+                iteration=i,
+                arm=arm,
+                kind="explore",
+                test=test,
+                content=content,
+                content_id=cid,
+                corpus_index=corpus_index,
+                lineage=(),
+            )
+
+        parent = rng.choices(self.pool, weights=[e.energy for e in self.pool], k=1)[0]
+        donor_index: Optional[int] = None
+        donor: Optional[Kernel] = None
+        if MUTATORS[arm].needs_donor:
+            # Donors come from corpus-backed entries (so the lineage
+            # stays a flat recipe) but are drawn energy-weighted:
+            # divergence-prone subexpressions travel first.
+            candidates = [e for e in self.pool if not e.lineage]
+            donor_entry = rng.choices(
+                candidates, weights=[e.energy for e in candidates], k=1
+            )[0]
+            donor_index = donor_entry.corpus_index
+            donor = donor_entry.test.program.kernel
+        mseed = derive_seed(config.seed, "mutant", i)
+        kernel = apply_mutation(parent.test.program.kernel, arm, mseed, donor)
+        if kernel is None:
+            return PreparedIteration(iteration=i, arm=arm, skip="no_site")
+        if validate_kernel(kernel):
+            return PreparedIteration(iteration=i, arm=arm, skip="invalid")
+        content = content_text(kernel, parent.test.inputs)
+        if content == parent.content:
+            return PreparedIteration(iteration=i, arm=arm, skip="noop")
+        cid = mutant_content_id(config.fptype, content)
+        if cid in evaluated or cid in overlay:
+            return PreparedIteration(iteration=i, arm=arm, skip="duplicate")
+        overlay.add(cid)
+        program = Program(
+            program_id=cid, kernel=kernel, seed=mseed, source_note="fuzz mutant"
+        )
+        return PreparedIteration(
+            iteration=i,
+            arm=arm,
+            kind="mutant",
+            test=TestCase(program, parent.test.inputs),
+            content=content,
+            content_id=cid,
+            corpus_index=parent.corpus_index,
+            lineage=parent.lineage + (LineageStep(arm, mseed, donor_index),),
+            parent=parent,
+        )
+
+    def commit(
+        self, prep: PreparedIteration, novel: int, violations: int, diverged: bool
+    ) -> bool:
+        if not diverged and not violations:
+            return False
+        assert prep.test is not None
+        entry = _PoolEntry(
+            test=prep.test,
+            corpus_index=prep.corpus_index,
+            lineage=prep.lineage,
+            content=prep.content,
+        )
+        if novel:
+            self._reward(prep.arm, prep.parent, novel)
+            entry.energy = 1.0 + self.config.novelty_bonus
+        else:
+            # Discrepant but nothing novel: still an interesting input.
+            # It joins the pool — chains of mutations walk the signature
+            # space further than one hop can — and the promotion is
+            # ledgered so a resume rebuilds the same pool.
+            self._promotions.append(
+                Promotion(prep.iteration, prep.corpus_index, prep.lineage)
+            )
+            entry.energy = self.config.promotion_energy
+        self._add(entry)
+        return True
+
+    def _reward(self, arm: str, parent: Optional[object], novel: int) -> None:
+        """One novelty credit per novel finding, to the arm and the parent."""
+        for _ in range(novel):
+            if isinstance(parent, _PoolEntry):
+                parent.energy += self.config.novelty_bonus
+            if arm in self.wins:
+                self.wins[arm] += 1
+
+    def replay(self, state: LedgerState, evaluated: Set[str]) -> None:
+        """Apply the ledger's findings and promotions in live-run order."""
+        for kind, event in state.pool_events:
+            corpus_index, lineage = event.corpus_index, event.lineage
+            energy = self.config.promotion_energy
+            if kind == "finding":
+                self._reward(
+                    lineage[-1].mutation if lineage else "explore",
+                    self.by_key.get((corpus_index, lineage[:-1])) if lineage else None,
+                    1,
+                )
+                energy = 1.0 + self.config.novelty_bonus
+            if (corpus_index, lineage) not in self.by_key:
+                entry = self._rebuild(corpus_index, lineage, energy)
+                self._add(entry)
+                evaluated.add(mutant_content_id(self.config.fptype, entry.content))
+
+    def _rebuild(
+        self, corpus_index: int, lineage: Tuple[LineageStep, ...], energy: float
+    ) -> _PoolEntry:
+        """A pool entry back from its ledger identity."""
+        base = self.corpus.get(corpus_index)
+        if not lineage:
+            # an explore-arm program: the corpus test itself
+            content = content_text(base.program.kernel, base.inputs)
+            return _PoolEntry(base, corpus_index, lineage, content, energy)
+        kernel = replay_lineage(self.corpus, corpus_index, lineage)
+        content = content_text(kernel, base.inputs)
+        program = Program(
+            program_id=mutant_content_id(self.config.fptype, content),
+            kernel=kernel,
+            seed=lineage[-1].seed,
+            source_note="fuzz mutant",
+        )
+        return _PoolEntry(
+            TestCase(program, base.inputs), corpus_index, lineage, content, energy
+        )
+
+    def take_batch_records(self) -> Dict[str, Any]:
+        promoted, self._promotions = self._promotions, []
+        return {"promoted": promoted}
 
 
 @dataclass
@@ -219,13 +544,15 @@ class _Outstanding:
     explore: bool = False
 
 
-class MctsSearch:
-    """The ``search="mcts"`` strategy behind :func:`repro.fuzz.engine.run_fuzz`."""
+class MctsSearch(SearchStrategy):
+    """The ``search="mcts"`` strategy: UCB1 tree search (module docstring)."""
 
     def __init__(self, config, corpus, hot_indices: Sequence[int]) -> None:
         self.config = config
         self.corpus = corpus
         self.coverage = CoverageTracker()
+        #: this batch's per-iteration search records (format 5).
+        self._traces: List[SearchTrace] = []
         self.mutations: Tuple[str, ...] = config.mutations
         self.explore_enabled: bool = config.explore
         #: root children, in creation order: the seed pool, then every
@@ -257,6 +584,10 @@ class MctsSearch:
             self.explore_visits = 1
             self.explore_reward = EXPLORE_PRIOR
             self.root_visits += 1
+
+    @classmethod
+    def fingerprint_keys(cls) -> Dict[str, object]:
+        return {"format": 5, "search": "mcts"}
 
     # ------------------------------------------------------------ selection
     def _ucb(self, mean: float, visits: int, parent_visits: int) -> float:
@@ -323,9 +654,6 @@ class MctsSearch:
                 best, best_value = arm, value
         assert best is not None
         return best
-
-    def _content_id(self, content: str) -> str:
-        return content_id(self.config.fptype, content, prefix="fuzz")
 
     # -------------------------------------------------------------- prepare
     def prepare(
@@ -422,7 +750,7 @@ class MctsSearch:
         corpus_index = self.config.n_seed_programs + i
         test = self.corpus.get(corpus_index)
         content = content_text(test.program.kernel, test.inputs)
-        cid = self._content_id(content)
+        cid = mutant_content_id(self.config.fptype, content)
         self._bump_visits((), delta)
         self.explore_visits += 1
         delta.append(("explore-visit", None))
@@ -498,7 +826,7 @@ class MctsSearch:
             if content == node.content:
                 skip = "noop"
             else:
-                cid = self._content_id(content)
+                cid = mutant_content_id(self.config.fptype, content)
                 if cid in evaluated or cid in overlay:
                     skip = "duplicate"
         self._bump_visits(path, delta)
@@ -538,6 +866,21 @@ class MctsSearch:
         )
 
     # --------------------------------------------------------------- commit
+    def commit(
+        self, prep: PreparedIteration, novel: int, violations: int, diverged: bool
+    ) -> bool:
+        """Commit and trace one evaluation.  A zero-reward commit adds
+        nothing tree selection reads, so the speculative window survives
+        it (parallelism improves as the coverage map saturates); a
+        diverged one grows the tree even at zero reward."""
+        reward = self.commit_evaluated(prep, novel, violations, diverged)
+        self._traces.append(
+            SearchTrace(
+                prep.iteration, prep.corpus_index, prep.lineage, reward, diverged
+            )
+        )
+        return reward != 0.0 or diverged
+
     def commit_evaluated(
         self,
         prep: PreparedIteration,
@@ -556,19 +899,48 @@ class MctsSearch:
         self._absorb(rec, reward, diverged, prep.iteration)
         return reward
 
-    def commit_replay(
-        self, prep: PreparedIteration, reward: float, diverged: bool = False
-    ) -> None:
-        """Resume path: commit the ledger-recorded reward and re-observe
-        coverage, rebuilding the exact live-run state."""
-        rec = self._pop(prep)
-        assert rec.test is not None
-        self.coverage.observe(kernel_features(rec.test.program.kernel))
-        self._absorb(rec, reward, diverged, prep.iteration)
-
     def commit_skip(self, prep: PreparedIteration) -> None:
         """A skipped iteration's prepare-time marks simply stand."""
         self._pop(prep)
+
+    def replay(self, state: LedgerState, evaluated: Set[str]) -> None:
+        """Re-run each completed iteration's *selection* against the
+        growing tree (mutation application only, never execution) and
+        fold in the ledger-recorded rewards.  This rebuilds the tree
+        statistics, the coverage map and the full evaluated-content
+        dedup set, so the continuation is byte-identical to an
+        uninterrupted session."""
+        trace_by_iter = {t.iteration: t for t in state.search_steps}
+        for i in range(state.iterations_completed):
+            p = self.prepare(i, evaluated, set())
+            rec = trace_by_iter.get(i)
+            if p.skip is not None:
+                if rec is not None:
+                    raise HarnessError(
+                        "ledger search trace does not replay: iteration "
+                        f"{i} re-prepared as a {p.skip} skip"
+                    )
+                self.commit_skip(p)
+                continue
+            if (
+                rec is None
+                or rec.corpus_index != p.corpus_index
+                or rec.lineage != p.lineage
+            ):
+                raise HarnessError(
+                    f"ledger search trace does not replay at iteration {i}"
+                )
+            evaluated.add(p.content_id)
+            # the recorded reward, with coverage re-observed
+            outstanding = self._pop(p)
+            assert outstanding.test is not None
+            self.coverage.observe(kernel_features(outstanding.test.program.kernel))
+            self._absorb(outstanding, rec.reward, rec.diverged, i)
+
+    def take_batch_records(self) -> Dict[str, Any]:
+        # Every format-5 batch line carries the key, empty batches included.
+        traces, self._traces = self._traces, []
+        return {"search": traces}
 
     def _pop(self, prep: PreparedIteration) -> _Outstanding:
         rec = self._outstanding.pop(prep.iteration, None)
@@ -672,3 +1044,13 @@ class MctsSearch:
             "explore_programs": len(self.children) - self.corpus.n_seed_programs,
             "coverage_features": len(self.coverage.counts),
         }
+
+    def coverage_summary(self) -> Dict[str, object]:
+        return self.coverage.as_dict()
+
+
+#: Every ``FuzzConfig.search`` value and the strategy it selects.
+STRATEGIES: Dict[str, Type[SearchStrategy]] = {
+    "bandit": BanditSearch,
+    "mcts": MctsSearch,
+}

@@ -267,14 +267,15 @@ class TestEngine:
         assert again.read_bytes() == path.read_bytes()
 
     def test_finding_lineage_replays(self, session):
-        from repro.fuzz.engine import _LazyCorpus, _replay_lineage
+        from repro.fuzz.engine import _LazyCorpus
+        from repro.fuzz.search import replay_lineage
 
         result, _ = session
         if not result.findings:
             pytest.skip("no findings at this scale")
         corpus = _LazyCorpus(TINY)
         f = result.findings[0]
-        kernel = _replay_lineage(corpus, f.corpus_index, f.lineage)
+        kernel = replay_lineage(corpus, f.corpus_index, f.lineage)
         assert not validate_kernel(kernel)
 
     def test_resume_completed_session_is_noop(self, session, tmp_path):
@@ -442,3 +443,19 @@ class TestOracleMode:
     def test_unknown_relation_rejected(self):
         with pytest.raises(HarnessError):
             FuzzConfig(oracle_relations=("no-such-relation",))
+
+
+class TestConfigValidation:
+    """Impossible configs fail at construction, not mid-session."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("inputs_per_program", 0, "inputs_per_program"),
+            ("opts", (), "opts"),
+            ("oracle_ulp_bound", -1, "oracle_ulp_bound"),
+        ],
+    )
+    def test_bad_value_rejected_with_harness_error(self, field, value, message):
+        with pytest.raises(HarnessError, match=message):
+            dataclasses.replace(TINY, **{field: value})

@@ -29,8 +29,10 @@ import shutil
 import pytest
 
 from repro.errors import HarnessError
+from repro.fuzz.cli import build_parser
 from repro.fuzz.engine import FuzzConfig, run_fuzz
 from repro.fuzz.ledger import LineageStep, SearchTrace
+from repro.fuzz.search import STRATEGIES, BanditSearch
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
@@ -83,6 +85,29 @@ class TestFingerprintGating:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(HarnessError):
             FuzzConfig(search="genetic")
+
+
+class TestStrategyRegistry:
+    def test_cli_choices_follow_registry(self):
+        parser = build_parser()
+        (search,) = [a for a in parser._actions if a.dest == "search"]
+        assert list(search.choices) == list(STRATEGIES) == ["bandit", "mcts"]
+
+    def test_registered_strategy_runs_without_engine_changes(self, monkeypatch):
+        """A third registry entry is all a new strategy needs: validation
+        accepts it, the fingerprint carries its keys, and the engine
+        drives it (here a renamed bandit, so the findings must match)."""
+
+        class RenamedBandit(BanditSearch):
+            @classmethod
+            def fingerprint_keys(cls):
+                return {"search": "renamed-bandit"}
+
+        monkeypatch.setitem(STRATEGIES, "renamed-bandit", RenamedBandit)
+        short = dataclasses.replace(TINY, max_mutants=10)
+        renamed = dataclasses.replace(short, search="renamed-bandit")
+        assert renamed.fingerprint()["search"] == "renamed-bandit"
+        assert run_fuzz(renamed).findings == run_fuzz(short).findings
 
 
 class TestSearchTrace:

@@ -5,7 +5,7 @@ byte-identical ledger, so its own invariants are load-bearing for every
 replay path:
 
 * every edit sequence the search emits is **valid IR** and **replays**
-  — ``_replay_lineage`` over the recorded ``(corpus_index, lineage)``
+  — ``replay_lineage`` over the recorded ``(corpus_index, lineage)``
   rebuilds the exact program content (this is what ledger resume leans
   on);
 * the whole trajectory — expansion order, skips, rewards — is a pure
@@ -24,9 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fuzz.coverage import CoverageTracker, kernel_features
-from repro.fuzz.engine import FuzzConfig, _LazyCorpus, _replay_lineage
+from repro.fuzz.engine import FuzzConfig, _LazyCorpus
 from repro.fuzz.mutators import MUTATION_NAMES, apply_mutation
-from repro.fuzz.search import MAX_DEPTH, MctsSearch, blend_reward
+from repro.fuzz.search import MAX_DEPTH, MctsSearch, blend_reward, replay_lineage
 from repro.exec import content_text
 from repro.ir.validate import validate_kernel
 from repro.varity.config import GeneratorConfig
@@ -114,7 +114,7 @@ class TestEditChains:
             kernel = p.test.program.kernel
             assert not validate_kernel(kernel)
             assert len(p.lineage) <= MAX_DEPTH
-            replayed = _replay_lineage(corpus, p.corpus_index, p.lineage)
+            replayed = replay_lineage(corpus, p.corpus_index, p.lineage)
             assert content_text(replayed, p.test.inputs) == p.content
             evaluated.add(p.content_id)
             search.commit_evaluated(p, novel=i % 2, violations=0)
