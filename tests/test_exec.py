@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import struct
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +175,69 @@ class TestRunStore:
             assert list(map(key, sweep[label].nvcc_runs)) == list(
                 map(key, scratch[label].nvcc_runs)
             )
+
+
+# ------------------------------------------------------ run-store golden
+#: ``tests/goldens/runstore_v1.jsonl`` — a ``repro-runstore-v1`` JSONL store
+#: written by the JSONL ``RunStore`` disk tier: four entries from a real
+#: nvcc-lhs and cpu-lhs service sweep (so two keys are ``cpu@``-qualified),
+#: then hand-put entries with flags, a trapped input, NaN / ±inf, -0.0 and
+#: a subnormal, then a torn final line appended by hand.  Each expected run
+#: is ``None`` (trapped) or ``(input_index, printed, value_bits, flags)``
+#: exactly as that writer's own reader returned it.
+RUNSTORE_GOLDEN = Path(__file__).parent / "goldens" / "runstore_v1.jsonl"
+_REAL = (
+    (0, "8.8762001322964783e-16", 4381996774517112832, None),
+    (1, "0.0007871100096963346", 4560399031724933120, None),
+)
+RUNSTORE_GOLDEN_ENTRIES = {
+    ("ck-fp32-d26d19a4c98774df", "O0"): _REAL,
+    ("ck-fp32-d26d19a4c98774df", "O3_FM"): _REAL,
+    ("cpu@ck-fp32-d26d19a4c98774df", "O0"): _REAL,
+    ("cpu@ck-fp32-d26d19a4c98774df", "O3_FM"): _REAL,
+    ("ck-fp64-00000000golden01", "O0"): (
+        (0, "2.5", 4612811918334230528, {"inexact": 1, "underflow": 0}),
+        None,
+        (2, "4.94066e-324", 1, {"inexact": 1, "underflow": 1}),
+    ),
+    ("ck-fp64-00000000golden01", "O3_FM"): (
+        (0, "-nan", 18444492273895866369, None),
+        (1, "inf", 9218868437227405312, None),
+        (2, "-inf", 18442240474082181120, None),
+    ),
+    ("cpu@ck-fp32-00000000golden02", "O1"): (
+        None,
+        (1, "-0", 9223372036854775808, None),
+        (2, "3.40282e+38", 5183643170566569984, None),
+    ),
+}
+RUNSTORE_GOLDEN_TORN = ("ck-fp64-00000000golden03", "O0")
+
+
+def _replayed(records):
+    return tuple(
+        None
+        if r is None
+        else (
+            r.input_index,
+            r.printed,
+            struct.unpack("<Q", struct.pack("<d", r.value))[0],
+            r.flags,
+        )
+        for r in records
+    )
+
+
+class TestRunStoreGolden:
+    def test_golden_replays_through_jsonl_reader(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_bytes(RUNSTORE_GOLDEN.read_bytes())
+        with RunStore(path=path) as store:
+            for (key, opt), expected in RUNSTORE_GOLDEN_ENTRIES.items():
+                out = store.get(key, opt, test_id="t", compiler="x")
+                assert _replayed(out) == expected, (key, opt)
+            assert store.get(*RUNSTORE_GOLDEN_TORN, test_id="t") is None
+            assert store.disk_hits == len(RUNSTORE_GOLDEN_ENTRIES)
 
 
 # ----------------------------------------------------------------- service
