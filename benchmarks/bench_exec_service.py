@@ -10,7 +10,7 @@ three execution configurations the redesign enables:
   the per-row interpreter and per-sweep recompiles every earlier PR
   lived with — the baseline the batch speedup is measured against;
 * ``serial``    — ``SerialBackend``, cold two-tier ``RunStore`` with a
-  disk tier (this pass also writes the store the warm mode reads);
+  SQLite disk tier (this pass also writes the store the warm mode reads);
 * ``pool``      — ``ProcessPoolBackend``, the same chunks fanned out to
   spawn workers;
 * ``bridge``    — ``BridgeBackend`` against an in-process bridge server
@@ -163,11 +163,11 @@ def _run(service, chunks):
 
 def test_exec_service_throughput(results_dir):
     n_programs, chunks, scalar_chunks = _workload()
-    store_path = results_dir / "exec_service.store.jsonl"
-    scalar_store_path = results_dir / "exec_service.scalar.store.jsonl"
+    store_path = results_dir / "exec_service.store.sqlite"
+    scalar_store_path = results_dir / "exec_service.scalar.store.sqlite"
     for path in (store_path, scalar_store_path):
-        if path.exists():
-            path.unlink()
+        for suffix in ("", "-wal", "-shm"):
+            path.with_name(path.name + suffix).unlink(missing_ok=True)
     workers = max(2, (os.cpu_count() or 2) - 1)
 
     scalar_s, scalar_t, scalar_keys = _run(

@@ -3,7 +3,7 @@
 The in-process :class:`~repro.exec.service.ExecutionService` already
 makes every caller's output worker-count-invariant; this package grows
 that contract across machine boundaries so one campaign saturates a
-fleet and many sessions share one warm store:
+fleet:
 
 * :mod:`~repro.bridge.schemas` — the JSON wire shapes (jobs, leases,
   results) plus the pickle/base64 payload codec shared by server,
@@ -12,13 +12,12 @@ fleet and many sessions share one warm store:
   lease/ack semantics: workers lease chunks, heartbeat while executing,
   and a dead worker's lease expires so its chunk is re-queued — never
   lost, never committed twice;
-* :mod:`~repro.bridge.sqlstore` — :class:`SqliteRunStore`, the
-  concurrent-writer-safe run-store tier (the JSONL tier is
-  single-writer): SQLite WAL shards selected by content hash, behind
-  the same duck-typed protocol as :class:`~repro.exec.store.RunStore`,
-  with a migration path from an existing JSONL store;
 * :mod:`~repro.bridge.server` — the ``repro-bridge`` stdlib-only HTTP
-  server fronting the queue (JSON bodies, long-poll result collection);
+  server fronting the queue (JSON bodies, long-poll result collection),
+  plus ``repro-bridge migrate``, which imports an old JSONL run store
+  into the SQLite content store that
+  :class:`~repro.exec.store.RunStore` opens from a ``path`` (one file
+  that many sessions can share and write concurrently);
 * :mod:`~repro.bridge.worker` — the ``repro-worker`` stateless pull
   loop: lease, execute through the existing serial chunk core, commit;
 * :mod:`~repro.bridge.client` — :class:`BridgeBackend`, an
@@ -35,12 +34,10 @@ trusted machine.
 
 from repro.bridge.client import BridgeBackend, BridgeClient, BridgeError
 from repro.bridge.queue import JobQueue
-from repro.bridge.sqlstore import SqliteRunStore
 
 __all__ = [
     "BridgeBackend",
     "BridgeClient",
     "BridgeError",
     "JobQueue",
-    "SqliteRunStore",
 ]

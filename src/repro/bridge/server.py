@@ -40,6 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.bridge.queue import JobQueue
 from repro.bridge.schemas import PROTOCOL_VERSION
+from repro.errors import HarnessError
 from repro.telemetry.spans import NullTracer, Tracer
 
 __all__ = ["BridgeServer", "start_server", "main"]
@@ -288,23 +289,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
     migrate = sub.add_parser(
-        "migrate", help="import a JSONL run store into the SQLite tier"
+        "migrate", help="import a JSONL run store into a SQLite content store"
     )
     migrate.add_argument("--jsonl", required=True, help="source JSONL store path")
     migrate.add_argument(
-        "--store", required=True, help="destination SQLite store directory"
+        "--store", required=True, help="destination SQLite content store file"
     )
-    migrate.add_argument("--shards", type=int, default=4)
 
     args = parser.parse_args(argv)
 
     if args.command == "migrate":
-        from repro.bridge.sqlstore import SqliteRunStore
+        from repro.exec.store import migrate_jsonl
 
-        with SqliteRunStore(args.store, shards=args.shards) as store:
-            added = store.migrate_jsonl(args.jsonl)
-            total = store.total_entries()
-        print(f"migrated {added} entries ({total} now in {args.store})")
+        try:
+            added = migrate_jsonl(args.jsonl, args.store)
+        except HarnessError as exc:
+            print(f"repro-bridge: error: {exc}", file=sys.stderr)
+            return 2
+        print(f"migrated {added} entries into {args.store}")
         return 0
 
     tracer = Tracer() if args.trace_out else None

@@ -30,26 +30,29 @@ invariant is that routing compiles through the cache leaves every
 ledger, fingerprint, and printed value byte-identical.
 
 Tiers mirror :class:`~repro.exec.store.RunStore`: a bounded LRU memory
-tier, plus an optional persistent directory (one pickle per artifact,
-written atomically via temp-file + rename) so a reopened session starts
-with a warm compiler.
+tier, plus an optional ``path`` naming the SQLite content store
+(:class:`~repro.exec.disk.ContentDB`, which it may share with a run
+store) whose ``artifacts`` table holds one pickled kernel per key, so a
+reopened session starts with a warm compiler.  A blob that does not
+unpickle to a compiled kernel is a miss and is recompiled.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
-import tempfile
 from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.codegen.base import EmitterConfig, render_kernel_body, render_signature
 from repro.compilers.compiler import CompiledKernel, Compiler
 from repro.compilers.options import OptSetting
 from repro.ir.program import Kernel, Program
 from repro.utils.hashing import hash_bytes
+
+if TYPE_CHECKING:
+    from repro.exec.disk import ContentDB
 
 __all__ = ["ArtifactCache", "kernel_text"]
 
@@ -77,8 +80,11 @@ class ArtifactCache:
             raise ValueError("ArtifactCache needs max_entries >= 1")
         self.max_entries = max_entries
         self.path = Path(path) if path is not None else None
+        self._disk: Optional["ContentDB"] = None
         if self.path is not None:
-            self.path.mkdir(parents=True, exist_ok=True)
+            from repro.exec.disk import ContentDB
+
+            self._disk = ContentDB(self.path)
         self._entries: "OrderedDict[str, CompiledKernel]" = OrderedDict()
         # pipeline fingerprints are deterministic per (compiler, opt,
         # fptype); memoized so keying costs two dict probes, not a
@@ -136,19 +142,13 @@ class ArtifactCache:
             self._entries.move_to_end(key)
             self.hits += 1
             return hit
-        if self.path is not None:
-            file = self.path / f"{key}.pkl"
-            if file.exists():
-                try:
-                    with open(file, "rb") as fh:
-                        hit = pickle.load(fh)
-                except (OSError, pickle.UnpicklingError, EOFError):
-                    hit = None  # torn write from a killed session: recompile
-                if hit is not None:
-                    self.disk_hits += 1
-                    self.hits += 1
-                    self._remember(key, hit, persist=False)
-                    return hit
+        if self._disk is not None:
+            hit = _unpickle(self._disk.artifact(key))
+            if hit is not None:
+                self.disk_hits += 1
+                self.hits += 1
+                self._remember(key, hit, persist=False)
+                return hit
         self.misses += 1
         return None
 
@@ -157,19 +157,8 @@ class ArtifactCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
-        if persist and self.path is not None:
-            file = self.path / f"{key}.pkl"
-            if not file.exists():
-                fd, tmp = tempfile.mkstemp(dir=str(self.path), suffix=".tmp")
-                try:
-                    with os.fdopen(fd, "wb") as fh:
-                        pickle.dump(compiled, fh)
-                    os.replace(tmp, file)
-                except OSError:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
+        if persist and self._disk is not None:
+            self._disk.put_artifact(key, pickle.dumps(compiled))
 
     # ------------------------------------------------------------- compile
     def compile(
@@ -218,5 +207,20 @@ class ArtifactCache:
             "entries": len(self._entries),
         }
 
+    def close(self) -> None:
+        if self._disk is not None:
+            self._disk.close()
+
     def __len__(self) -> int:
         return len(self._entries)
+
+
+def _unpickle(blob: Optional[bytes]) -> Optional[CompiledKernel]:
+    """A stored blob back to its kernel; ``None`` when absent or corrupt."""
+    if blob is None:
+        return None
+    try:
+        compiled = pickle.loads(blob)
+    except Exception:  # corrupt bytes can raise almost any type: recompile
+        return None
+    return compiled if isinstance(compiled, CompiledKernel) else None

@@ -1,4 +1,4 @@
-"""The content-keyed run store: memory tier + optional on-disk JSONL.
+"""The content-keyed run store: memory tier + optional SQLite disk tier.
 
 :class:`RunStore` promotes the old per-program ``RunCache`` (keyed by
 ``(test_id, opt_label)``, lifetime one arm walk) to a store keyed by
@@ -15,22 +15,23 @@ Tiers:
 
 * **memory** — an LRU-bounded dict (``max_entries``); eviction keeps long
   fuzz sessions flat instead of leaking every sweep ever run;
-* **disk** (optional ``path``) — an append-only JSONL file indexed by
-  byte offset at open.  A memory miss consults the index, reads one
-  line, and promotes the entry; evicted entries therefore stay
-  servable, and a store reopened on the same path starts warm.
+* **disk** (optional ``path``) — the ``runs`` table of one SQLite file
+  (:class:`~repro.exec.disk.ContentDB`), shared with the artifact cache
+  and safe with concurrent writers (the first writer of a key wins).  A
+  memory miss reads one row and promotes the entry; evicted entries
+  therefore stay servable, and a store reopened on the same path starts
+  warm.  A row whose runs-JSON does not decode is a miss, so its sweep
+  re-executes instead of replaying a wrong result.
 
 Counters are entry-level (``hits`` / ``misses`` / ``disk_hits`` /
 ``evictions``); per-*input* replay counts — the numbers surfaced as
 ``nvcc_cache_hits`` — live on the :class:`BoundRunCache` views handed to
 the differential runner.
 
-The disk tier is **single-writer**: the append-only JSONL format has no
-way to interleave two writers' lines safely, so opening a path that
-another live store already writes raises :class:`~repro.errors.HarnessError`
-(via an advisory ``flock`` on a ``.lock`` sidecar) instead of silently
-corrupting the ledger.  Fleets that need concurrent writers use the
-SQLite tier (:class:`repro.bridge.sqlstore.SqliteRunStore`).
+The retired JSONL disk format (``repro-runstore-v1``: a header line, then
+one ``{"kind": "entry", "k", "o", "r"}`` line per entry) is readable only
+as an import source: :func:`migrate_jsonl` copies it into a SQLite file
+(``repro-bridge migrate``).
 """
 
 from __future__ import annotations
@@ -39,18 +40,16 @@ import json
 import struct
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, IO, List, Optional, Sequence, Tuple, Union
-
-try:  # POSIX only; on other platforms the guard degrades to unlocked.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX
-    fcntl = None  # type: ignore[assignment]
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import HarnessError
 from repro.harness.outcomes import RunRecord
 from repro.varity.testcase import TestCase
 
-__all__ = ["RunStore", "BoundRunCache"]
+if TYPE_CHECKING:
+    from repro.exec.disk import ContentDB
+
+__all__ = ["RunStore", "BoundRunCache", "migrate_jsonl"]
 
 #: test-id-neutral form of one input's outcome: None (trapped) or
 #: (input_index, printed, value_bits, flags-or-None).
@@ -92,9 +91,8 @@ def _rebind(
 def _encode_runs(entry: Sequence[_Neutral]) -> List[Optional[Dict[str, object]]]:
     """Neutral entry → the ``{"i","p","b","f"}`` runs-JSON wire form.
 
-    Shared by the JSONL tier here and the SQLite tier in
-    :mod:`repro.bridge.sqlstore`, so entries migrate between tiers
-    byte-compatibly.
+    The ``r`` column of the SQLite tier and the ``r`` field of the old
+    JSONL lines, so an imported entry replays bit-identically.
     """
     runs: List[Optional[Dict[str, object]]] = []
     for item in entry:
@@ -130,6 +128,40 @@ def _decode_runs(runs: Sequence[Optional[Dict[str, object]]]) -> Tuple[_Neutral,
     return tuple(entry)
 
 
+def migrate_jsonl(source: Union[str, Path], store: Union[str, Path]) -> int:
+    """Import a JSONL run store into the SQLite file ``store``.
+
+    Returns the entries added.  A torn final line (a writer killed
+    mid-append) and unparseable lines are skipped, and keys already in
+    ``store`` keep their rows (first writer wins), so re-importing the
+    same file adds nothing.
+    """
+    from repro.exec.disk import ContentDB
+
+    src = Path(source)
+    if not src.exists():
+        raise HarnessError(f"no JSONL run store at {src}")
+    db = ContentDB(store)
+    added = 0
+    try:
+        with src.open("rb") as fh:
+            for raw in fh:
+                if not raw.endswith(b"\n"):
+                    break  # torn tail from a killed writer
+                try:
+                    data = json.loads(raw)
+                    if data.get("kind") != "entry":
+                        continue
+                    key, opt = str(data["k"]), str(data["o"])
+                    runs = _encode_runs(_decode_runs(data["r"]))
+                except (ValueError, KeyError, TypeError, AttributeError):
+                    continue  # unparseable line or malformed entry
+                added += db.put_run(key, opt, json.dumps(runs))
+    finally:
+        db.close()
+    return added
+
+
 class RunStore:
     """Two-tier content-keyed store of nvcc-side run outcomes."""
 
@@ -143,17 +175,16 @@ class RunStore:
         self.path = Path(path) if path is not None else None
         self.max_entries = max_entries
         self._mem: "OrderedDict[Tuple[str, str], Tuple[_Neutral, ...]]" = OrderedDict()
-        self._disk_index: Dict[Tuple[str, str], int] = {}
-        self._fh: Optional[IO[str]] = None
-        self._lock_fh: Optional[IO[str]] = None
+        self._disk: Optional["ContentDB"] = None
+        if self.path is not None:
+            from repro.exec.disk import ContentDB
+
+            self._disk = ContentDB(self.path)
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
         self.puts = 0
         self.evictions = 0
-        if self.path is not None:
-            self._acquire_writer_lock()
-            self._load_disk_index()
 
     # ------------------------------------------------------------------ api
     def put(
@@ -165,11 +196,11 @@ class RunStore:
         """Store one (content, opt) entry; trapped inputs stay ``None``."""
         entry = tuple(_neutralize(r) for r in outcomes)
         mkey = (key, opt_label)
-        known = mkey in self._mem or mkey in self._disk_index
+        known = mkey in self._mem
         self._insert_mem(mkey, entry)
         self.puts += 1
-        if self.path is not None and not known:
-            self._append_disk(mkey, entry)
+        if self._disk is not None and not known:
+            self._disk.put_run(key, opt_label, json.dumps(_encode_runs(entry)))
 
     def get(
         self, key: str, opt_label: str, *, test_id: str, compiler: str = "nvcc"
@@ -184,8 +215,8 @@ class RunStore:
         entry = self._mem.get(mkey)
         if entry is not None:
             self._mem.move_to_end(mkey)
-        elif mkey in self._disk_index:
-            entry = self._read_disk(mkey)
+        elif self._disk is not None:
+            entry = self._read_disk(key, opt_label)
             if entry is not None:
                 self.disk_hits += 1
                 self._insert_mem(mkey, entry)
@@ -213,19 +244,9 @@ class RunStore:
             "evictions": self.evictions,
         }
 
-    def flush(self) -> None:
-        if self._fh is not None:
-            self._fh.flush()
-
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-        if self._lock_fh is not None:
-            # Closing drops the flock; the sidecar file itself stays (a
-            # stale empty .lock is harmless and racy to delete safely).
-            self._lock_fh.close()
-            self._lock_fh = None
+        if self._disk is not None:
+            self._disk.close()
 
     def __len__(self) -> int:
         return len(self._mem)
@@ -247,95 +268,15 @@ class RunStore:
             self.evictions += 1
 
     # --------------------------------------------------------------- disk
-    def _acquire_writer_lock(self) -> None:
-        """Enforce the disk tier's single-writer contract up front.
-
-        An advisory non-blocking ``flock`` on a ``<path>.lock`` sidecar:
-        the second store attaching to a live path gets a clear error
-        instead of interleaving appends into an unparseable ledger.
-        The flock dies with the holding process, so a crashed writer
-        never wedges the path.
-        """
-        if fcntl is None:  # pragma: no cover - non-POSIX
-            return
-        assert self.path is not None
-        lock_path = self.path.with_name(self.path.name + ".lock")
-        lock_path.parent.mkdir(parents=True, exist_ok=True)
-        fh = lock_path.open("a")
+    def _read_disk(self, key: str, opt_label: str) -> Optional[Tuple[_Neutral, ...]]:
+        assert self._disk is not None
+        runs_json = self._disk.run(key, opt_label)
+        if runs_json is None:
+            return None
         try:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            fh.close()
-            raise HarnessError(
-                f"run store {self.path} is already open for writing in another "
-                "process; the on-disk JSONL tier is single-writer (append-only "
-                "lines cannot interleave safely). Point each writer at its own "
-                "path, or use the concurrent-writer SQLite tier "
-                "(repro.bridge.sqlstore.SqliteRunStore)."
-            ) from None
-        self._lock_fh = fh
-
-    def _load_disk_index(self) -> None:
-        """Index existing entries by byte offset (torn lines skipped)."""
-        if not self.path.exists():
-            return
-        offset = 0
-        with self.path.open("rb") as fh:
-            for raw in fh:
-                line_at = offset
-                offset += len(raw)
-                if not raw.endswith(b"\n"):
-                    break  # torn tail from a killed writer; entry re-runs
-                try:
-                    data = json.loads(raw)
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    continue
-                if data.get("kind") != "entry":
-                    continue
-                self._disk_index[(str(data["k"]), str(data["o"]))] = line_at
-
-    def _append_disk(self, mkey: Tuple[str, str], entry: Tuple[_Neutral, ...]) -> None:
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fresh = not self.path.exists()
-            if not fresh:
-                # A writer killed mid-append leaves a torn final line; trim
-                # it so the next entry starts on its own line instead of
-                # merging into the fragment (which would make *both* lines
-                # unparseable at the next reopen).
-                data = self.path.read_bytes()
-                if data and not data.endswith(b"\n"):
-                    with self.path.open("wb") as fh:
-                        fh.write(data[: data.rfind(b"\n") + 1])
-            self._fh = self.path.open("a", encoding="utf-8")
-            if fresh:
-                self._fh.write(
-                    json.dumps({"kind": "header", "format": "repro-runstore-v1"})
-                    + "\n"
-                )
-        runs = _encode_runs(entry)
-        self._fh.flush()
-        self._disk_index[mkey] = self._fh.tell()
-        self._fh.write(
-            json.dumps({"kind": "entry", "k": mkey[0], "o": mkey[1], "r": runs}) + "\n"
-        )
-        self._fh.flush()
-
-    def _read_disk(self, mkey: Tuple[str, str]) -> Optional[Tuple[_Neutral, ...]]:
-        offset = self._disk_index.get(mkey)
-        if offset is None or offset < 0 or not self.path.exists():
-            return None
-        self.flush()
-        with self.path.open("r", encoding="utf-8") as fh:
-            fh.seek(offset)
-            line = fh.readline()
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        if data.get("kind") != "entry" or (str(data["k"]), str(data["o"])) != mkey:
-            return None
-        return _decode_runs(data["r"])
+            return _decode_runs(json.loads(runs_json))
+        except (ValueError, KeyError, TypeError, AttributeError):
+            return None  # corrupt row: a miss, so the sweep re-executes
 
 
 class BoundRunCache:

@@ -25,7 +25,7 @@ from repro.harness.campaign import (
     build_plan,
     run_campaign,
 )
-from repro.harness.metadata import CampaignMetadata, RunStore
+from repro.harness.metadata import CampaignMetadata, SystemResults
 from repro.harness.transfer import run_system1, run_system2, between_platform_campaign
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
     "build_plan",
     "run_campaign",
     "CampaignMetadata",
-    "RunStore",
+    "SystemResults",
     "run_system1",
     "run_system2",
     "between_platform_campaign",

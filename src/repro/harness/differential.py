@@ -6,9 +6,8 @@ Num/Num pair is a discrepancy only when the printed values differ.
 
 A pair is *stack-neutral*: the two sides are the left/right stacks of
 whatever pair the harness is sweeping (nvcc×hipcc, nvcc×cpu, hipcc×cpu,
-…).  The legacy two-stack spellings — ``classify_pair(nvcc_value=...,
-hipcc_value=...)`` keyword aliases, ``Discrepancy.nvcc_printed``-style
-accessors, and the ``nvcc``/``hipcc`` JSON keys — are kept as
+…).  The legacy two-stack spellings — ``Discrepancy.nvcc_printed``-style
+accessors and the ``nvcc``/``hipcc`` JSON keys — are kept as
 back-compat aliases, and checkpoint payloads for the default
 (nvcc, hipcc) pair serialize byte-identically to the pre-registry
 layout.
@@ -72,25 +71,11 @@ _PAIR_TO_CLASS: Dict[FrozenSet[OutcomeClass], DiscrepancyClass] = {
 _MISSING = object()
 
 
-def classify_pair(
-    lhs_value: float = _MISSING,  # type: ignore[assignment]
-    rhs_value: float = _MISSING,  # type: ignore[assignment]
-    *,
-    nvcc_value: float = _MISSING,  # type: ignore[assignment]
-    hipcc_value: float = _MISSING,  # type: ignore[assignment]
-) -> Optional[DiscrepancyClass]:
+def classify_pair(lhs_value: float, rhs_value: float) -> Optional[DiscrepancyClass]:
     """Discrepancy class of a result pair, or None when equivalent.
 
-    The sides are positionally the pair's left and right stacks; the
-    ``nvcc_value``/``hipcc_value`` keywords are pre-registry aliases for
-    the first and second position.
+    The sides are positionally the pair's left and right stacks.
     """
-    if nvcc_value is not _MISSING:
-        lhs_value = nvcc_value
-    if hipcc_value is not _MISSING:
-        rhs_value = hipcc_value
-    if lhs_value is _MISSING or rhs_value is _MISSING:
-        raise TypeError("classify_pair needs a value for both sides")
     if outcomes_equivalent(lhs_value, rhs_value):
         return None
     a = classify_value(lhs_value)

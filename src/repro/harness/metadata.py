@@ -24,12 +24,12 @@ from repro.varity.config import GeneratorConfig
 from repro.varity.corpus import Corpus, regenerate_test
 from repro.varity.testcase import TestCase
 
-__all__ = ["RunStore", "CampaignMetadata"]
+__all__ = ["SystemResults", "CampaignMetadata"]
 
 _FORMAT_VERSION = 1
 
 
-class RunStore:
+class SystemResults:
     """Results of one system: ``(opt, test_id, input_index) → printed``.
 
     The printed ``%.17g`` string is the ground truth the harness compares
@@ -60,7 +60,7 @@ class RunStore:
         return {f"{o}|{t}|{i}": p for (o, t, i), p in sorted(self._results.items())}
 
     @classmethod
-    def from_json_dict(cls, data: Dict[str, str]) -> "RunStore":
+    def from_json_dict(cls, data: Dict[str, str]) -> "SystemResults":
         store = cls()
         for key, printed in data.items():
             try:
@@ -81,7 +81,7 @@ class CampaignMetadata:
     opt_labels: Tuple[str, ...]
     tests: List[Dict[str, object]] = field(default_factory=list)
     systems: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    results: Dict[str, RunStore] = field(default_factory=dict)  # system name → store
+    results: Dict[str, SystemResults] = field(default_factory=dict)  # system name → results
 
     # -- construction ---------------------------------------------------------
     @classmethod
@@ -105,9 +105,9 @@ class CampaignMetadata:
             "device": device,
             "flags": list(flags),
         }
-        self.results.setdefault(name, RunStore())
+        self.results.setdefault(name, SystemResults())
 
-    def store_for(self, system: str) -> RunStore:
+    def store_for(self, system: str) -> SystemResults:
         try:
             return self.results[system]
         except KeyError:
@@ -165,9 +165,9 @@ class CampaignMetadata:
             systems=dict(data.get("systems", {})),
         )
         meta.results = {
-            name: RunStore.from_json_dict(stored)
+            name: SystemResults.from_json_dict(stored)
             for name, stored in data.get("results", {}).items()
         }
         for name in meta.systems:
-            meta.results.setdefault(name, RunStore())
+            meta.results.setdefault(name, SystemResults())
         return meta

@@ -264,8 +264,6 @@ class DifferentialRunner:
         lhs_cache: Optional["BoundRunCache"] = None,
         populate_lhs_cache: Optional["BoundRunCache"] = None,
         artifacts: Optional["ArtifactCache"] = None,
-        nvcc_cache: Optional["BoundRunCache"] = None,
-        populate_cache: Optional["BoundRunCache"] = None,
     ) -> Dict[str, PairResult]:
         """One test across every optimization setting, keyed by opt label.
 
@@ -279,17 +277,7 @@ class DifferentialRunner:
         setting, the left side is replayed from the cached outcomes
         instead of executing; ``populate_lhs_cache`` stores this sweep's
         left-stack outcomes for a later request to reuse.
-
-        .. deprecated:: PR 9
-           ``nvcc_cache`` / ``populate_cache`` are the pre-registry
-           spellings of ``lhs_cache`` / ``populate_lhs_cache`` (they
-           always cached the *left* stack, whatever it was); they remain
-           as keyword aliases.
         """
-        if lhs_cache is None:
-            lhs_cache = nvcc_cache
-        if populate_lhs_cache is None:
-            populate_lhs_cache = populate_cache
         if artifacts is not None:
             lhs_kernels = artifacts.compile_sweep(
                 self.lhs_compiler, test.program, opts

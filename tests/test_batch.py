@@ -11,6 +11,7 @@ every worker count.
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import struct
 
 import pytest
@@ -27,7 +28,7 @@ from repro.devices.batch import (
     run_batch,
     vectorizable,
 )
-from repro.errors import TrapError
+from repro.errors import HarnessError, TrapError
 from repro.exec import (
     ArtifactCache,
     CachePolicy,
@@ -38,6 +39,7 @@ from repro.exec import (
     SerialBackend,
     SweepRequest,
 )
+from repro.exec.disk import ContentDB
 from repro.exec.units import RunnerSpec
 from repro.fuzz.engine import FuzzConfig, run_fuzz
 from repro.harness.runner import DifferentialRunner
@@ -219,24 +221,38 @@ class TestArtifactCache:
         cfg = GeneratorConfig.fp32()
         program = ProgramGenerator(cfg).generate(8)
         opt = PAPER_OPT_SETTINGS[2]
-        first = ArtifactCache(path=tmp_path / "artifacts")
+        first = ArtifactCache(path=tmp_path / "store.sqlite")
         fresh = first.compile(NvccCompiler(), program, opt)
-        reopened = ArtifactCache(path=tmp_path / "artifacts")
+        first.close()
+        reopened = ArtifactCache(path=tmp_path / "store.sqlite")
         warm = reopened.compile(NvccCompiler(), program, opt)
         assert reopened.disk_hits == 1 and reopened.misses == 0
         assert warm == fresh
+        reopened.close()
 
     def test_torn_artifact_recompiles(self, tmp_path):
+        """A torn (truncated) blob in the artifacts table is a miss and
+        is recompiled, never replayed."""
         cfg = GeneratorConfig.fp32()
         program = ProgramGenerator(cfg).generate(9)
         opt = PAPER_OPT_SETTINGS[0]
-        path = tmp_path / "artifacts"
+        path = tmp_path / "store.sqlite"
+        fresh = NvccCompiler().compile(program, opt)
         cache = ArtifactCache(path=path)
         key = cache.key(NvccCompiler(), program, opt)
-        (path / f"{key}.pkl").write_bytes(b"\x80\x04torn")
+        db = ContentDB(path)
+        db.put_artifact(key, pickle.dumps(fresh)[:40])
+        db.close()
         compiled = cache.compile(NvccCompiler(), program, opt)
         assert cache.misses == 1 and cache.disk_hits == 0
-        assert compiled == NvccCompiler().compile(program, opt)
+        assert compiled == fresh
+        cache.close()
+
+    def test_jsonl_file_is_a_named_error(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_text('{"kind": "header", "format": "repro-runstore-v1"}\n')
+        with pytest.raises(HarnessError, match="repro-bridge migrate"):
+            ArtifactCache(path=path)
 
 
 # --------------------------------------------------- ledger byte equality
@@ -369,7 +385,7 @@ class TestRunSweepRename:
         new.run_sweep(test, OPTS2, populate_lhs_cache=new_view)
         legacy = DifferentialRunner()
         legacy_view = BoundRunCache(store, key)
-        pairs = legacy.run_sweep(test, OPTS2, nvcc_cache=legacy_view)
-        assert legacy.lhs_executions == 0  # replayed via the alias
+        pairs = legacy.run_sweep(test, OPTS2, lhs_cache=legacy_view)
+        assert legacy.lhs_executions == 0  # replayed through the view
         assert legacy_view.hits == 2 * len(test.inputs)
         assert all(p.nvcc_runs for p in pairs.values())

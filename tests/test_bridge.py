@@ -4,9 +4,9 @@ The contracts pinned here are the subsystem's acceptance criteria: the
 job queue's lease/ack state machine (expiry re-queues a dead worker's
 chunk, the guarded commit is exactly-once), ordered delivery from
 :class:`BridgeBackend` making campaign JSON and fuzz ledgers
-byte-identical to serial at any worker count, the SQLite run-store
-tier's protocol compatibility and JSONL migration, and the JSONL
-store's single-writer lock.
+byte-identical to serial at any worker count, and the SQLite run store
+that ``RunStore(path=...)`` opens: shared by concurrent writers, and
+fed from an old JSONL store by ``repro-bridge migrate``.
 
 Workers run as in-process threads pulling from a real HTTP server on a
 loopback port — the full wire path, without process-spawn latency.  A
@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
+import struct
 import threading
 import time
 import urllib.error
@@ -26,12 +28,14 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.bridge import BridgeBackend, BridgeClient, BridgeError, JobQueue, SqliteRunStore
+from repro.bridge import BridgeBackend, BridgeClient, BridgeError, JobQueue
 from repro.bridge.schemas import PROTOCOL_VERSION, decode_blob, encode_blob
+from repro.bridge.server import main as bridge_main
 from repro.bridge.server import start_server
 from repro.bridge.worker import run_worker
 from repro.errors import HarnessError
 from repro.exec import RunStore, resolve_backend
+from repro.exec.store import migrate_jsonl
 from repro.fuzz.engine import FuzzConfig, run_fuzz
 from repro.harness.campaign import CampaignConfig
 from repro.harness.outcomes import RunRecord
@@ -51,6 +55,20 @@ def _boom(x):
 def _slow_square(x):
     time.sleep(0.5)
     return x * x
+
+
+def _hammer_store(path, writer, n, barrier):
+    """One writer process: its own keys plus keys every writer races on."""
+    barrier.wait(timeout=60)  # start together, so the writes contend
+    with RunStore(path) as store:
+        for i in range(n):
+            store.put(f"shared-{i}", "O0", [_record(0, float(writer))])
+            store.put(f"w{writer}-{i}", "O0", [_record(0, float(i))])
+    return writer
+
+
+def _bits(value: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", value))[0]
 
 
 def _record(idx: int, value: float, printed=None, flags=None) -> RunRecord:
@@ -466,7 +484,7 @@ class TestBridgeCliValidation:
 # --------------------------------------------------------- SQLite store
 class TestSqliteRunStore:
     def test_put_get_rebinds_to_requesting_test(self, tmp_path):
-        with SqliteRunStore(tmp_path / "store") as store:
+        with RunStore(tmp_path / "store.sqlite") as store:
             store.put("key", "O0", [_record(0, 2.5, flags={"inexact": 1}), None])
             out = store.get("key", "O0", test_id="twin")
             assert out[0].test_id == "twin" and out[0].value == 2.5
@@ -476,63 +494,95 @@ class TestSqliteRunStore:
             assert store.stats()["misses"] == 1
 
     def test_survives_reopen_and_counts_disk_hits(self, tmp_path):
-        with SqliteRunStore(tmp_path / "store") as store:
+        with RunStore(tmp_path / "store.sqlite") as store:
             store.put("key", "O0", [_record(0, 1.5)])
-        with SqliteRunStore(tmp_path / "store") as reopened:
+        with RunStore(tmp_path / "store.sqlite") as reopened:
             out = reopened.get("key", "O0", test_id="fresh")
             assert out[0].value == 1.5
             assert reopened.stats()["disk_hits"] == 1
 
-    def test_memory_lru_eviction_backed_by_shards(self, tmp_path):
-        with SqliteRunStore(tmp_path / "store", max_entries=2) as store:
-            for i in range(3):
-                store.put(f"k{i}", "O0", [_record(0, float(i))])
-            assert len(store) == 2 and store.stats()["evictions"] == 1
-            # Unlike the memory-only RunStore, eviction loses nothing.
-            out = store.get("k0", "O0", test_id="t")
-            assert out[0].value == 0.0 and store.disk_hits == 1
-
     def test_concurrent_writers_first_wins(self, tmp_path):
-        """Two store handles on one directory — the fleet's shape.  The
-        race is safe and the first landed entry wins everywhere."""
-        a = SqliteRunStore(tmp_path / "store")
-        b = SqliteRunStore(tmp_path / "store")
+        """Two store handles on one file — the fleet's shape.  Both
+        write, each serves the other's entries from disk, and the first
+        landed entry of a shared key wins everywhere."""
+        a = RunStore(tmp_path / "store.sqlite")
+        b = RunStore(tmp_path / "store.sqlite")
         a.put("key", "O0", [_record(0, 1.0)])
         b.put("key", "O0", [_record(0, 2.0)])  # loses the disk race
-        reader = SqliteRunStore(tmp_path / "store")
+        a.put("only-a", "O0", [_record(0, 3.0)])
+        b.put("only-b", "O0", [_record(0, 4.0)])
+        assert a.get("only-b", "O0", test_id="t")[0].value == 4.0
+        assert b.get("only-a", "O0", test_id="t")[0].value == 3.0
+        reader = RunStore(tmp_path / "store.sqlite")
         assert reader.get("key", "O0", test_id="t")[0].value == 1.0
         for store in (a, b, reader):
             store.close()
 
+    def test_concurrent_process_writers_lose_nothing(self, tmp_path):
+        """More writer processes than cores racing on one file: no writer
+        fails on a locked database, every writer's own keys land, and
+        each shared key holds one writer's whole entry."""
+        path = tmp_path / "store.sqlite"
+        writers, n = 4, 200
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(writers)
+        procs = [
+            ctx.Process(target=_hammer_store, args=(path, w, n, barrier))
+            for w in range(writers)
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=120)
+        assert [(p.is_alive(), p.exitcode) for p in procs] == [(False, 0)] * writers
+        with RunStore(path) as store:
+            for i in range(n):
+                for w in range(writers):
+                    assert store.get(f"w{w}-{i}", "O0", test_id="t")[0].value == i
+                (shared,) = store.get(f"shared-{i}", "O0", test_id="t")
+                assert shared.value in range(writers)
+
     def test_stats_protocol_matches_runstore(self, tmp_path):
-        with SqliteRunStore(tmp_path / "store") as store:
+        with RunStore(tmp_path / "store.sqlite") as store:
             assert set(store.stats()) == set(RunStore().stats())
 
-    def test_migrate_jsonl_line_for_line(self, tmp_path):
+    def test_migrate_jsonl_line_for_line(self, tmp_path, capsys):
         jsonl = tmp_path / "runs.jsonl"
-        source = RunStore(path=jsonl)
-        source.put("k0", "O0", [_record(0, 1.25, flags={"inexact": 1})])
-        source.put("k1", "O3 fastmath", [_record(0, float("nan")), None])
-        source.close()
-        with SqliteRunStore(tmp_path / "store") as store:
-            assert store.migrate_jsonl(jsonl) == 2
-            assert store.migrate_jsonl(jsonl) == 0  # idempotent re-import
-            assert store.total_entries() == 2
+        runs = {
+            ("k0", "O0"): [{"i": 0, "p": "1.25", "b": 4608308318706860032,
+                            "f": [["inexact", 1]]}],
+            ("k1", "O3_FM"): [{"i": 0, "p": "nan", "b": 9221120237041090560}, None],
+        }
+        jsonl.write_text(
+            "".join(
+                json.dumps({"kind": "entry", "k": k, "o": o, "r": r}) + "\n"
+                for (k, o), r in runs.items()
+            ),
+            encoding="utf-8",
+        )
+        store = tmp_path / "store.sqlite"
+        argv = ["migrate", "--jsonl", str(jsonl), "--store", str(store)]
+        assert bridge_main(argv) == 0
+        assert bridge_main(argv) == 0  # idempotent re-import
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("migrated 2 entries")
+        assert out[1].startswith("migrated 0 entries")
         # A migrated entry replays bit-identically through a fresh handle.
-        source = RunStore(path=jsonl)
-        with SqliteRunStore(tmp_path / "store") as store:
-            for key, opt in (("k0", "O0"), ("k1", "O3 fastmath")):
-                expected = source.get(key, opt, test_id="t")
-                migrated = store.get(key, opt, test_id="t")
-                assert json.dumps(
-                    [None if r is None else r.printed for r in migrated]
-                ) == json.dumps([None if r is None else r.printed for r in expected])
-        source.close()
+        with RunStore(store) as reopened:
+            for (key, opt), expected in runs.items():
+                migrated = reopened.get(key, opt, test_id="t")
+                assert [
+                    None if r is None else [r.printed, _bits(r.value)]
+                    for r in migrated
+                ] == [None if r is None else [r["p"], r["b"]] for r in expected]
 
-    def test_migrate_missing_source_is_an_error(self, tmp_path):
-        with SqliteRunStore(tmp_path / "store") as store:
-            with pytest.raises(HarnessError, match="no JSONL run store"):
-                store.migrate_jsonl(tmp_path / "ghost.jsonl")
+    def test_migrate_missing_source_is_an_error(self, tmp_path, capsys):
+        with pytest.raises(HarnessError, match="no JSONL run store"):
+            migrate_jsonl(tmp_path / "ghost.jsonl", tmp_path / "store.sqlite")
+        argv = ["migrate", "--jsonl", str(tmp_path / "ghost.jsonl"),
+                "--store", str(tmp_path / "store.sqlite")]
+        assert bridge_main(argv) == 2
+        assert "repro-bridge: error: no JSONL run store" in capsys.readouterr().err
 
     def test_view_for_binds_the_content_id(self, tmp_path):
         from repro.exec import content_id_for
@@ -542,30 +592,10 @@ class TestSqliteRunStore:
         corpus = build_corpus(
             GeneratorConfig.fp32(inputs_per_program=1), 1, root_seed=5
         )
-        with SqliteRunStore(tmp_path / "store") as store:
+        with RunStore(tmp_path / "store.sqlite") as store:
             view = store.view_for(corpus.tests[0])
             assert view.key == content_id_for(corpus.tests[0])
 
     def test_constructor_validation(self, tmp_path):
         with pytest.raises(ValueError):
-            SqliteRunStore(tmp_path / "s", max_entries=0)
-        with pytest.raises(ValueError):
-            SqliteRunStore(tmp_path / "s", shards=0)
-
-
-# ------------------------------------------------------ JSONL writer lock
-class TestRunStoreWriterLock:
-    def test_second_writer_refused_with_the_alternative(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        first = RunStore(path=path)
-        with pytest.raises(HarnessError, match="already open") as excinfo:
-            RunStore(path=path)
-        assert "SqliteRunStore" in str(excinfo.value)  # the fix is named
-        first.close()
-        reopened = RunStore(path=path)  # the lock dies with its holder
-        reopened.close()
-
-    def test_memory_only_stores_never_lock(self):
-        a, b = RunStore(), RunStore()
-        a.put("k", "O0", [_record(0, 1.0)])
-        b.put("k", "O0", [_record(0, 2.0)])
+            RunStore(tmp_path / "s.sqlite", max_entries=0)

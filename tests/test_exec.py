@@ -12,12 +12,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sqlite3
 import struct
 from pathlib import Path
 
 import pytest
 
 from repro.compilers.options import OptLevel, OptSetting, PAPER_OPT_SETTINGS
+from repro.errors import HarnessError
 from repro.exec import (
     CHUNK_CACHE,
     CorpusTestSpec,
@@ -25,12 +27,14 @@ from repro.exec import (
     NO_CACHE,
     ProcessPoolBackend,
     RunStore,
+    SHARED_CACHE,
     SerialBackend,
     SweepRequest,
     content_id,
     make_backend,
     content_id_for,
 )
+from repro.exec.store import migrate_jsonl
 from repro.fp.types import FPType
 from repro.fuzz.engine import FuzzConfig, run_fuzz
 from repro.harness.outcomes import RunRecord
@@ -56,6 +60,24 @@ def _record(idx: int, value: float, printed=None, flags=None) -> RunRecord:
         value=value,
         flags=flags,
     )
+
+
+def _write_jsonl(path, entries) -> None:
+    """A ``repro-runstore-v1`` JSONL store: header, one line per entry."""
+    lines = [json.dumps({"kind": "header", "format": "repro-runstore-v1"})]
+    for key, value in entries:
+        bits = struct.unpack("<Q", struct.pack("<d", value))[0]
+        runs = [{"i": 0, "p": repr(value), "b": bits}]
+        lines.append(json.dumps({"kind": "entry", "k": key, "o": "O0", "r": runs}))
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def _outcome_lines(outcome):
+    return [
+        (label, r.test_id, r.input_index, r.compiler, r.printed, r.flags)
+        for label, pair in outcome.pairs.items()
+        for r in (*pair.nvcc_runs, *pair.hipcc_runs)
+    ]
 
 
 # ----------------------------------------------------------------- content
@@ -108,7 +130,7 @@ class TestRunStore:
         assert store.get("k2", "O0", test_id="t") is not None
 
     def test_disk_round_trip(self, tmp_path):
-        path = tmp_path / "store.jsonl"
+        path = tmp_path / "store.sqlite"
         first = RunStore(path=path)
         first.put(
             "key", "O0", [_record(0, 2.5, flags={"inexact": 1}), None]
@@ -122,7 +144,7 @@ class TestRunStore:
         assert reopened.disk_hits == 1
 
     def test_evicted_entry_served_from_disk(self, tmp_path):
-        store = RunStore(path=tmp_path / "store.jsonl", max_entries=1)
+        store = RunStore(path=tmp_path / "store.sqlite", max_entries=1)
         store.put("k0", "O0", [_record(0, 1.0)])
         store.put("k1", "O0", [_record(0, 2.0)])  # evicts k0 from memory
         assert store.evictions == 1
@@ -131,25 +153,32 @@ class TestRunStore:
         assert store.disk_hits == 1
 
     def test_torn_disk_tail_ignored(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        store = RunStore(path=path)
-        store.put("k0", "O0", [_record(0, 1.0)])
-        store.close()
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write('{"kind": "entry", "k": "k1"')  # killed mid-append
-        reopened = RunStore(path=path)
-        assert reopened.get("k0", "O0", test_id="t") is not None
-        assert reopened.get("k1", "O0", test_id="t") is None
+        """Importing a JSONL store skips its torn final line and any
+        unparseable line, and the import is idempotent."""
+        jsonl = tmp_path / "store.jsonl"
+        _write_jsonl(jsonl, [("k0", 1.0), ("k1", 2.0)])
+        with jsonl.open("a", encoding="utf-8") as fh:
+            fh.write('{"kind": "entry", "k": "k2"')  # killed mid-append
+        lines = jsonl.read_text(encoding="utf-8").split("\n")
+        lines.insert(2, "not json at all")
+        jsonl.write_text("\n".join(lines), encoding="utf-8")
+        path = tmp_path / "store.sqlite"
+        assert migrate_jsonl(jsonl, path) == 2
+        assert migrate_jsonl(jsonl, path) == 0
+        with RunStore(path=path) as reopened:
+            assert reopened.get("k0", "O0", test_id="t")[0].value == 1.0
+            assert reopened.get("k1", "O0", test_id="t")[0].value == 2.0
+            assert reopened.get("k2", "O0", test_id="t") is None
 
     def test_append_after_torn_tail_survives_reopen(self, tmp_path):
-        """An entry appended over a torn tail must not merge into the
-        fragment — a third open has to serve both old and new entries."""
-        path = tmp_path / "store.jsonl"
-        store = RunStore(path=path)
-        store.put("k0", "O0", [_record(0, 1.0)])
-        store.close()
-        with path.open("a", encoding="utf-8") as fh:
+        """Entries put after a torn-tail import sit beside the imported
+        ones — a third open has to serve both old and new entries."""
+        jsonl = tmp_path / "store.jsonl"
+        _write_jsonl(jsonl, [("k0", 1.0)])
+        with jsonl.open("a", encoding="utf-8") as fh:
             fh.write('{"kind": "entry", "k": "torn"')
+        path = tmp_path / "store.sqlite"
+        migrate_jsonl(jsonl, path)
         second = RunStore(path=path)
         second.put("k1", "O0", [_record(0, 2.0)])
         second.close()
@@ -157,16 +186,40 @@ class TestRunStore:
         assert third.get("k0", "O0", test_id="t")[0].value == 1.0
         assert third.get("k1", "O0", test_id="t")[0].value == 2.0
 
+    def test_jsonl_file_is_a_named_error(self, tmp_path):
+        """An old JSONL store opened as the SQLite tier names the import
+        command instead of raising sqlite3.DatabaseError."""
+        jsonl = tmp_path / "store.jsonl"
+        _write_jsonl(jsonl, [("k0", 1.0)])
+        with pytest.raises(HarnessError, match="repro-bridge migrate"):
+            RunStore(path=jsonl)
+
+    def test_corrupt_row_is_a_miss_and_re_executes(self, tmp_path, fp32_corpus):
+        test = fp32_corpus.tests[0]
+        path = tmp_path / "store.sqlite"
+        request = SweepRequest(test=test, opts=OPTS2, cache=SHARED_CACHE)
+        with ExecutionService(store=RunStore(path=path)) as warm:
+            (fresh,) = warm.run_chunk([request])
+        with sqlite3.connect(str(path)) as conn:
+            conn.execute("UPDATE runs SET r = '[{\"i\": 0, \"p\"'")
+        conn.close()
+        with ExecutionService(store=RunStore(path=path)) as service:
+            (replayed,) = service.run_chunk([request])
+            assert service.store.disk_hits == 0
+            assert service.store.misses == len(OPTS2)
+        assert replayed.nvcc_executions == fresh.nvcc_executions > 0
+        assert _outcome_lines(replayed) == _outcome_lines(fresh)
+
     def test_view_pairs_native_with_twin(self, fp32_corpus):
         """The store view replays a twin's CUDA half bit-identically —
         the fused-arm invariant, now by content instead of test id."""
         test = fp32_corpus.tests[0]
         store = RunStore()
-        DifferentialRunner().run_sweep(test, OPTS2, populate_cache=store.view_for(test))
+        DifferentialRunner().run_sweep(test, OPTS2, populate_lhs_cache=store.view_for(test))
         twin = test.hipified()
         view = store.view_for(twin)
         runner = DifferentialRunner()
-        sweep = runner.run_sweep(twin, OPTS2, nvcc_cache=view)
+        sweep = runner.run_sweep(twin, OPTS2, lhs_cache=view)
         assert runner.nvcc_executions == 0
         assert view.hits == len(OPTS2) * len(test.inputs)
         scratch = DifferentialRunner().run_sweep(twin, OPTS2)
@@ -184,7 +237,8 @@ class TestRunStore:
 #: then hand-put entries with flags, a trapped input, NaN / ±inf, -0.0 and
 #: a subnormal, then a torn final line appended by hand.  Each expected run
 #: is ``None`` (trapped) or ``(input_index, printed, value_bits, flags)``
-#: exactly as that writer's own reader returned it.
+#: exactly as that writer's own reader returned it; the JSONL format is now
+#: only an import source, so this file is its one readable specimen.
 RUNSTORE_GOLDEN = Path(__file__).parent / "goldens" / "runstore_v1.jsonl"
 _REAL = (
     (0, "8.8762001322964783e-16", 4381996774517112832, None),
@@ -229,9 +283,14 @@ def _replayed(records):
 
 
 class TestRunStoreGolden:
-    def test_golden_replays_through_jsonl_reader(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        path.write_bytes(RUNSTORE_GOLDEN.read_bytes())
+    def test_golden_import_is_idempotent(self, tmp_path):
+        path = tmp_path / "store.sqlite"
+        assert migrate_jsonl(RUNSTORE_GOLDEN, path) == len(RUNSTORE_GOLDEN_ENTRIES)
+        assert migrate_jsonl(RUNSTORE_GOLDEN, path) == 0
+
+    def test_golden_replays_bit_identically(self, tmp_path):
+        path = tmp_path / "store.sqlite"
+        migrate_jsonl(RUNSTORE_GOLDEN, path)
         with RunStore(path=path) as store:
             for (key, opt), expected in RUNSTORE_GOLDEN_ENTRIES.items():
                 out = store.get(key, opt, test_id="t", compiler="x")

@@ -20,9 +20,9 @@ from repro.harness.differential import (
     classify_pair,
     compare_runs,
 )
-from repro.harness.metadata import CampaignMetadata, RunStore
+from repro.harness.metadata import CampaignMetadata, SystemResults
 from repro.harness.outcomes import RunRecord
-from repro.exec import RunStore as ExecRunStore
+from repro.exec import RunStore
 from repro.harness.runner import DifferentialRunner, pair_discrepancies
 from repro.harness.transfer import (
     SYSTEM1,
@@ -343,14 +343,14 @@ class TestCampaignEngine:
         """The content-keyed store replay hands back records bit-identical
         to what a fresh nvcc execution of the hipified twin would produce."""
         test = small_fp64_corpus.tests[0]
-        store = ExecRunStore()
+        store = RunStore()
         DifferentialRunner().run_sweep(
-            test, PAPER_OPT_SETTINGS, populate_cache=store.view_for(test)
+            test, PAPER_OPT_SETTINGS, populate_lhs_cache=store.view_for(test)
         )
         twin = test.hipified()
         # The twin shares the native test's content id: its view hits.
         via_cache = DifferentialRunner().run_sweep(
-            twin, PAPER_OPT_SETTINGS, nvcc_cache=store.view_for(twin)
+            twin, PAPER_OPT_SETTINGS, lhs_cache=store.view_for(twin)
         )
         from_scratch = DifferentialRunner().run_sweep(twin, PAPER_OPT_SETTINGS)
         # NaN values defeat dataclass equality; the printed %.17g line
@@ -471,17 +471,17 @@ class TestCampaignEngine:
 # ---------------------------------------------------------------- metadata
 class TestMetadata:
     def test_runstore_roundtrip(self):
-        store = RunStore()
+        store = SystemResults()
         store.record_printed("O0", "prog-1", 0, "1.5")
         store.record_printed("O3_FM", "prog-2", 3, "-nan")
-        rebuilt = RunStore.from_json_dict(store.to_json_dict())
+        rebuilt = SystemResults.from_json_dict(store.to_json_dict())
         assert rebuilt.get("O0", "prog-1", 0) == "1.5"
         assert rebuilt.get("O3_FM", "prog-2", 3) == "-nan"
         assert len(rebuilt) == 2
 
     def test_runstore_bad_key_rejected(self):
         with pytest.raises(MetadataError):
-            RunStore.from_json_dict({"no-separators": "1.0"})
+            SystemResults.from_json_dict({"no-separators": "1.0"})
 
     def test_metadata_save_load(self, tmp_path):
         cfg = GeneratorConfig.fp64(inputs_per_program=2)

@@ -268,11 +268,12 @@ class TestFuzzStackMatrix:
 # ------------------------------------------------------------ back-compat
 class TestBackCompat:
     def test_classify_pair_keyword_aliases(self):
+        """The pre-registry ``nvcc_value``/``hipcc_value`` keywords are
+        gone: the sides are positional (or ``lhs_value``/``rhs_value``)."""
         nan = float("nan")
-        assert classify_pair(nvcc_value=1.0, hipcc_value=nan) == classify_pair(
-            1.0, nan
-        )
-        assert classify_pair(nvcc_value=1.0, hipcc_value=1.0) is None
+        with pytest.raises(TypeError):
+            classify_pair(nvcc_value=1.0, hipcc_value=nan)
+        assert classify_pair(lhs_value=1.0, rhs_value=nan) == classify_pair(1.0, nan)
         with pytest.raises(TypeError):
             classify_pair(1.0)  # one side missing
 
