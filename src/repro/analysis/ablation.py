@@ -166,13 +166,27 @@ class _AblatedNvcc(NvccCompiler):
         return passes
 
 
+#: one equalized runner per spec per process (see build_ablated_runner)
+_RUNNERS: Dict[AblationSpec, DifferentialRunner] = {}
+
+
 def build_ablated_runner(spec: AblationSpec) -> DifferentialRunner:
     """A differential runner with the spec's asymmetries equalized.
 
     Public because the triage engine (:mod:`repro.analysis.triage`) re-runs
     individual discrepancies under targeted ablations to attribute causes.
+    Runners hold no result-determining state, so each spec gets one per
+    process: its probe caches then persist across discrepancies.
     """
-    return _build_runner(spec)
+    runner = _RUNNERS.get(spec)
+    if runner is None:
+        runner = _RUNNERS[spec] = _build_runner(spec)
+    return runner
+
+
+def ablated_runners() -> Tuple[DifferentialRunner, ...]:
+    """Every runner :func:`build_ablated_runner` has built in this process."""
+    return tuple(_RUNNERS.values())
 
 
 def _build_runner(spec: AblationSpec) -> DifferentialRunner:

@@ -17,6 +17,14 @@ stacks.  For one discrepancy it runs three probes:
 
 Anything that survives all probes is reported ``unknown`` with the full
 isolation report attached — the case a human (or a vendor) should look at.
+
+Every probe is one :meth:`~repro.harness.runner.DifferentialRunner.run_single`
+(cached compiles, memoized results).  The traced isolation run is the
+expensive one, so it runs only for the verdicts that read it —
+math-library (its first divergent statement names the functions),
+fast-math approximation and unknown; optimization-induced and
+ftz-asymmetry verdicts take their pass lists from the compile and leave
+``isolation`` empty.
 """
 
 from __future__ import annotations
@@ -103,61 +111,65 @@ def _functions_near_divergence(test: TestCase, report: CaseStudyReport) -> Tuple
     return tuple(sorted({c.func for c in calls}))  # type: ignore[union-attr]
 
 
+_O0 = OptSetting(OptLevel.O0)
+_SAME_FTZ = AblationSpec("ftz", "", same_ftz=True)
+_SAME_MATHLIB = AblationSpec("mathlib", "", same_mathlib=True)
+
+
 def triage_discrepancy(
     runner: DifferentialRunner,
     test: TestCase,
     opt: OptSetting,
     input_index: int,
+    *,
+    o0_values: Optional[Tuple[float, float]] = None,
 ) -> TriageVerdict:
-    """Attribute one discrepancy to a modeled mechanism."""
-    report = isolate_divergence(runner, test, opt, input_index)
+    """Attribute one discrepancy to a modeled mechanism.
+
+    ``o0_values`` answers the O0 probe without running it: the (lhs,
+    rhs) values of this input in an O0 sweep the caller already ran on
+    the same runner configuration.
+    """
+    ck_lhs, ck_rhs = runner.compile_pair(test, opt)
     verdict = TriageVerdict(
         test_id=test.test_id,
         input_index=input_index,
         opt_label=opt.label,
         cause=Cause.UNKNOWN,
-        nvcc_passes=report.nvcc_passes,
-        hipcc_passes=report.hipcc_passes,
-        isolation=report,
+        nvcc_passes=ck_lhs.passes_applied,
+        hipcc_passes=ck_rhs.passes_applied,
     )
+    fp32_fast = opt.fast_math and test.fptype is FPType.FP32
+
+    def agrees(probe_runner: DifferentialRunner) -> bool:
+        rn, ra, _, _ = probe_runner.run_single(test, opt, input_index)
+        return outcomes_equivalent(rn.value, ra.value)
 
     # Probe 1: does -O0 agree?  Then optimization introduced it.
     if opt.label != "O0":
-        o0 = OptSetting(OptLevel.O0)
-        rn0, ra0, _, _ = runner.run_single(test, o0, input_index)
-        if outcomes_equivalent(rn0.value, ra0.value):
+        if o0_values is None:
+            rn0, ra0, _, _ = runner.run_single(test, _O0, input_index)
+            o0_values = (rn0.value, ra0.value)
+        if outcomes_equivalent(*o0_values):
             # Sharpen: under fast math on FP32, check the FTZ probe first.
-            if opt.fast_math and test.fptype is FPType.FP32:
-                ftz_runner = build_ablated_runner(AblationSpec("ftz", "", same_ftz=True))
-                rn, ra, _, _ = ftz_runner.run_single(test, opt, input_index)
-                if outcomes_equivalent(rn.value, ra.value):
-                    verdict.cause = Cause.FTZ
-                    return verdict
-            verdict.cause = Cause.OPTIMIZATION
+            if fp32_fast and agrees(build_ablated_runner(_SAME_FTZ)):
+                verdict.cause = Cause.FTZ
+            else:
+                verdict.cause = Cause.OPTIMIZATION
             return verdict
 
     # Probe 2: identical math libraries.
-    lib_runner = build_ablated_runner(
-        AblationSpec("mathlib", "", same_mathlib=True)
-    )
-    rn, ra, _, _ = lib_runner.run_single(test, opt, input_index)
-    if outcomes_equivalent(rn.value, ra.value):
-        verdict.cause = (
-            Cause.FAST_MATH_LIBRARY
-            if opt.fast_math and test.fptype is FPType.FP32
-            else Cause.MATH_LIBRARY
-        )
-        verdict.functions = _functions_near_divergence(test, report)
+    if agrees(build_ablated_runner(_SAME_MATHLIB)):
+        verdict.cause = Cause.FAST_MATH_LIBRARY if fp32_fast else Cause.MATH_LIBRARY
+    # Probe 3 (FP32 fast math): flush-point asymmetry.
+    elif fp32_fast and agrees(build_ablated_runner(_SAME_FTZ)):
+        verdict.cause = Cause.FTZ
         return verdict
 
-    # Probe 3 (FP32 fast math): flush-point asymmetry.
-    if opt.fast_math and test.fptype is FPType.FP32:
-        ftz_runner = build_ablated_runner(AblationSpec("ftz", "", same_ftz=True))
-        rn, ra, _, _ = ftz_runner.run_single(test, opt, input_index)
-        if outcomes_equivalent(rn.value, ra.value):
-            verdict.cause = Cause.FTZ
-            return verdict
-
+    report = isolate_divergence(runner, test, opt, input_index)
+    verdict.isolation = report
+    if verdict.cause != Cause.UNKNOWN:
+        verdict.functions = _functions_near_divergence(test, report)
     return verdict
 
 

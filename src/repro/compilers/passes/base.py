@@ -20,6 +20,16 @@ class Pass(abc.ABC):
     #: Short identifier recorded in CompiledKernel.passes_applied.
     name: str = "pass"
 
+    @property
+    def key(self) -> str:
+        """The transformation's identity, parameters included.
+
+        The compiled-artifact cache keys pipelines on it, so two passes
+        with one key must rewrite every kernel identically.  ``name``
+        suffices unless a parameter it does not spell changes the output.
+        """
+        return self.name
+
     @abc.abstractmethod
     def run(self, kernel: Kernel) -> Kernel:
         """Return the transformed kernel (may be the input if unchanged)."""

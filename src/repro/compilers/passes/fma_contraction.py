@@ -69,6 +69,11 @@ class FMAContraction(Pass):
         self.patterns = frozenset(patterns)
         self.name = "fma-contract"
 
+    @property
+    def key(self) -> str:
+        # nvcc and hipcc share the name but not the recognised shapes.
+        return f"{self.name}[{','.join(sorted(self.patterns))}]"
+
     def run(self, kernel: Kernel) -> Kernel:
         contractor = _Contractor(self.patterns)
         body = contractor.transform_body(kernel.body)

@@ -20,11 +20,14 @@ canonical emitter rejects by design), qualified by:
   preprocess resolves HIPIFY-converted programs differently; nvcc and
   clang compile the twin byte-identically, so their artifacts are
   *shared* between a native test and its twin);
-* the optimization label and the pass-pipeline fingerprint (the ordered
-  pass names), so a pipeline change invalidates persisted artifacts
-  instead of replaying stale ones.
+* the flush mode and the pass-pipeline fingerprint (the ordered pass
+  keys, parameters included), so a pipeline change invalidates
+  persisted artifacts instead of replaying stale ones.
 
-A cache hit rebinds ``program_id`` to the requesting program and is
+The optimization label is *not* part of the key: a compile is a function
+of the pipeline and flush mode alone, so settings that run the same
+pipeline — O1, O2 and O3 on every modeled stack — share one artifact.
+A cache hit rebinds ``program_id`` and ``opt`` to the request and is
 otherwise the exact object a fresh compile would produce — the hard
 invariant is that routing compiles through the cache leaves every
 ledger, fingerprint, and printed value byte-identical.
@@ -34,7 +37,8 @@ tier, plus an optional ``path`` naming the SQLite content store
 (:class:`~repro.exec.disk.ContentDB`, which it may share with a run
 store) whose ``artifacts`` table holds one pickled kernel per key, so a
 reopened session starts with a warm compiler.  A blob that does not
-unpickle to a compiled kernel is a miss and is recompiled.
+unpickle to a compiled kernel is a miss; the recompiled kernel then
+overwrites it, so the next session hits.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import pickle
 from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.codegen.base import EmitterConfig, render_kernel_body, render_signature
 from repro.compilers.compiler import CompiledKernel, Compiler
@@ -86,27 +90,35 @@ class ArtifactCache:
 
             self._disk = ContentDB(self.path)
         self._entries: "OrderedDict[str, CompiledKernel]" = OrderedDict()
-        # pipeline fingerprints are deterministic per (compiler, opt,
-        # fptype); memoized so keying costs two dict probes, not a
-        # pipeline construction, per compile.
-        self._fingerprints: Dict[Tuple[str, str, str], str] = {}
+        # Flush mode + pipeline fingerprints are deterministic per
+        # (compiler type, ablation spec, opt, fptype); memoized so keying
+        # costs one dict probe, not a pipeline construction, per compile.
+        # The type and spec — never ``compiler.name``, which an ablated
+        # subclass inherits — identify the pipeline.
+        self._fingerprints: Dict[Tuple[object, ...], str] = {}
         # Kernel-text digests, memoized by kernel object identity: a
         # sweep keys the same kernel once per (compiler, opt), and the
         # canonical render dominates keying cost.  The stored kernel
         # reference keeps the id stable; the ``is`` check on lookup
         # catches id reuse after an eviction frees one.
         self._kernel_digests: "OrderedDict[int, Tuple[Kernel, str]]" = OrderedDict()
+        # disk keys whose blob did not unpickle: their recompile overwrites
+        self._corrupt: Set[str] = set()
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
+        #: settings served by another setting's compile in the same sweep
+        self.shared = 0
 
     # ---------------------------------------------------------------- keys
     def _fingerprint(self, compiler: Compiler, opt: OptSetting, kernel: Kernel) -> str:
-        fp_key = (compiler.name, opt.label, kernel.fptype.value)
+        fptype = kernel.fptype
+        fp_key = (type(compiler), getattr(compiler, "spec", None), opt, fptype)
         fingerprint = self._fingerprints.get(fp_key)
         if fingerprint is None:
-            names = tuple(p.name for p in compiler.pipeline(opt, kernel.fptype))
-            fingerprint = self._fingerprints[fp_key] = "+".join(names)
+            passes = "+".join(p.key for p in compiler.pipeline(opt, fptype))
+            flush = compiler.flush_mode(opt, fptype).value
+            fingerprint = self._fingerprints[fp_key] = f"{flush}\n{passes}"
         return fingerprint
 
     def _kernel_digest(self, kernel: Kernel) -> str:
@@ -128,7 +140,6 @@ class ArtifactCache:
                 compiler.name,
                 kernel.fptype.value,
                 "hipify" if hipify else "native",
-                opt.label,
                 self._fingerprint(compiler, opt, kernel),
                 self._kernel_digest(kernel),
             )
@@ -143,12 +154,15 @@ class ArtifactCache:
             self.hits += 1
             return hit
         if self._disk is not None:
-            hit = _unpickle(self._disk.artifact(key))
+            blob = self._disk.artifact(key)
+            hit = _unpickle(blob)
             if hit is not None:
                 self.disk_hits += 1
                 self.hits += 1
                 self._remember(key, hit, persist=False)
                 return hit
+            if blob is not None:
+                self._corrupt.add(key)
         self.misses += 1
         return None
 
@@ -158,7 +172,9 @@ class ArtifactCache:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
         if persist and self._disk is not None:
-            self._disk.put_artifact(key, pickle.dumps(compiled))
+            heal = key in self._corrupt
+            self._corrupt.discard(key)
+            self._disk.put_artifact(key, pickle.dumps(compiled), replace=heal)
 
     # ------------------------------------------------------------- compile
     def compile(
@@ -170,38 +186,44 @@ class ArtifactCache:
     def compile_sweep(
         self, compiler: Compiler, program: Program, opts: Sequence[OptSetting]
     ) -> Dict[str, CompiledKernel]:
-        """Sweep-compile through the cache, keyed by opt label.
+        """Sweep-compile through the cache; results keyed by opt label.
 
         Misses share one front end (exactly like
-        :meth:`~repro.compilers.compiler.Compiler.compile_sweep`); hits
-        are returned with ``program_id`` rebound to the requesting
-        program and are otherwise byte-identical to a fresh compile.
+        :meth:`~repro.compilers.compiler.Compiler.compile_sweep`), and
+        settings whose keys coincide compile once; every result is
+        rebound to the requesting program and setting and is otherwise
+        byte-identical to a fresh compile.
         """
         out: Dict[str, CompiledKernel] = {}
-        missing: List[Tuple[OptSetting, str]] = []
+        missing: Dict[str, List[OptSetting]] = {}
         for opt in opts:
             key = self.key(compiler, program, opt)
+            group = missing.get(key)
+            if group is not None:
+                group.append(opt)
+                self.shared += 1
+                continue
             hit = self._get(key)
             if hit is not None:
-                out[opt.label] = (
-                    hit
-                    if hit.program_id == program.program_id
-                    else replace(hit, program_id=program.program_id)
-                )
+                out[opt.label] = _rebind(hit, program, opt)
             else:
-                missing.append((opt, key))
+                missing[key] = [opt]
         if missing:
-            compiled = compiler.compile_sweep(program, [opt for opt, _ in missing])
-            for opt, key in missing:
-                ck = compiled[opt.label]
+            compiled = compiler.compile_sweep(
+                program, [group[0] for group in missing.values()]
+            )
+            for key, group in missing.items():
+                ck = compiled[group[0].label]
                 self._remember(key, ck)
-                out[opt.label] = ck
+                for opt in group:
+                    out[opt.label] = _rebind(ck, program, opt)
         return {opt.label: out[opt.label] for opt in opts}
 
     # --------------------------------------------------------------- stats
     def stats(self) -> Dict[str, int]:
+        """Counters; a setting served by a sibling's compile is a hit."""
         return {
-            "hits": self.hits,
+            "hits": self.hits + self.shared,
             "misses": self.misses,
             "disk_hits": self.disk_hits,
             "entries": len(self._entries),
@@ -213,6 +235,15 @@ class ArtifactCache:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+def _rebind(
+    compiled: CompiledKernel, program: Program, opt: OptSetting
+) -> CompiledKernel:
+    """A cached kernel under the requesting program's id and setting."""
+    if compiled.program_id == program.program_id and compiled.opt == opt:
+        return compiled
+    return replace(compiled, program_id=program.program_id, opt=opt)
 
 
 def _unpickle(blob: Optional[bytes]) -> Optional[CompiledKernel]:

@@ -14,7 +14,10 @@ processes may open one file and write concurrently.  Every put is
 ``INSERT OR IGNORE`` committed at once: the first writer of a key wins,
 and — entries being content-keyed and deterministic — whichever lands is
 byte-equivalent to the loser.  A transaction is atomic, so a killed
-writer leaves either the whole row or none of it.
+writer leaves either the whole row or none of it.  The one exception is
+healing: a cache that read a row it could not decode recomputes it and
+writes with ``replace=True``, so the bad row is overwritten once instead
+of being recomputed on every reopen.
 
 This module is the only importer of :mod:`sqlite3` under ``repro.exec``;
 the caches import it only when a path is given, so path-less stores
@@ -43,6 +46,9 @@ CREATE TABLE IF NOT EXISTS artifacts (
     blob BLOB NOT NULL
 );
 """
+
+#: conflict clause of a put: first writer wins, unless healing a bad row
+_CONFLICT = {False: "IGNORE", True: "REPLACE"}
 
 
 class ContentDB:
@@ -75,10 +81,13 @@ class ContentDB:
         ).fetchone()
         return None if row is None else row[0]
 
-    def put_run(self, key: str, opt_label: str, runs_json: str) -> bool:
-        """Store one entry unless the key exists; True when it was added."""
+    def put_run(
+        self, key: str, opt_label: str, runs_json: str, *, replace: bool = False
+    ) -> bool:
+        """Store one entry unless the key exists (or overwrite it with
+        ``replace``); True when a row was written."""
         cur = self._conn.execute(
-            "INSERT OR IGNORE INTO runs (k, o, r) VALUES (?, ?, ?)",
+            f"INSERT OR {_CONFLICT[replace]} INTO runs (k, o, r) VALUES (?, ?, ?)",
             (key, opt_label, runs_json),
         )
         self._conn.commit()
@@ -91,9 +100,10 @@ class ContentDB:
         ).fetchone()
         return None if row is None else bytes(row[0])
 
-    def put_artifact(self, key: str, blob: bytes) -> None:
+    def put_artifact(self, key: str, blob: bytes, *, replace: bool = False) -> None:
         self._conn.execute(
-            "INSERT OR IGNORE INTO artifacts (k, blob) VALUES (?, ?)", (key, blob)
+            f"INSERT OR {_CONFLICT[replace]} INTO artifacts (k, blob) VALUES (?, ?)",
+            (key, blob),
         )
         self._conn.commit()
 

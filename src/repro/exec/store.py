@@ -21,7 +21,8 @@ Tiers:
   memory miss reads one row and promotes the entry; evicted entries
   therefore stay servable, and a store reopened on the same path starts
   warm.  A row whose runs-JSON does not decode is a miss, so its sweep
-  re-executes instead of replaying a wrong result.
+  re-executes instead of replaying a wrong result, and the re-executed
+  entry overwrites the bad row.
 
 Counters are entry-level (``hits`` / ``misses`` / ``disk_hits`` /
 ``evictions``); per-*input* replay counts — the numbers surfaced as
@@ -40,7 +41,7 @@ import json
 import struct
 from collections import OrderedDict
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import HarnessError
 from repro.harness.outcomes import RunRecord
@@ -180,6 +181,8 @@ class RunStore:
             from repro.exec.disk import ContentDB
 
             self._disk = ContentDB(self.path)
+        # disk rows that did not decode: the next put overwrites them
+        self._corrupt: Set[Tuple[str, str]] = set()
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
@@ -200,7 +203,11 @@ class RunStore:
         self._insert_mem(mkey, entry)
         self.puts += 1
         if self._disk is not None and not known:
-            self._disk.put_run(key, opt_label, json.dumps(_encode_runs(entry)))
+            heal = mkey in self._corrupt
+            self._corrupt.discard(mkey)
+            self._disk.put_run(
+                key, opt_label, json.dumps(_encode_runs(entry)), replace=heal
+            )
 
     def get(
         self, key: str, opt_label: str, *, test_id: str, compiler: str = "nvcc"
@@ -276,7 +283,9 @@ class RunStore:
         try:
             return _decode_runs(json.loads(runs_json))
         except (ValueError, KeyError, TypeError, AttributeError):
-            return None  # corrupt row: a miss, so the sweep re-executes
+            # corrupt row: a miss, so the sweep re-executes and its put heals it
+            self._corrupt.add((key, opt_label))
+            return None
 
 
 class BoundRunCache:

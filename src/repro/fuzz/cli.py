@@ -303,6 +303,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  nvcc cache hits      {result.nvcc_cache_hits}")
         print(f"  cache hit rate       {100.0 * result.cache_hit_rate:.0f}%")
         print(f"  duplicates avoided   {result.duplicates}")
+        # Triage/minimization probes of this process (pool workers' own
+        # probes are not counted, so this block varies with --workers).
+        probes = result.probe_stats
+        print()
+        print("Analysis probes (triage + minimization, this process):")
+        print(f"  probes requested     {probes.get('probes', 0)}")
+        print(f"  O0 from sweep        {probes.get('o0_from_sweep', 0)}")
+        print(f"  memo hits            {probes.get('memo_hits', 0)}")
+        print(f"  executed             {probes.get('executed', 0)}")
+        print(
+            f"  artifact hits/misses {probes.get('artifact_hits', 0)}"
+            f"/{probes.get('artifact_misses', 0)}"
+        )
         if result.batch_walls:
             wall = Table(
                 title="Per-batch wall time (traced)",

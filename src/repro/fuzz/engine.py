@@ -49,10 +49,12 @@ run totals count campaign runs, not debugging reruns.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.analysis.ablation import ablated_runners
 from repro.analysis.reduce import kernel_size, reduce_testcase
 from repro.analysis.triage import Cause, TriageVerdict, triage_discrepancy
 from repro.codegen.cuda import render_cuda
@@ -320,6 +322,12 @@ class FuzzResult:
     #: grammar-feature coverage summary
     #: (:meth:`repro.fuzz.coverage.CoverageTracker.as_dict`; mcts only).
     coverage: Dict[str, object] = field(default_factory=dict)
+    #: what each tier of the triage/reduction probe path answered in
+    #: this process: ``probes`` requested, ``o0_from_sweep``,
+    #: ``memo_hits``, ``executed``, ``artifact_hits``/``artifact_misses``.
+    #: Out-of-band like ``exec_metrics``: never in the ledger, and pool
+    #: workers' probes are not counted, so it varies with ``workers``.
+    probe_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
     def novel_signatures(self) -> List[DiscrepancySignature]:
@@ -363,30 +371,40 @@ class RandomSessionResult:
 # ---------------------------------------------------------------------------
 
 
+#: one triage runner per stack pair per worker process, so its probe
+#: caches survive across tasks.
+_TASK_RUNNERS: Dict[Tuple[str, str], DifferentialRunner] = {}
+
+
 def _triage_verdict_task(
-    payload: Tuple[TestCase, str, int, Tuple[str, str]],
+    payload: Tuple[TestCase, str, int, Tuple[str, str], Optional[Tuple[float, float]]],
 ) -> TriageVerdict:
     """Triage one discrepancy in a pool worker.
 
     Runner construction and triage probes are pure functions of the
-    payload (including the discrepancy's stack pair), so a worker's
-    verdict is identical to the serial path's.  The isolation report
-    (execution traces) is stripped before pickling back — nothing
-    downstream of signature construction reads it.
+    payload (including the discrepancy's stack pair and its sweep-answered
+    O0 values), so a worker's verdict is identical to the serial path's.
+    The isolation report (execution traces) is stripped before pickling
+    back — nothing downstream of signature construction reads it.
     """
-    test, opt_label, input_index, stacks = payload
+    test, opt_label, input_index, stacks, o0_values = payload
+    runner = _TASK_RUNNERS.get(stacks)
+    if runner is None:
+        runner = _TASK_RUNNERS[stacks] = DifferentialRunner(stacks=stacks)
     verdict = triage_discrepancy(
-        DifferentialRunner(stacks=stacks),
+        runner,
         test,
         OptSetting.from_label(opt_label),
         input_index,
+        o0_values=o0_values,
     )
     verdict.isolation = None
     return verdict
 
 
-#: (evaluation arm, discrepancy) pairs, and the same signed.
-_Found = List[Tuple[str, Discrepancy]]
+#: (evaluation arm, discrepancy, the input's O0 values in the same
+#: sweep or None) triples, and (arm, discrepancy, signature) entries.
+_Found = List[Tuple[str, Discrepancy, Optional[Tuple[float, float]]]]
 _Entries = List[Tuple[str, Discrepancy, DiscrepancySignature]]
 
 
@@ -418,6 +436,8 @@ class _Evaluator:
         self.pair_runs = 0
         self.cache_hits = 0
         self.executions = 0
+        self.o0_from_sweep = 0
+        self._probe_base = self._probe_totals()
 
     def pair_for_arm(self, arm: str) -> Tuple[str, str]:
         """The stack pair behind an evaluation arm tag ("native"/"hipify"
@@ -517,8 +537,21 @@ class _Evaluator:
             if arm == "oracle":
                 oracle_outcomes.append(outcome)
                 continue
+            # The sweep's own O0 values answer triage's O0 probe for
+            # every input that ran there (skipped inputs have none).
+            o0 = outcome.pairs.get("O0")
+            o0_values = (
+                {}
+                if o0 is None
+                else {
+                    lhs.input_index: (lhs.value, rhs.value)
+                    for lhs, rhs in zip(o0.lhs_runs, o0.rhs_runs)
+                }
+            )
             for pair in outcome.pairs.values():
-                found.extend((arm, d) for d in pair.discrepancies)
+                found.extend(
+                    (arm, d, o0_values.get(d.input_index)) for d in pair.discrepancies
+                )
         # The chunk's first outcome is the native sweep, whose test_id is
         # the evaluated program's own id — violations normalize to it.
         canonical = outcomes[0].test_id if outcomes else None
@@ -635,7 +668,7 @@ class _Evaluator:
         """
         out: _Entries = []
         local_seen: Set[str] = set()
-        for (arm, d), verdict in zip(found, self._verdicts(test, found)):
+        for (arm, d, _), verdict in zip(found, self._verdicts(test, found)):
             sig = DiscrepancySignature.from_verdict(verdict, d, test.fptype)
             if sig.key not in local_seen:
                 local_seen.add(sig.key)
@@ -644,15 +677,18 @@ class _Evaluator:
 
     def _verdicts(self, test: TestCase, found: _Found) -> List[TriageVerdict]:
         targets = [
-            (test.hipified() if arm == "hipify" else test, arm, d)
-            for arm, d in found
+            (test.hipified() if arm == "hipify" else test, arm, d, o0)
+            for arm, d, o0 in found
         ]
+        self.o0_from_sweep += sum(
+            1 for _, _, d, o0 in targets if o0 is not None and d.opt_label != "O0"
+        )
         if self.service.backend.remote and len(found) > 1:
             return self.service.map(
                 _triage_verdict_task,
                 [
-                    (t, d.opt_label, d.input_index, self.pair_for_arm(arm))
-                    for t, arm, d in targets
+                    (t, d.opt_label, d.input_index, self.pair_for_arm(arm), o0)
+                    for t, arm, d, o0 in targets
                 ],
             )
         return [
@@ -661,9 +697,31 @@ class _Evaluator:
                 t,
                 OptSetting.from_label(d.opt_label),
                 d.input_index,
+                o0_values=o0,
             )
-            for t, arm, d in targets
+            for t, arm, d, o0 in targets
         ]
+
+    def _probe_totals(self) -> Counter:
+        """Probe-path counters summed over this process's probe runners."""
+        totals: Counter = Counter()
+        for runner in (*self._runners.values(), *ablated_runners()):
+            totals.update(runner.probe_stats())
+        return totals
+
+    def probe_stats(self) -> Dict[str, int]:
+        """This session's probe-path accounting (see ``FuzzResult.probe_stats``)."""
+        delta = self._probe_totals()
+        delta.subtract(self._probe_base)
+        probes = delta["probes"] + self.o0_from_sweep
+        return {
+            "probes": probes,
+            "o0_from_sweep": self.o0_from_sweep,
+            "memo_hits": delta["memo_hits"],
+            "executed": probes - self.o0_from_sweep - delta["memo_hits"],
+            "artifact_hits": delta["artifact_hits"],
+            "artifact_misses": delta["artifact_misses"],
+        }
 
 
 class _LazyCorpus:
@@ -969,6 +1027,7 @@ def run_fuzz(
         result.exec_metrics = service.stats()
         result.search_stats = strategy.stats()
         result.coverage = strategy.coverage_summary()
+        result.probe_stats = evaluator.probe_stats()
         return result
     finally:
         service.close()

@@ -14,6 +14,13 @@ arm, every fuzz mutant's HIPIFY twin, and every extra stack pair sharing
 the same left stack run the *same* kernels through that compiler, so
 their records are bit-identical and never need re-executing.
 
+:meth:`DifferentialRunner.run_single` is the probe path of triage and
+reduction: one input row, compiled through the runner's own
+:class:`~repro.exec.artifacts.ArtifactCache` and memoized per
+(artifact pair, input-row bits) in a small LRU, so the same probe asked
+by triage, by an ablated re-run of a later discrepancy, or by the
+reducer's candidate checks executes once.
+
 The runner is stack-pair generic: ``stacks=("nvcc", "cpu")`` builds the
 left/right compiler and device models from the :mod:`repro.stacks`
 registry.  The default pair is the paper's (nvcc, hipcc), and the
@@ -24,6 +31,7 @@ slots so existing ablation and analysis code keeps working.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -31,6 +39,7 @@ from repro.compilers.compiler import CompiledKernel, Compiler
 from repro.compilers.options import OptSetting
 from repro.devices.device import Device
 from repro.errors import HarnessError, TrapError
+from repro.fp.bits import float_to_bits
 from repro.harness.differential import Discrepancy
 from repro.harness.outcomes import RunRecord
 from repro.stacks import DEFAULT_STACK_PAIR, get_stack
@@ -41,6 +50,11 @@ if TYPE_CHECKING:  # pragma: no cover - runtime import would be circular
     from repro.exec.store import BoundRunCache
 
 __all__ = ["DifferentialRunner", "PairResult", "pair_discrepancies"]
+
+#: compiled kernels the probe path's artifact cache keeps per runner.
+PROBE_ARTIFACT_ENTRIES = 256
+#: probe results (one input row on both stacks) memoized per runner.
+PROBE_MEMO_ENTRIES = 256
 
 
 @dataclass
@@ -192,6 +206,12 @@ class DifferentialRunner:
         self.vectorize = vectorize
         self.lhs_executions = 0
         self.rhs_executions = 0
+        self._artifacts: Optional["ArtifactCache"] = None
+        self._memo: "OrderedDict[tuple, tuple]" = OrderedDict()
+        self._memo_devices: Tuple[object, object] = (None, None)
+        #: probe-path counters: ``run_single`` calls and memo answers.
+        self.probes = 0
+        self.probe_memo_hits = 0
 
     # -- pre-registry attribute aliases (lhs/rhs slots) ---------------------
     @property
@@ -243,12 +263,21 @@ class DifferentialRunner:
         self.rhs_executions = n
 
     # ------------------------------------------------------------------ api
+    @property
+    def artifacts(self) -> "ArtifactCache":
+        """The probe path's compiled-artifact cache (built on first use)."""
+        if self._artifacts is None:
+            from repro.exec.artifacts import ArtifactCache
+
+            self._artifacts = ArtifactCache(max_entries=PROBE_ARTIFACT_ENTRIES)
+        return self._artifacts
+
     def compile_pair(
         self, test: TestCase, opt: OptSetting
     ) -> Tuple[CompiledKernel, CompiledKernel]:
         return (
-            self.lhs_compiler.compile(test.program, opt),
-            self.rhs_compiler.compile(test.program, opt),
+            self.artifacts.compile(self.lhs_compiler, test.program, opt),
+            self.artifacts.compile(self.rhs_compiler, test.program, opt),
         )
 
     def run_pair(self, test: TestCase, opt: OptSetting) -> PairResult:
@@ -315,13 +344,61 @@ class DifferentialRunner:
     ):
         """One input on both stacks; returns the raw ExecutionResults.
 
-        Used by the case-study tooling, which needs traces.
+        The probe path of triage, reduction and the case-study tooling
+        (which needs traces).  Results are memoized per (lhs artifact,
+        rhs artifact, input-row bits); a traced result also answers an
+        untraced call.  A :class:`~repro.errors.TrapError` is never
+        memoized — it is raised again on every call.  Wrapper devices
+        without ``execute_batch`` (trap injectors, shims) are not
+        assumed pure and always execute.
         """
+        self.probes += 1
         ck_lhs, ck_rhs = self.compile_pair(test, opt)
-        vec = test.inputs[input_index]
-        rl = self.lhs_device.execute(ck_lhs, vec.values, trace=trace)
-        rr = self.rhs_device.execute(ck_rhs, vec.values, trace=trace)
+        values = test.inputs[input_index].values
+        memo = self._probe_memo()
+        key = None
+        if memo is not None:
+            key = (
+                self.artifacts.key(self.lhs_compiler, test.program, opt),
+                self.artifacts.key(self.rhs_compiler, test.program, opt),
+                tuple(float_to_bits(v) if isinstance(v, float) else v for v in values),
+            )
+            hit = memo.get(key)
+            if hit is not None and (hit[2] or not trace):
+                memo.move_to_end(key)
+                self.probe_memo_hits += 1
+                return hit[0], hit[1], ck_lhs, ck_rhs
+        rl = self.lhs_device.execute(ck_lhs, values, trace=trace)
+        rr = self.rhs_device.execute(ck_rhs, values, trace=trace)
+        if memo is not None:
+            memo[key] = (rl, rr, trace)
+            memo.move_to_end(key)
+            while len(memo) > PROBE_MEMO_ENTRIES:
+                memo.popitem(last=False)
         return rl, rr, ck_lhs, ck_rhs
+
+    def probe_stats(self) -> Dict[str, int]:
+        """Probe-path counters: calls, memo hits, artifact hits/misses."""
+        art = self._artifacts.stats() if self._artifacts is not None else {}
+        return {
+            "probes": self.probes,
+            "memo_hits": self.probe_memo_hits,
+            "artifact_hits": art.get("hits", 0),
+            "artifact_misses": art.get("misses", 0),
+        }
+
+    def _probe_memo(self) -> "Optional[OrderedDict[tuple, tuple]]":
+        """The probe memo for the current devices; ``None`` for wrappers.
+
+        Reassigning a device (``runner.amd = ...``) starts a fresh memo.
+        """
+        devices = (self.lhs_device, self.rhs_device)
+        if not all(hasattr(d, "execute_batch") for d in devices):
+            return None
+        if any(a is not b for a, b in zip(devices, self._memo_devices)):
+            self._memo.clear()
+            self._memo_devices = devices
+        return self._memo
 
     # ------------------------------------------------------------- internals
     def _run_inputs(

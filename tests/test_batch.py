@@ -248,6 +248,58 @@ class TestArtifactCache:
         assert compiled == fresh
         cache.close()
 
+    def test_corrupt_artifact_is_healed_on_recompile(self, tmp_path):
+        """The recompile of a blob that did not unpickle overwrites it:
+        the next session hits on disk with a fresh compile's bytes."""
+        cfg = GeneratorConfig.fp32()
+        program = ProgramGenerator(cfg).generate(10)
+        opt = PAPER_OPT_SETTINGS[1]
+        path = tmp_path / "store.sqlite"
+        fresh = NvccCompiler().compile(program, opt)
+        key = ArtifactCache().key(NvccCompiler(), program, opt)
+        db = ContentDB(path)
+        db.put_artifact(key, b"not a pickle")
+        db.close()
+        first = ArtifactCache(path=path)
+        assert first.compile(NvccCompiler(), program, opt) == fresh
+        assert first.misses == 1 and first.disk_hits == 0
+        first.close()
+        second = ArtifactCache(path=path)
+        assert second.compile(NvccCompiler(), program, opt) == fresh
+        assert second.disk_hits == 1 and second.misses == 0
+        second.close()
+        db = ContentDB(path)
+        assert db.artifact(key) == pickle.dumps(fresh)
+        db.close()
+
+    def test_plain_and_ablated_compilers_never_collide(self):
+        """Regression: ablated compilers inherit ``name`` ("nvcc"/
+        "hipcc"), and hipcc's FMA pass shares nvcc's name, so keying
+        pipelines by name served one compiler's kernel to the other.
+        One cache compiles both of every pair; each result must equal
+        that compiler's own fresh compile."""
+        from repro.analysis.ablation import AblationSpec, _AblatedHipcc, _AblatedNvcc
+
+        program = ProgramGenerator(GeneratorConfig.fp32()).generate(4)
+        pairs = [
+            (HipccCompiler(), _AblatedHipcc(AblationSpec("ftz", "", same_ftz=True))),
+            (NvccCompiler(), _AblatedNvcc(AblationSpec("lib", "", same_mathlib=True))),
+            (
+                HipccCompiler(),
+                _AblatedHipcc(AblationSpec("fma", "", same_contraction=True)),
+            ),
+        ]
+        cache = ArtifactCache()
+        for plain, ablated in pairs:
+            differs = False
+            for opt in PAPER_OPT_SETTINGS:
+                for compiler in (plain, ablated):
+                    assert cache.compile(compiler, program, opt) == compiler.compile(
+                        program, opt
+                    ), (type(compiler).__name__, opt.label)
+                differs |= plain.compile(program, opt) != ablated.compile(program, opt)
+            assert differs  # the pair really compiles differently somewhere
+
     def test_jsonl_file_is_a_named_error(self, tmp_path):
         path = tmp_path / "store.jsonl"
         path.write_text('{"kind": "header", "format": "repro-runstore-v1"}\n')

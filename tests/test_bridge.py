@@ -542,6 +542,38 @@ class TestSqliteRunStore:
                 (shared,) = store.get(f"shared-{i}", "O0", test_id="t")
                 assert shared.value in range(writers)
 
+    def test_corrupt_row_is_healed_by_the_recomputed_put(self, tmp_path):
+        """A row that does not decode is a miss once; the re-executed
+        put overwrites it, so the next reopen hits on disk with the
+        bytes a fresh store writes.  Healthy rows stay first-writer-wins."""
+        import sqlite3
+
+        path = tmp_path / "store.sqlite"
+        entry = [_record(0, 1.5), None]
+        with RunStore(tmp_path / "fresh.sqlite") as fresh:
+            fresh.put("key", "O0", entry)
+        with RunStore(path) as store:
+            store.put("key", "O0", entry)
+            store.put("other", "O0", [_record(0, 2.0)])
+        with sqlite3.connect(str(path)) as conn:
+            conn.execute("UPDATE runs SET r='{torn' WHERE k='key'")
+        with RunStore(path) as reopened:
+            assert reopened.get("key", "O0", test_id="t") is None
+            assert reopened.stats()["misses"] == 1
+            reopened.put("key", "O0", entry)
+            reopened.put("other", "O0", [_record(0, 9.0)])
+        with RunStore(path) as healed:
+            out = healed.get("key", "O0", test_id="t")
+            assert out[0].value == 1.5 and out[1] is None
+            assert healed.stats()["disk_hits"] == 1
+            assert healed.get("other", "O0", test_id="t")[0].value == 2.0
+
+        def row(p):
+            with sqlite3.connect(str(p)) as conn:
+                return conn.execute("SELECT r FROM runs WHERE k='key'").fetchone()[0]
+
+        assert row(path) == row(tmp_path / "fresh.sqlite")
+
     def test_stats_protocol_matches_runstore(self, tmp_path):
         with RunStore(tmp_path / "store.sqlite") as store:
             assert set(store.stats()) == set(RunStore().stats())

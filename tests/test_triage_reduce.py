@@ -187,3 +187,214 @@ class TestReduction:
         src = render_cuda(result.reduced.program)
         assert "__global__" in src
         hipify_source(src)  # must translate cleanly too
+
+
+# --------------------------------------------------------------- probe path
+TRACED_CAUSES = {Cause.MATH_LIBRARY, Cause.FAST_MATH_LIBRARY, Cause.UNKNOWN}
+
+
+class _PlainRunner:
+    """``run_single`` from plain ``Compiler.compile`` and ``Device.execute``:
+    no artifact cache, no memo — the reference the probe path must match."""
+
+    def __init__(self, runner) -> None:
+        self._r = runner
+
+    def run_single(self, test, opt, input_index, *, trace=False):
+        ck_lhs = self._r.lhs_compiler.compile(test.program, opt)
+        ck_rhs = self._r.rhs_compiler.compile(test.program, opt)
+        values = test.inputs[input_index].values
+        return (
+            self._r.lhs_device.execute(ck_lhs, values, trace=trace),
+            self._r.rhs_device.execute(ck_rhs, values, trace=trace),
+            ck_lhs,
+            ck_rhs,
+        )
+
+
+def _reference_verdict(stacks, test, opt, input_index):
+    """Triage as specified: traced isolation first, then the probes."""
+    from repro.analysis.ablation import AblationSpec, _build_runner
+    from repro.analysis.case_studies import isolate_divergence
+    from repro.analysis.triage import _functions_near_divergence
+    from repro.fp.classify import outcomes_equivalent
+    from repro.fp.types import FPType
+    from repro.harness.runner import DifferentialRunner
+
+    base = _PlainRunner(DifferentialRunner(stacks=stacks))
+    ftz = _PlainRunner(_build_runner(AblationSpec("ftz", "", same_ftz=True)))
+    lib = _PlainRunner(_build_runner(AblationSpec("mathlib", "", same_mathlib=True)))
+    report = isolate_divergence(base, test, opt, input_index)
+
+    def agrees(runner, o=opt):
+        rn, ra, _, _ = runner.run_single(test, o, input_index)
+        return outcomes_equivalent(rn.value, ra.value)
+
+    fast = opt.fast_math and test.fptype is FPType.FP32
+    cause, functions = Cause.UNKNOWN, ()
+    if opt.label != "O0" and agrees(base, O0):
+        cause = Cause.FTZ if fast and agrees(ftz) else Cause.OPTIMIZATION
+    elif agrees(lib):
+        cause = Cause.FAST_MATH_LIBRARY if fast else Cause.MATH_LIBRARY
+        functions = _functions_near_divergence(test, report)
+    elif fast and agrees(ftz):
+        cause = Cause.FTZ
+    return cause, functions, report.nvcc_passes, report.hipcc_passes
+
+
+def _discrepancies(runner, tests, opts, per_opt):
+    """(test, opt, input_index, sweep O0 values) of up to ``per_opt``
+    discrepancies per setting that the runner's sweeps find."""
+    out = []
+    taken = {opt.label: 0 for opt in opts}
+    for test in tests:
+        pairs = runner.run_sweep(test, opts)
+        o0 = pairs.get("O0")
+        o0_values = (
+            {}
+            if o0 is None
+            else {
+                lhs.input_index: (lhs.value, rhs.value)
+                for lhs, rhs in zip(o0.lhs_runs, o0.rhs_runs)
+            }
+        )
+        for opt in opts:
+            for d in pairs[opt.label].discrepancies:
+                if taken[opt.label] < per_opt:
+                    taken[opt.label] += 1
+                    out.append((test, opt, d.input_index, o0_values.get(d.input_index)))
+    return out
+
+
+def _lanes():
+    from repro.compilers.options import PAPER_OPT_SETTINGS
+    from repro.varity.config import GeneratorConfig
+    from repro.varity.corpus import build_corpus
+
+    fp64 = build_corpus(GeneratorConfig.fp64(inputs_per_program=3), 16, root_seed=41)
+    fp32 = build_corpus(GeneratorConfig.fp32(inputs_per_program=3), 16, root_seed=7)
+    return {
+        "fp64": (("nvcc", "hipcc"), list(fp64), PAPER_OPT_SETTINGS),
+        "fp32-fast-math": (("nvcc", "hipcc"), list(fp32), (O0, O3_FM)),
+        "hipify-twin": (
+            ("nvcc", "hipcc"),
+            [t.hipified() for t in fp64],
+            PAPER_OPT_SETTINGS,
+        ),
+        "nvcc-cpu": (("nvcc", "cpu"), list(fp32) + list(fp64), PAPER_OPT_SETTINGS),
+    }
+
+
+class TestProbePath:
+    @pytest.mark.parametrize("lane", ["fp64", "fp32-fast-math", "hipify-twin", "nvcc-cpu"])
+    def test_verdicts_match_uncached_reference(self, lane):
+        """Cached, memoized triage with isolation only where read gives
+        the reference verdict: cause, functions and both pass lists."""
+        from repro.harness.runner import DifferentialRunner
+
+        stacks, tests, opts = _lanes()[lane]
+        runner = DifferentialRunner(stacks=stacks)
+        cases = _discrepancies(runner, tests, opts, per_opt=4)
+        assert cases
+        causes = set()
+        for test, opt, idx, _ in cases:
+            v = triage_discrepancy(runner, test, opt, idx)
+            expected = _reference_verdict(stacks, test, opt, idx)
+            assert (v.cause, v.functions, v.nvcc_passes, v.hipcc_passes) == expected
+            assert (v.isolation is not None) == (v.cause in TRACED_CAUSES)
+            causes.add(v.cause)
+        # every lane exercises at least one traced and one untraced cause
+        assert causes & TRACED_CAUSES and causes - TRACED_CAUSES, causes
+
+    def test_sweep_answered_o0_equals_executed_probe(self):
+        from repro.fp.bits import float_to_bits
+        from repro.harness.runner import DifferentialRunner
+
+        stacks, tests, opts = _lanes()["fp64"]
+        runner = DifferentialRunner(stacks=stacks)
+        cases = [c for c in _discrepancies(runner, tests, opts, per_opt=4) if c[1] != O0]
+        assert cases
+        probe_runner = DifferentialRunner(stacks=stacks)
+        for test, opt, idx, o0_values in cases:
+            assert o0_values is not None
+            rn, ra, _, _ = probe_runner.run_single(test, O0, idx)
+            bits = lambda pair: tuple(float_to_bits(v) for v in pair)  # noqa: E731
+            assert bits(o0_values) == bits((rn.value, ra.value))
+            answered = triage_discrepancy(runner, test, opt, idx, o0_values=o0_values)
+            probed = triage_discrepancy(probe_runner, test, opt, idx)
+            assert (answered.cause, answered.functions) == (probed.cause, probed.functions)
+
+    def test_traced_memo_hit_serves_untraced_call(self):
+        from repro.harness.runner import DifferentialRunner
+
+        runner = DifferentialRunner()
+        test = fig4_testcase()
+        traced = runner.run_single(test, O0, 0, trace=True)
+        assert traced[0].trace
+        untraced = runner.run_single(test, O0, 0)
+        assert runner.probe_memo_hits == 1
+        assert untraced[0] is traced[0] and untraced[1] is traced[1]
+        # an untraced entry cannot answer a traced call
+        fresh = DifferentialRunner()
+        fresh.run_single(test, O0, 0)
+        again = fresh.run_single(test, O0, 0, trace=True)
+        assert fresh.probe_memo_hits == 0 and again[0].trace
+
+    def test_trapping_probe_raises_on_every_call(self):
+        from repro.devices.device import Device
+        from repro.errors import TrapError
+        from repro.harness.runner import DifferentialRunner
+
+        class TrapDevice(Device):
+            calls = 0
+
+            def execute(self, compiled, inputs, *, trace=False):
+                TrapDevice.calls += 1
+                raise TrapError("synthetic step-budget trap")
+
+        runner = DifferentialRunner()
+        inner = runner.rhs_device
+        runner.rhs_device = TrapDevice(inner.spec, inner.mathlib)
+        test = fig4_testcase()
+        for _ in range(2):
+            with pytest.raises(TrapError):
+                runner.run_single(test, O0, 0)
+        assert TrapDevice.calls == 2 and runner.probe_memo_hits == 0
+
+    def test_o1_o2_o3_share_one_artifact(self):
+        from repro.compilers.nvcc import NvccCompiler
+        from repro.compilers.options import PAPER_OPT_SETTINGS
+        from repro.exec.artifacts import ArtifactCache
+        from repro.varity.config import GeneratorConfig
+        from repro.varity.generator import ProgramGenerator
+
+        program = ProgramGenerator(GeneratorConfig.fp32()).generate(5)
+        compiler = NvccCompiler()
+        cache = ArtifactCache()
+        levels = [OptSetting(level) for level in (OptLevel.O1, OptLevel.O2, OptLevel.O3)]
+        keys = {cache.key(compiler, program, opt) for opt in levels}
+        assert len(keys) == 1
+        swept = cache.compile_sweep(compiler, program, levels)
+        assert cache.misses == 1 and cache.stats()["hits"] == 2 and len(cache) == 1
+        for opt in levels:
+            assert swept[opt.label].opt == opt
+            assert swept[opt.label] == compiler.compile(program, opt)
+        # The cache's second sweep: the existing hit-equals-fresh contract.
+        first = cache.compile_sweep(compiler, program, PAPER_OPT_SETTINGS)
+        again = cache.compile_sweep(compiler, program, PAPER_OPT_SETTINGS)
+        for label in first:
+            assert first[label] == again[label]
+            assert first[label] == compiler.compile(program, first[label].opt)
+
+    def test_fuzz_probe_stats_account_every_probe(self):
+        from repro.fuzz.engine import FuzzConfig, run_fuzz
+
+        result = run_fuzz(
+            FuzzConfig(seed=5, n_seed_programs=4, inputs_per_program=2, max_mutants=6)
+        )
+        stats = result.probe_stats
+        assert stats["o0_from_sweep"] > 0
+        assert stats["probes"] == (
+            stats["o0_from_sweep"] + stats["memo_hits"] + stats["executed"]
+        )
+        assert stats["artifact_misses"] > 0
