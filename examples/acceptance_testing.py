@@ -73,7 +73,7 @@ def main() -> int:
         d = discrepancies[0]
         print(
             f"\nexample inconsistency: test {d.test_id}, input #{d.input_index}, "
-            f"{d.opt_label}: nvcc={d.nvcc_printed} vs hipcc={d.hipcc_printed} "
+            f"{d.opt_label}: nvcc={d.lhs_printed} vs hipcc={d.rhs_printed} "
             f"({d.dclass.value})"
         )
     print(f"\nartifacts kept in {workdir}")

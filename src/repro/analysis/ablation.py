@@ -40,7 +40,6 @@ from repro.compilers.passes import (
 from repro.devices.amd import TIOGA_SPEC
 from repro.devices.device import Device
 from repro.devices.mathlib.libdevice import LibdeviceMath
-from repro.devices.nvidia import nvidia_v100
 from repro.fp.env import FlushMode
 from repro.fp.types import FPType
 from repro.harness.runner import DifferentialRunner
@@ -190,16 +189,11 @@ def ablated_runners() -> Tuple[DifferentialRunner, ...]:
 
 
 def _build_runner(spec: AblationSpec) -> DifferentialRunner:
-    amd_mathlib = LibdeviceMath() if spec.same_mathlib else None
-    if amd_mathlib is not None:
-        amd_device = Device(TIOGA_SPEC, amd_mathlib)
-    else:
-        from repro.devices.amd import amd_mi250x
-
-        amd_device = amd_mi250x()
-    runner = DifferentialRunner(nvidia=nvidia_v100(), amd=amd_device)
-    runner.nvcc = _AblatedNvcc(spec)
-    runner.hipcc = _AblatedHipcc(spec)
+    runner = DifferentialRunner()
+    if spec.same_mathlib:
+        runner.rhs_device = Device(TIOGA_SPEC, LibdeviceMath())
+    runner.lhs_compiler = _AblatedNvcc(spec)
+    runner.rhs_compiler = _AblatedHipcc(spec)
     return runner
 
 

@@ -41,16 +41,16 @@ def adjacency_counts(arm: ArmResult, opt_label: str) -> Matrix:
     for d in arm.discrepancies:
         if d.opt_label != opt_label:
             continue
-        nv, hip = d.nvcc_outcome, d.hipcc_outcome
-        if nv is hip:  # Num vs Num (same class, different value)
-            a, b = matrix[(nv, hip)]
-            matrix[(nv, hip)] = (a + 1, b + 1)  # paper prints "n, n"
-        elif rank[nv] <= rank[hip]:
-            a, b = matrix[(nv, hip)]
-            matrix[(nv, hip)] = (a + 1, b)
+        lhs, rhs = d.lhs_outcome, d.rhs_outcome
+        if lhs is rhs:  # Num vs Num (same class, different value)
+            a, b = matrix[(lhs, rhs)]
+            matrix[(lhs, rhs)] = (a + 1, b + 1)  # paper prints "n, n"
+        elif rank[lhs] <= rank[rhs]:
+            a, b = matrix[(lhs, rhs)]
+            matrix[(lhs, rhs)] = (a + 1, b)
         else:
-            a, b = matrix[(hip, nv)]
-            matrix[(hip, nv)] = (a, b + 1)
+            a, b = matrix[(rhs, lhs)]
+            matrix[(rhs, lhs)] = (a, b + 1)
     return matrix
 
 

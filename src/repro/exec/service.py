@@ -36,7 +36,13 @@ from repro.exec.content import content_id, content_text
 from repro.exec.store import BoundRunCache, RunStore
 from repro.exec.units import SweepOutcome, SweepRequest
 from repro.harness.runner import PairResult
-from repro.telemetry.spans import SpanRecord, Tracer, get_tracer, set_tracer
+from repro.telemetry.spans import (
+    NullTracer,
+    SpanRecord,
+    Tracer,
+    get_tracer,
+    set_tracer,
+)
 from repro.varity.testcase import TestCase
 
 __all__ = ["ExecutionService", "ExecMetrics"]
@@ -119,8 +125,8 @@ def _rebound_outcome(
     else:
         pairs = {
             label: PairResult(
-                nvcc_runs=[replace(r, test_id=test_id) for r in pair.nvcc_runs],
-                hipcc_runs=[replace(r, test_id=test_id) for r in pair.hipcc_runs],
+                lhs_runs=[replace(r, test_id=test_id) for r in pair.lhs_runs],
+                rhs_runs=[replace(r, test_id=test_id) for r in pair.rhs_runs],
                 discrepancies=[
                     replace(d, test_id=test_id) for d in pair.discrepancies
                 ],
@@ -449,28 +455,7 @@ class ExecutionService:
                 yield outcomes
             return
         for index, chunk in enumerate(chunks):
-            if tracer.enabled:
-                t0 = time.perf_counter_ns()
-                outcomes, stats = _execute_requests(
-                    list(chunk),
-                    shared_store=self.store,
-                    shared_artifacts=self.artifacts,
-                )
-                tracer.record(
-                    "exec.chunk",
-                    t0,
-                    time.perf_counter_ns(),
-                    chunk=index,
-                    requests=len(outcomes),
-                )
-            else:
-                outcomes, stats = _execute_requests(
-                    list(chunk),
-                    shared_store=self.store,
-                    shared_artifacts=self.artifacts,
-                )
-            self._absorb(outcomes, stats)
-            yield outcomes
+            yield self._run_local(index, chunk, tracer)
 
     def run_sweeps_unordered(
         self, chunks: Iterable[Sequence[SweepRequest]]
@@ -517,28 +502,7 @@ class ExecutionService:
                 yield index, outcomes
             return
         for i, chunk in indexed:
-            if tracer.enabled:
-                t0 = time.perf_counter_ns()
-                outcomes, stats = _execute_requests(
-                    list(chunk),
-                    shared_store=self.store,
-                    shared_artifacts=self.artifacts,
-                )
-                tracer.record(
-                    "exec.chunk",
-                    t0,
-                    time.perf_counter_ns(),
-                    chunk=i,
-                    requests=len(outcomes),
-                )
-            else:
-                outcomes, stats = _execute_requests(
-                    list(chunk),
-                    shared_store=self.store,
-                    shared_artifacts=self.artifacts,
-                )
-            self._absorb(outcomes, stats)
-            yield i, outcomes
+            yield i, self._run_local(i, chunk, tracer)
 
     def run_chunk(self, requests: Sequence[SweepRequest]) -> List[SweepOutcome]:
         """One chunk, synchronously, on the calling process."""
@@ -547,6 +511,31 @@ class ExecutionService:
             shared_store=self.store,
             shared_artifacts=self.artifacts,
         )
+        self._absorb(outcomes, stats)
+        return outcomes
+
+    def _run_local(
+        self,
+        index: int,
+        chunk: Sequence[SweepRequest],
+        tracer: "Tracer | NullTracer",
+    ) -> List[SweepOutcome]:
+        """One chunk of a serial sweep, against the service's shared
+        store and artifact cache; an ``exec.chunk`` span when tracing."""
+        t0 = time.perf_counter_ns()
+        outcomes, stats = _execute_requests(
+            list(chunk),
+            shared_store=self.store,
+            shared_artifacts=self.artifacts,
+        )
+        if tracer.enabled:
+            tracer.record(
+                "exec.chunk",
+                t0,
+                time.perf_counter_ns(),
+                chunk=index,
+                requests=len(outcomes),
+            )
         self._absorb(outcomes, stats)
         return outcomes
 

@@ -215,7 +215,7 @@ class SweepOutcome:
     @property
     def pair_runs(self) -> int:
         """Compared record pairs across the sweep (the campaign run unit)."""
-        return sum(len(p.nvcc_runs) for p in self.pairs.values())
+        return sum(len(p.lhs_runs) for p in self.pairs.values())
 
     def iter_discrepancies(self):
         for pair in self.pairs.values():

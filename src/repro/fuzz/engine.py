@@ -594,10 +594,10 @@ class _Evaluator:
                 input_index=v.input_index,
                 opt_label=v.opt_label,
                 dclass=dclass,
-                nvcc_printed=v.base_printed,
-                hipcc_printed=v.variant_printed,
-                nvcc_outcome=OutcomeClass.from_string(v.base_outcome),
-                hipcc_outcome=OutcomeClass.from_string(v.variant_outcome),
+                lhs_printed=v.base_printed,
+                rhs_printed=v.variant_printed,
+                lhs_outcome=OutcomeClass.from_string(v.base_outcome),
+                rhs_outcome=OutcomeClass.from_string(v.variant_outcome),
             )
             out.append(("oracle", d, sig))
         return out

@@ -14,7 +14,6 @@ from repro.harness.differential import (
     DiscrepancyClass,
     Discrepancy,
     classify_pair,
-    compare_runs,
 )
 from repro.harness.runner import DifferentialRunner, PairResult
 from repro.harness.campaign import (
@@ -33,7 +32,6 @@ __all__ = [
     "DiscrepancyClass",
     "Discrepancy",
     "classify_pair",
-    "compare_runs",
     "DifferentialRunner",
     "PairResult",
     "ArmResult",

@@ -700,7 +700,7 @@ def _oracle_step_result(
         by_index.setdefault(int(outcome.tag[0]), []).append(outcome)
         if not outcome.deduped:
             for label, pair in outcome.pairs.items():
-                out.runs_by_opt[label] += len(pair.nvcc_runs)
+                out.runs_by_opt[label] += len(pair.lhs_runs)
                 out.skipped_by_opt[label] += len(pair.skipped_inputs)
             out.nvcc_executions += outcome.nvcc_executions
             out.nvcc_cache_hits += outcome.nvcc_cache_hits
@@ -716,7 +716,7 @@ def _oracle_step_result(
 
 def _accumulate(out: ArmResult, sweep: Dict[str, PairResult]) -> None:
     for label, pair in sweep.items():
-        out.runs_by_opt[label] += len(pair.nvcc_runs)
+        out.runs_by_opt[label] += len(pair.lhs_runs)
         out.skipped_by_opt[label] += len(pair.skipped_inputs)
         out.discrepancies.extend(pair.discrepancies)
 

@@ -6,18 +6,16 @@ Num/Num pair is a discrepancy only when the printed values differ.
 
 A pair is *stack-neutral*: the two sides are the left/right stacks of
 whatever pair the harness is sweeping (nvcc×hipcc, nvcc×cpu, hipcc×cpu,
-…).  The legacy two-stack spellings — ``Discrepancy.nvcc_printed``-style
-accessors and the ``nvcc``/``hipcc`` JSON keys — are kept as
-back-compat aliases, and checkpoint payloads for the default
-(nvcc, hipcc) pair serialize byte-identically to the pre-registry
-layout.
+…).  Checkpoint payloads for the default (nvcc, hipcc) pair keep the
+pre-registry ``nvcc``/``hipcc`` JSON keys, so they serialize
+byte-identically to that layout.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.fp.classify import OutcomeClass, classify_value, outcomes_equivalent
 from repro.harness.outcomes import RunRecord
@@ -27,7 +25,6 @@ __all__ = [
     "DiscrepancyClass",
     "Discrepancy",
     "classify_pair",
-    "compare_runs",
     "DISCREPANCY_CLASS_ORDER",
 ]
 
@@ -68,8 +65,6 @@ _PAIR_TO_CLASS: Dict[FrozenSet[OutcomeClass], DiscrepancyClass] = {
     frozenset({OutcomeClass.NUMBER}): DiscrepancyClass.NUM_NUM,
 }
 
-_MISSING = object()
-
 
 def classify_pair(lhs_value: float, rhs_value: float) -> Optional[DiscrepancyClass]:
     """Discrepancy class of a result pair, or None when equivalent.
@@ -89,8 +84,7 @@ class Discrepancy:
 
     Keeps both directional outcomes (needed by the adjacency matrices,
     whose cells count row/column orderings separately).  ``stacks``
-    names the (lhs, rhs) pair; it defaults to the paper's (nvcc, hipcc)
-    so pre-registry construction sites and payloads are unchanged.
+    names the (lhs, rhs) pair; it defaults to the paper's (nvcc, hipcc).
     """
 
     test_id: str
@@ -101,68 +95,7 @@ class Discrepancy:
     rhs_printed: str
     lhs_outcome: OutcomeClass
     rhs_outcome: OutcomeClass
-    stacks: Tuple[str, str] = field(default=DEFAULT_STACK_PAIR)
-
-    def __init__(
-        self,
-        test_id: str,
-        input_index: int,
-        opt_label: str,
-        dclass: DiscrepancyClass,
-        lhs_printed: str = _MISSING,  # type: ignore[assignment]
-        rhs_printed: str = _MISSING,  # type: ignore[assignment]
-        lhs_outcome: OutcomeClass = _MISSING,  # type: ignore[assignment]
-        rhs_outcome: OutcomeClass = _MISSING,  # type: ignore[assignment]
-        stacks: Tuple[str, str] = DEFAULT_STACK_PAIR,
-        *,
-        nvcc_printed: str = _MISSING,  # type: ignore[assignment]
-        hipcc_printed: str = _MISSING,  # type: ignore[assignment]
-        nvcc_outcome: OutcomeClass = _MISSING,  # type: ignore[assignment]
-        hipcc_outcome: OutcomeClass = _MISSING,  # type: ignore[assignment]
-    ) -> None:
-        # Pre-registry keyword aliases map onto the (lhs, rhs) slots.
-        if nvcc_printed is not _MISSING:
-            lhs_printed = nvcc_printed
-        if hipcc_printed is not _MISSING:
-            rhs_printed = hipcc_printed
-        if nvcc_outcome is not _MISSING:
-            lhs_outcome = nvcc_outcome
-        if hipcc_outcome is not _MISSING:
-            rhs_outcome = hipcc_outcome
-        for name, value in (
-            ("lhs_printed", lhs_printed),
-            ("rhs_printed", rhs_printed),
-            ("lhs_outcome", lhs_outcome),
-            ("rhs_outcome", rhs_outcome),
-        ):
-            if value is _MISSING:
-                raise TypeError(f"Discrepancy missing required field {name!r}")
-        object.__setattr__(self, "test_id", test_id)
-        object.__setattr__(self, "input_index", input_index)
-        object.__setattr__(self, "opt_label", opt_label)
-        object.__setattr__(self, "dclass", dclass)
-        object.__setattr__(self, "lhs_printed", lhs_printed)
-        object.__setattr__(self, "rhs_printed", rhs_printed)
-        object.__setattr__(self, "lhs_outcome", lhs_outcome)
-        object.__setattr__(self, "rhs_outcome", rhs_outcome)
-        object.__setattr__(self, "stacks", tuple(stacks))
-
-    # -- pre-registry accessor aliases ---------------------------------------
-    @property
-    def nvcc_printed(self) -> str:
-        return self.lhs_printed
-
-    @property
-    def hipcc_printed(self) -> str:
-        return self.rhs_printed
-
-    @property
-    def nvcc_outcome(self) -> OutcomeClass:
-        return self.lhs_outcome
-
-    @property
-    def hipcc_outcome(self) -> OutcomeClass:
-        return self.rhs_outcome
+    stacks: Tuple[str, str] = DEFAULT_STACK_PAIR
 
     @classmethod
     def from_records(
@@ -256,23 +189,3 @@ class Discrepancy:
             stacks=stacks,
         )
 
-
-def compare_runs(
-    lhs_runs: Iterable[RunRecord],
-    rhs_runs: Iterable[RunRecord],
-    stacks: Tuple[str, str] = DEFAULT_STACK_PAIR,
-) -> List[Discrepancy]:
-    """Join two run streams on (test, input, opt) and keep discrepancies."""
-    index: Dict[Tuple[str, int, str], RunRecord] = {
-        (r.test_id, r.input_index, r.opt_label): r for r in rhs_runs
-    }
-    out: List[Discrepancy] = []
-    for lhs in lhs_runs:
-        key = (lhs.test_id, lhs.input_index, lhs.opt_label)
-        rhs = index.get(key)
-        if rhs is None:
-            raise ValueError(f"no {stacks[1]} run for {key}")
-        d = Discrepancy.from_records(lhs, rhs, stacks=stacks)
-        if d is not None:
-            out.append(d)
-    return out

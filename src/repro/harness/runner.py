@@ -23,22 +23,19 @@ reducer's candidate checks executes once.
 
 The runner is stack-pair generic: ``stacks=("nvcc", "cpu")`` builds the
 left/right compiler and device models from the :mod:`repro.stacks`
-registry.  The default pair is the paper's (nvcc, hipcc), and the
-pre-registry attribute spellings (``runner.nvcc``, ``runner.amd``,
-``runner.nvcc_executions``, …) remain as aliases for the left/right
-slots so existing ablation and analysis code keeps working.
+registry.  The default pair is the paper's (nvcc, hipcc).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.compilers.compiler import CompiledKernel, Compiler
 from repro.compilers.options import OptSetting
 from repro.devices.device import Device
-from repro.errors import HarnessError, TrapError
+from repro.errors import HarnessError
 from repro.fp.bits import float_to_bits
 from repro.harness.differential import Discrepancy
 from repro.harness.outcomes import RunRecord
@@ -61,26 +58,14 @@ PROBE_MEMO_ENTRIES = 256
 class PairResult:
     """Both stacks' runs for one (test, opt) across all inputs.
 
-    ``stacks`` names the (lhs, rhs) pair the runs came from; the
-    ``nvcc_runs``/``hipcc_runs`` field spellings are the pre-registry
-    names for the left and right slots and are kept because every
-    consumer (exec accounting, campaign folding, oracle relations)
-    reads them — ``lhs_runs``/``rhs_runs`` are the neutral aliases.
+    ``stacks`` names the (lhs, rhs) pair the runs came from.
     """
 
-    nvcc_runs: List[RunRecord]
-    hipcc_runs: List[RunRecord]
+    lhs_runs: List[RunRecord]
+    rhs_runs: List[RunRecord]
     discrepancies: List[Discrepancy]
     skipped_inputs: List[int]
-    stacks: Tuple[str, str] = field(default=DEFAULT_STACK_PAIR)
-
-    @property
-    def lhs_runs(self) -> List[RunRecord]:
-        return self.nvcc_runs
-
-    @property
-    def rhs_runs(self) -> List[RunRecord]:
-        return self.hipcc_runs
+    stacks: Tuple[str, str] = DEFAULT_STACK_PAIR
 
 
 def pair_discrepancies(
@@ -129,29 +114,15 @@ def pair_discrepancies(
 
 
 def _execute_batch(device, compiled, rows, *, vectorize: bool, memo=None):
-    """``device.execute_batch`` with a scalar fallback for duck-typed
-    device wrappers (trap injectors, ablation shims) that only implement
-    ``execute``.
+    """``device.execute_batch``, deduped across a sweep's opt settings.
 
     ``memo`` (a per-sweep list) dedups physical execution across opt
     settings whose post-pass kernels came out identical — common for
     small kernels, where O1/O2/O3 converge to the same IR.  Execution is
     a pure function of (kernel, exec options, input rows), so reusing
     the raw results is bit-exact; rows are matched by element *identity*
-    (NaN-safe, and only true for the same sweep's input tuples).  The
-    memo is never offered for wrapper devices without ``execute_batch``
-    — per-opt trap injectors are exactly the stubs whose behavior is
-    not a pure function of the compiled kernel.
+    (NaN-safe, and only true for the same sweep's input tuples).
     """
-    batch = getattr(device, "execute_batch", None)
-    if batch is None:
-        out = []
-        for row in rows:
-            try:
-                out.append(device.execute(compiled, row))
-            except TrapError:
-                out.append(None)
-        return out
     if memo is not None:
         for prev_ck, prev_rows, prev_out in memo:
             if (
@@ -161,7 +132,7 @@ def _execute_batch(device, compiled, rows, *, vectorize: bool, memo=None):
                 and prev_ck.kernel == compiled.kernel
             ):
                 return prev_out
-    out = batch(compiled, rows, vectorize=vectorize)
+    out = device.execute_batch(compiled, rows, vectorize=vectorize)
     if memo is not None:
         memo.append((compiled, rows, out))
     return out
@@ -170,10 +141,10 @@ def _execute_batch(device, compiled, rows, *, vectorize: bool, memo=None):
 class DifferentialRunner:
     """Owns one device + compiler per stack and runs tests through both.
 
-    ``stacks`` selects the (lhs, rhs) pair from the registry; the
-    ``nvidia``/``amd`` parameters override the left/right *device*
-    (their names predate the registry — for the default pair they are
-    exactly the simulated V100/MI250X).
+    ``stacks`` selects the (lhs, rhs) pair from the registry; callers
+    that need a different device or compiler in a slot (the ablation
+    runners) assign ``lhs_device``/``rhs_device`` or
+    ``lhs_compiler``/``rhs_compiler`` after construction.
 
     ``record_flags=True`` attaches the IEEE exception snapshot to each run
     record (slower; used by the analysis examples, not by campaigns).
@@ -185,8 +156,6 @@ class DifferentialRunner:
 
     def __init__(
         self,
-        nvidia: Optional[Device] = None,
-        amd: Optional[Device] = None,
         record_flags: bool = False,
         *,
         stacks: Tuple[str, str] = DEFAULT_STACK_PAIR,
@@ -195,8 +164,8 @@ class DifferentialRunner:
         lhs_stack = get_stack(stacks[0])
         rhs_stack = get_stack(stacks[1])
         self.stacks: Tuple[str, str] = (lhs_stack.name, rhs_stack.name)
-        self.lhs_device = nvidia or lhs_stack.device()
-        self.rhs_device = amd or rhs_stack.device()
+        self.lhs_device: Device = lhs_stack.device()
+        self.rhs_device: Device = rhs_stack.device()
         self.lhs_compiler: Compiler = lhs_stack.compiler()
         self.rhs_compiler: Compiler = rhs_stack.compiler()
         self.record_flags = record_flags
@@ -212,55 +181,6 @@ class DifferentialRunner:
         #: probe-path counters: ``run_single`` calls and memo answers.
         self.probes = 0
         self.probe_memo_hits = 0
-
-    # -- pre-registry attribute aliases (lhs/rhs slots) ---------------------
-    @property
-    def nvidia(self) -> Device:
-        return self.lhs_device
-
-    @nvidia.setter
-    def nvidia(self, device: Device) -> None:
-        self.lhs_device = device
-
-    @property
-    def amd(self) -> Device:
-        return self.rhs_device
-
-    @amd.setter
-    def amd(self, device: Device) -> None:
-        self.rhs_device = device
-
-    @property
-    def nvcc(self) -> Compiler:
-        return self.lhs_compiler
-
-    @nvcc.setter
-    def nvcc(self, compiler: Compiler) -> None:
-        self.lhs_compiler = compiler
-
-    @property
-    def hipcc(self) -> Compiler:
-        return self.rhs_compiler
-
-    @hipcc.setter
-    def hipcc(self, compiler: Compiler) -> None:
-        self.rhs_compiler = compiler
-
-    @property
-    def nvcc_executions(self) -> int:
-        return self.lhs_executions
-
-    @nvcc_executions.setter
-    def nvcc_executions(self, n: int) -> None:
-        self.lhs_executions = n
-
-    @property
-    def hipcc_executions(self) -> int:
-        return self.rhs_executions
-
-    @hipcc_executions.setter
-    def hipcc_executions(self, n: int) -> None:
-        self.rhs_executions = n
 
     # ------------------------------------------------------------------ api
     @property
@@ -348,33 +268,28 @@ class DifferentialRunner:
         (which needs traces).  Results are memoized per (lhs artifact,
         rhs artifact, input-row bits); a traced result also answers an
         untraced call.  A :class:`~repro.errors.TrapError` is never
-        memoized — it is raised again on every call.  Wrapper devices
-        without ``execute_batch`` (trap injectors, shims) are not
-        assumed pure and always execute.
+        memoized — it is raised again on every call.
         """
         self.probes += 1
         ck_lhs, ck_rhs = self.compile_pair(test, opt)
         values = test.inputs[input_index].values
         memo = self._probe_memo()
-        key = None
-        if memo is not None:
-            key = (
-                self.artifacts.key(self.lhs_compiler, test.program, opt),
-                self.artifacts.key(self.rhs_compiler, test.program, opt),
-                tuple(float_to_bits(v) if isinstance(v, float) else v for v in values),
-            )
-            hit = memo.get(key)
-            if hit is not None and (hit[2] or not trace):
-                memo.move_to_end(key)
-                self.probe_memo_hits += 1
-                return hit[0], hit[1], ck_lhs, ck_rhs
+        key = (
+            self.artifacts.key(self.lhs_compiler, test.program, opt),
+            self.artifacts.key(self.rhs_compiler, test.program, opt),
+            tuple(float_to_bits(v) if isinstance(v, float) else v for v in values),
+        )
+        hit = memo.get(key)
+        if hit is not None and (hit[2] or not trace):
+            memo.move_to_end(key)
+            self.probe_memo_hits += 1
+            return hit[0], hit[1], ck_lhs, ck_rhs
         rl = self.lhs_device.execute(ck_lhs, values, trace=trace)
         rr = self.rhs_device.execute(ck_rhs, values, trace=trace)
-        if memo is not None:
-            memo[key] = (rl, rr, trace)
-            memo.move_to_end(key)
-            while len(memo) > PROBE_MEMO_ENTRIES:
-                memo.popitem(last=False)
+        memo[key] = (rl, rr, trace)
+        memo.move_to_end(key)
+        while len(memo) > PROBE_MEMO_ENTRIES:
+            memo.popitem(last=False)
         return rl, rr, ck_lhs, ck_rhs
 
     def probe_stats(self) -> Dict[str, int]:
@@ -387,14 +302,13 @@ class DifferentialRunner:
             "artifact_misses": art.get("misses", 0),
         }
 
-    def _probe_memo(self) -> "Optional[OrderedDict[tuple, tuple]]":
-        """The probe memo for the current devices; ``None`` for wrappers.
+    def _probe_memo(self) -> "OrderedDict[tuple, tuple]":
+        """The probe memo for the current devices.
 
-        Reassigning a device (``runner.amd = ...``) starts a fresh memo.
+        Reassigning a device (``runner.rhs_device = ...``) starts a
+        fresh memo.
         """
         devices = (self.lhs_device, self.rhs_device)
-        if not all(hasattr(d, "execute_batch") for d in devices):
-            return None
         if any(a is not b for a, b in zip(devices, self._memo_devices)):
             self._memo.clear()
             self._memo_devices = devices

@@ -121,10 +121,10 @@ def collect_discrepancies(meta: CampaignMetadata) -> List[Discrepancy]:
                 input_index=idx,
                 opt_label=opt,
                 dclass=dclass,
-                nvcc_printed=printed1,
-                hipcc_printed=printed2,
-                nvcc_outcome=classify_value(v1),
-                hipcc_outcome=classify_value(v2),
+                lhs_printed=printed1,
+                rhs_printed=printed2,
+                lhs_outcome=classify_value(v1),
+                rhs_outcome=classify_value(v2),
             )
         )
     return out

@@ -23,10 +23,10 @@ def _disc(opt, dclass, nv_out, hip_out, test_id="t", idx=0):
         input_index=idx,
         opt_label=opt,
         dclass=dclass,
-        nvcc_printed="x",
-        hipcc_printed="y",
-        nvcc_outcome=nv_out,
-        hipcc_outcome=hip_out,
+        lhs_printed="x",
+        rhs_printed="y",
+        lhs_outcome=nv_out,
+        rhs_outcome=hip_out,
     )
 
 

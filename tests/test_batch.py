@@ -440,4 +440,4 @@ class TestRunSweepRename:
         pairs = legacy.run_sweep(test, OPTS2, lhs_cache=legacy_view)
         assert legacy.lhs_executions == 0  # replayed through the view
         assert legacy_view.hits == 2 * len(test.inputs)
-        assert all(p.nvcc_runs for p in pairs.values())
+        assert all(p.lhs_runs for p in pairs.values())

@@ -76,7 +76,7 @@ def _outcome_lines(outcome):
     return [
         (label, r.test_id, r.input_index, r.compiler, r.printed, r.flags)
         for label, pair in outcome.pairs.items()
-        for r in (*pair.nvcc_runs, *pair.hipcc_runs)
+        for r in (*pair.lhs_runs, *pair.rhs_runs)
     ]
 
 
@@ -220,13 +220,13 @@ class TestRunStore:
         view = store.view_for(twin)
         runner = DifferentialRunner()
         sweep = runner.run_sweep(twin, OPTS2, lhs_cache=view)
-        assert runner.nvcc_executions == 0
+        assert runner.lhs_executions == 0
         assert view.hits == len(OPTS2) * len(test.inputs)
         scratch = DifferentialRunner().run_sweep(twin, OPTS2)
         key = lambda r: (r.test_id, r.input_index, r.opt_label, r.printed)
         for label in sweep:
-            assert list(map(key, sweep[label].nvcc_runs)) == list(
-                map(key, scratch[label].nvcc_runs)
+            assert list(map(key, sweep[label].lhs_runs)) == list(
+                map(key, scratch[label].lhs_runs)
             )
 
 

@@ -18,7 +18,6 @@ from repro.harness.differential import (
     Discrepancy,
     DiscrepancyClass,
     classify_pair,
-    compare_runs,
 )
 from repro.harness.metadata import CampaignMetadata, SystemResults
 from repro.harness.outcomes import RunRecord
@@ -80,7 +79,7 @@ class TestDiscrepancyRecords:
     def test_from_records(self):
         d = Discrepancy.from_records(_record(1.0), _record(2.0, "hipcc"))
         assert d is not None and d.dclass is DiscrepancyClass.NUM_NUM
-        assert d.nvcc_outcome is OutcomeClass.NUMBER
+        assert d.lhs_outcome is OutcomeClass.NUMBER
 
     def test_equivalent_records_give_none(self):
         assert Discrepancy.from_records(_record(1.0), _record(1.0, "hipcc")) is None
@@ -90,15 +89,11 @@ class TestDiscrepancyRecords:
         with pytest.raises(ValueError):
             Discrepancy.from_records(_record(1.0), other)
 
-    def test_compare_runs_joins(self):
+    def test_pair_discrepancies_joins(self):
         nv = [_record(1.0), RunRecord("t", 1, "O0", "nvcc", "inf", math.inf)]
         hip = [_record(1.0, "hipcc"), RunRecord("t", 1, "O0", "hipcc", "5", 5.0)]
-        out = compare_runs(nv, hip)
+        out = pair_discrepancies(nv, hip)
         assert len(out) == 1 and out[0].dclass is DiscrepancyClass.INF_NUM
-
-    def test_compare_runs_missing_pair_rejected(self):
-        with pytest.raises(ValueError):
-            compare_runs([_record(1.0)], [])
 
     def test_json_dict(self):
         d = Discrepancy.from_records(_record(1.0), _record(2.0, "hipcc"))
@@ -111,17 +106,17 @@ class TestDifferentialRunner:
     def test_run_pair_counts(self, runner, small_fp64_corpus):
         pair = runner.run_pair(small_fp64_corpus.tests[0], O0)
         n = len(small_fp64_corpus.tests[0].inputs)
-        assert len(pair.nvcc_runs) == len(pair.hipcc_runs) == n - len(pair.skipped_inputs)
+        assert len(pair.lhs_runs) == len(pair.rhs_runs) == n - len(pair.skipped_inputs)
 
     def test_records_carry_identity(self, runner, small_fp64_corpus):
         t = small_fp64_corpus.tests[1]
         pair = runner.run_pair(t, O0)
-        for r in pair.nvcc_runs:
+        for r in pair.lhs_runs:
             assert r.test_id == t.test_id and r.compiler == "nvcc" and r.opt_label == "O0"
 
     def test_printed_parses_back(self, runner, small_fp64_corpus):
         pair = runner.run_pair(small_fp64_corpus.tests[2], O0)
-        for r in pair.nvcc_runs + pair.hipcc_runs:
+        for r in pair.lhs_runs + pair.rhs_runs:
             v = float(r.printed)
             assert v == r.value or (math.isnan(v) and math.isnan(r.value))
 
@@ -129,8 +124,8 @@ class TestDifferentialRunner:
         plain = DifferentialRunner()
         rec = DifferentialRunner(record_flags=True)
         t = small_fp64_corpus.tests[0]
-        assert plain.run_pair(t, O0).nvcc_runs[0].flags is None
-        assert rec.run_pair(t, O0).nvcc_runs[0].flags is not None
+        assert plain.run_pair(t, O0).lhs_runs[0].flags is None
+        assert rec.run_pair(t, O0).lhs_runs[0].flags is not None
 
     def test_run_single_traces(self, runner, small_fp64_corpus):
         rn, ra, ck_nv, ck_amd = runner.run_single(small_fp64_corpus.tests[0], O0, 0, trace=True)
@@ -257,18 +252,30 @@ class _TrapAtOpt:
         self._opt_label = opt_label
         self._id_suffix = id_suffix
 
-    def execute(self, compiled, inputs, *, trace: bool = False):
-        if compiled.opt.label == self._opt_label and compiled.program_id.endswith(
+    def _traps(self, compiled) -> bool:
+        return compiled.opt.label == self._opt_label and compiled.program_id.endswith(
             self._id_suffix
-        ):
+        )
+
+    def execute(self, compiled, inputs, *, trace: bool = False):
+        if self._traps(compiled):
             raise TrapError("synthetic step-budget trap")
         return self._inner.execute(compiled, inputs, trace=trace)
+
+    def execute_batch(self, compiled, rows, *, vectorize: bool = True):
+        if self._traps(compiled):
+            return [None] * len(rows)
+        return self._inner.execute_batch(compiled, rows, vectorize=vectorize)
 
 
 def _trapping_runner_factory(opt_label: str):
     def factory(*args, **kwargs):
         runner = DifferentialRunner(*args, **kwargs)
-        runner.nvidia = _TrapAtOpt(runner.nvidia, opt_label)
+        runner.lhs_device = _TrapAtOpt(runner.lhs_device, opt_label)
+        # The trap keys on the opt label, not the kernel: the batched
+        # lane's cross-opt execution memo could answer the trapping
+        # setting from an identical kernel compiled at an earlier one.
+        runner.vectorize = False
         return runner
 
     return factory
@@ -357,11 +364,11 @@ class TestCampaignEngine:
         # round-trips every payload bit, so compare records through it.
         rec_key = lambda r: (r.test_id, r.input_index, r.opt_label, r.compiler, r.printed)
         for label, pair in via_cache.items():
-            assert list(map(rec_key, pair.nvcc_runs)) == list(
-                map(rec_key, from_scratch[label].nvcc_runs)
+            assert list(map(rec_key, pair.lhs_runs)) == list(
+                map(rec_key, from_scratch[label].lhs_runs)
             )
-            assert list(map(rec_key, pair.hipcc_runs)) == list(
-                map(rec_key, from_scratch[label].hipcc_runs)
+            assert list(map(rec_key, pair.rhs_runs)) == list(
+                map(rec_key, from_scratch[label].rhs_runs)
             )
             assert pair.skipped_inputs == from_scratch[label].skipped_inputs
 

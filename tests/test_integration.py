@@ -158,8 +158,8 @@ class TestCrossComponentConsistency:
         rn, ra, _, _ = runner.run_single(
             test, OptSetting.from_label(d.opt_label), d.input_index
         )
-        assert rn.printed == d.nvcc_printed
-        assert ra.printed == d.hipcc_printed
+        assert rn.printed == d.lhs_printed
+        assert ra.printed == d.rhs_printed
 
     def test_reproducer_renders_to_sources(self, medium_result):
         """Every discrepant test renders to shippable .cu and .hip files."""

@@ -278,15 +278,26 @@ class TestBackCompat:
             classify_pair(1.0)  # one side missing
 
     def test_discrepancy_legacy_kwargs(self):
-        legacy = Discrepancy(
+        """The pre-registry ``nvcc_*``/``hipcc_*`` keywords are gone:
+        the slots are ``lhs_*``/``rhs_*``, on the default pair."""
+        fields = dict(
             test_id="t", input_index=0, opt_label="O3",
             dclass=DiscrepancyClass.NAN_NUM,
-            nvcc_printed="nan", hipcc_printed="1.5",
-            nvcc_outcome=OutcomeClass.NAN, hipcc_outcome=OutcomeClass.NUMBER,
+        )
+        legacy = Discrepancy(
+            **fields,
+            lhs_printed="nan", rhs_printed="1.5",
+            lhs_outcome=OutcomeClass.NAN, rhs_outcome=OutcomeClass.NUMBER,
         )
         assert legacy.stacks == DEFAULT_STACK_PAIR
-        assert legacy.lhs_printed == "nan" == legacy.nvcc_printed
-        assert legacy.rhs_outcome is OutcomeClass.NUMBER is legacy.hipcc_outcome
+        assert legacy.lhs_printed == "nan"
+        assert legacy.rhs_outcome is OutcomeClass.NUMBER
+        with pytest.raises(TypeError):
+            Discrepancy(
+                **fields,
+                nvcc_printed="nan", hipcc_printed="1.5",
+                nvcc_outcome=OutcomeClass.NAN, hipcc_outcome=OutcomeClass.NUMBER,
+            )
 
     def test_discrepancy_old_payload_deserializes(self):
         """A pre-registry checkpoint payload (nvcc/hipcc keys, no stacks)

@@ -100,10 +100,10 @@ class TestTriage:
             input_index=0,
             opt_label="O0",
             dclass=classify_pair(rn.value, ra.value),
-            nvcc_printed=rn.printed,
-            hipcc_printed=ra.printed,
-            nvcc_outcome=rn.outcome,
-            hipcc_outcome=ra.outcome,
+            lhs_printed=rn.printed,
+            rhs_printed=ra.printed,
+            lhs_outcome=rn.outcome,
+            rhs_outcome=ra.outcome,
         )
         tests_by_id = {test.test_id: test}
         assert triage_tests(runner, tests_by_id, [d], limit=0) == []
@@ -339,6 +339,27 @@ class TestProbePath:
         fresh.run_single(test, O0, 0)
         again = fresh.run_single(test, O0, 0, trace=True)
         assert fresh.probe_memo_hits == 0 and again[0].trace
+
+    def test_reassigned_device_starts_fresh_probe_memo(self):
+        from repro.devices.device import Device
+        from repro.harness.runner import DifferentialRunner
+
+        class CountingDevice(Device):
+            calls = 0
+
+            def execute(self, compiled, inputs, *, trace=False):
+                CountingDevice.calls += 1
+                return super().execute(compiled, inputs, trace=trace)
+
+        runner = DifferentialRunner()
+        test = fig4_testcase()
+        runner.run_single(test, O0, 0)
+        inner = runner.rhs_device
+        runner.rhs_device = CountingDevice(inner.spec, inner.mathlib)
+        runner.run_single(test, O0, 0)
+        assert CountingDevice.calls == 1 and runner.probe_memo_hits == 0
+        runner.run_single(test, O0, 0)  # the swapped device's own entry
+        assert CountingDevice.calls == 1 and runner.probe_memo_hits == 1
 
     def test_trapping_probe_raises_on_every_call(self):
         from repro.devices.device import Device
