@@ -26,18 +26,27 @@ executing each node.  Printed ``%.17g`` strings, outcome classes,
 exception-flag snapshots, step counts and cost cycles are all identical
 per row to a scalar run.
 
+IEEE-event observation, subnormal flushing and the NaN-sign repair
+have one mode at every row count: a Python scan of the row column that
+skips the (nearly always) unremarkable rows and classifies the rest with
+the same rules :class:`~repro.fp.env.FPEnv` uses.  Every CLI preset runs
+at most a few rows per batch, where that scan beats small-array masks,
+and it keeps each IEEE-754 event rule stated once, in
+:mod:`repro.fp.env`.
+
 Step-budget traps are detected from the per-row step totals (all loops
 have compile-time-bounded trip counts, so a row's total is exact); a
 trapped row's slot in the result list is ``None`` — the same shape the
 runner produces when :class:`~repro.errors.TrapError` is caught per row.
 
-Rows fall back to per-row scalar ``run`` for trace mode, single-row
-batches, and kernels the static analysis cannot prove safe to vectorize
-(e.g. loop bounds or array indices derived from float values).  Repeated
-math-library calls with identical arguments within one batch are served
-from a memo — the library models are pure functions, so this is
-observationally invisible, and it collapses the loop-invariant calls
-that dominate generated kernels.
+Rows fall back to per-row scalar ``run`` for trace mode and kernels the
+static analysis cannot prove safe to vectorize (e.g. loop bounds or
+array indices derived from float values); a one-row batch takes the
+batch evaluator like any other.  Repeated math-library calls with
+identical arguments are served from the interpreter's call memo — the
+library models are pure functions, so this is observationally
+invisible, and it collapses the loop-invariant calls that dominate
+generated kernels.
 """
 
 from __future__ import annotations
@@ -49,7 +58,12 @@ import numpy as np
 
 from repro.errors import ExecutionError, TrapError
 from repro.fp.classify import classify_value
-from repro.fp.env import FlushMode, FPExceptionFlags
+from repro.fp.env import (
+    FlushMode,
+    FPExceptionFlags,
+    flag_for_division,
+    flag_for_result,
+)
 from repro.fp.types import FPType
 from repro.devices.interpreter import (
     ExecOptions,
@@ -284,87 +298,19 @@ class _BatchState:
                 raise _AllRowsTrapped()
 
 
-def _scalarize(value):
-    """0-d arrays (np.where of scalars) back to NumPy scalars."""
-    if isinstance(value, np.ndarray) and value.ndim == 0:
-        return value[()]
-    return value
-
-
-#: Below this row count, IEEE-event observation runs as a per-row Python
-#: loop on extracted floats (same code shape as FPEnv) — at a handful of
-#: rows that is several times cheaper than ~15 small-array ufunc calls.
-SMALL_N = 32
-
-_INF = float("inf")
-
-
-def _flag_for_result(r: float, ops, sn: float) -> Optional[str]:
-    # Verbatim mirror of FPEnv.observe_result's elif chain on floats.
-    if r != r:
-        for o in ops:
-            if o != o:
-                return None
-        return "invalid"
-    if r == _INF or r == -_INF:
-        for o in ops:
-            if o - o != 0.0:  # NaN or Inf operand
-                return None
-        for o in ops:
-            if o == 0.0:
-                return "divide_by_zero"
-        return "overflow"
-    if r != 0.0 and -sn < r < sn:
-        return "underflow"
-    return None
-
-
-def _flag_for_result_at(r: float, ext, i: int, sn: float) -> Optional[str]:
-    # Same chain as _flag_for_result, indexing row ``i`` of each operand
-    # extract (a list for array operands, a bare float for uniform ones).
-    if r != r:
-        for e in ext:
-            o = e[i] if type(e) is list else e
-            if o != o:
-                return None
-        return "invalid"
-    if r == _INF or r == -_INF:
-        zero = False
-        for e in ext:
-            o = e[i] if type(e) is list else e
-            if o - o != 0.0:  # NaN or Inf operand
-                return None
-            if o == 0.0:
-                zero = True
-        return "divide_by_zero" if zero else "overflow"
-    if r != 0.0 and -sn < r < sn:
-        return "underflow"
-    return None
-
-
-def _flag_for_division(r: float, num: float, den: float, sn: float) -> Optional[str]:
-    # Verbatim mirror of FPEnv.observe_division's elif chain on floats.
-    if den == 0.0 and num != 0.0 and num == num:
-        return "divide_by_zero"
-    if r != r:
-        if num == num and den == den:
-            return "invalid"
-        return None
-    if (r == _INF or r == -_INF) and num - num == 0.0 and den - den == 0.0:
-        return "overflow"
-    if r != 0.0 and -sn < r < sn:
-        return "underflow"
-    return None
-
-
 class _BatchEnv:
-    """Vectorized mirror of :class:`repro.fp.env.FPEnv`.
+    """Row-column mirror of :class:`repro.fp.env.FPEnv`.
 
     Flags are per-row ``int64`` arrays; every raise is masked by the
-    rows actually executing the op.  Observation has two modes: at or
-    below :data:`SMALL_N` rows, results are pulled into Python floats
-    and classified by the same elif chains as the scalar env; above it,
-    the chains are restated as explicitly disjoint vectorized masks.
+    rows actually executing the op.  There is one observation mode at
+    every row count: results are pulled into Python floats, rows that
+    are finite and normal are skipped, and the rest are classified by
+    the very rules :class:`FPEnv` uses (:func:`flag_for_result`,
+    :func:`flag_for_division`).  Batches hold one test's input grid (a
+    handful of rows in every CLI preset), where that scan is several
+    times cheaper than the dozen small-array ufunc calls a masked
+    restatement of the rules would cost.  Flushing and the NaN-sign
+    repair in :func:`_nan_exact` scan rows the same way.
 
     ``nan_seen`` is a sound monotone flag: it is set the moment a NaN
     can exist anywhere in the run (inputs, a NaN literal, any observed
@@ -381,7 +327,6 @@ class _BatchEnv:
         "flags",
         "smallest_normal",
         "_zero",
-        "small",
         "nan_seen",
         "flush_in",
         "flush_out",
@@ -397,7 +342,6 @@ class _BatchEnv:
             name: np.zeros(n, dtype=np.int64) for name in FPExceptionFlags.EVENTS
         }
         self._zero = self.dtype.type(0.0)
-        self.small = n <= SMALL_N
         self.nan_seen = False
         self.flush_in = flush.flushes_inputs
         self.flush_out = flush.flushes_outputs
@@ -411,19 +355,12 @@ class _BatchEnv:
             return value.astype(self.dtype)
         return self.scalar_type(value)
 
-    def _is_subnormal(self, value):
-        return (
-            np.not_equal(value, 0)
-            & np.isfinite(value)
-            & (np.abs(value) < self.smallest_normal)
-        )
-
-    def _raise_where(self, name: str, cond, mask) -> None:
-        if mask is not None:
-            cond = cond & mask
-        if not np.any(cond):
-            return
-        self.flags[name] += cond
+    def _raise_masked(self, flag: str, mask) -> None:
+        """Raise ``flag`` on every row executing a row-uniform op."""
+        if mask is None:
+            self.flags[flag] += 1
+        else:
+            self.flags[flag] += mask
 
     def flush_input(self, value):
         sn = self.smallest_normal
@@ -432,60 +369,40 @@ class _BatchEnv:
             if v != 0.0 and -sn < v < sn:
                 return np.copysign(self._zero, value)
             return value
-        if self.small:
-            vals = value.tolist()
-            hits = [i for i, v in enumerate(vals) if v != 0.0 and -sn < v < sn]
-            if not hits:
-                return value
-            out = value.copy()
-            for i in hits:
-                out[i] = np.copysign(self._zero, value[i])
-            return out
-        sub = self._is_subnormal(value)
-        if not np.any(sub):
+        hits = [i for i, v in enumerate(value.tolist()) if v != 0.0 and -sn < v < sn]
+        if not hits:
             return value
-        return np.where(sub, np.copysign(self._zero, value), value)
+        out = value.copy()
+        for i in hits:
+            out[i] = np.copysign(self._zero, value[i])
+        return out
 
     def flush_output(self, value, mask):
         sn = self.smallest_normal
         if not isinstance(value, np.ndarray):
             v = float(value)
             if v != 0.0 and -sn < v < sn:
-                if mask is None:
-                    self.flags["underflow"] += 1
-                else:
-                    self.flags["underflow"] += mask
+                self._raise_masked("underflow", mask)
                 return np.copysign(self._zero, value)
             return value
-        if self.small:
-            vals = value.tolist()
-            mrows = None if mask is None else mask.tolist()
-            hits = [
-                i
-                for i, v in enumerate(vals)
-                if v != 0.0 and -sn < v < sn and (mrows is None or mrows[i])
-            ]
-            # Rows outside the mask still flush (the scalar path never
-            # computed them at all — the junk value is unobservable) but
-            # must not raise.
-            flushed = [i for i, v in enumerate(vals) if v != 0.0 and -sn < v < sn]
-            if not flushed:
-                return value
-            underflow = self.flags["underflow"]
-            for i in hits:
-                underflow[i] += 1
-            out = value.copy()
-            for i in flushed:
-                out[i] = np.copysign(self._zero, value[i])
-            return out
-        sub = self._is_subnormal(value)
-        if not np.any(sub):
+        flushed = [i for i, v in enumerate(value.tolist()) if v != 0.0 and -sn < v < sn]
+        if not flushed:
             return value
-        self._raise_where("underflow", sub, mask)
-        return np.where(sub, np.copysign(self._zero, value), value)
+        # Rows outside the mask still flush (the scalar path never
+        # computed them at all — the junk value is unobservable) but
+        # must not raise.
+        mrows = None if mask is None else mask.tolist()
+        underflow = self.flags["underflow"]
+        out = value.copy()
+        for i in flushed:
+            if mrows is None or mrows[i]:
+                underflow[i] += 1
+            out[i] = np.copysign(self._zero, value[i])
+        return out
 
-    # -- observation, per-row mode ----------------------------------------
-    def _observe_result_rows(self, result, mask, operands) -> None:
+    def observe(self, rule, result, mask, *operands) -> None:
+        """Raise the event ``rule`` (:func:`flag_for_result` or
+        :func:`flag_for_division`) infers on each executing row."""
         sn = self.smallest_normal
         if not isinstance(result, np.ndarray):
             # Uniform result implies uniform operands (ufuncs with any
@@ -493,18 +410,14 @@ class _BatchEnv:
             r = float(result)
             if r != r:
                 self.nan_seen = True
-            flag = _flag_for_result(r, [float(o) for o in operands], sn)
+            flag = rule(r, [float(o) for o in operands], sn)
             if flag is not None:
-                if mask is None:
-                    self.flags[flag] += 1
-                else:
-                    self.flags[flag] += mask
+                self._raise_masked(flag, mask)
             return
-        res = result.tolist()
         mrows = None if mask is None else mask.tolist()
         ext = None
         flags = self.flags
-        for i, r in enumerate(res):
+        for i, r in enumerate(result.tolist()):
             if mrows is not None and not mrows[i]:
                 continue
             if r - r == 0.0 and not (r != 0.0 and -sn < r < sn):
@@ -516,90 +429,9 @@ class _BatchEnv:
                     o.tolist() if isinstance(o, np.ndarray) else float(o)
                     for o in operands
                 ]
-            flag = _flag_for_result_at(r, ext, i, sn)
+            flag = rule(r, [e[i] if type(e) is list else e for e in ext], sn)
             if flag is not None:
                 flags[flag][i] += 1
-
-    def _observe_division_rows(self, result, num, den, mask) -> None:
-        sn = self.smallest_normal
-        if not isinstance(result, np.ndarray):
-            r = float(result)
-            if r != r:
-                self.nan_seen = True
-            flag = _flag_for_division(r, float(num), float(den), sn)
-            if flag is not None:
-                if mask is None:
-                    self.flags[flag] += 1
-                else:
-                    self.flags[flag] += mask
-            return
-        res = result.tolist()
-        mrows = None if mask is None else mask.tolist()
-        nums = dens = None
-        flags = self.flags
-        for i, r in enumerate(res):
-            if mrows is not None and not mrows[i]:
-                continue
-            if r - r == 0.0 and not (r != 0.0 and -sn < r < sn):
-                continue
-            if r != r:
-                self.nan_seen = True
-            if nums is None:
-                nums = num.tolist() if isinstance(num, np.ndarray) else None
-                numf = float(num) if nums is None else 0.0
-                dens = den.tolist() if isinstance(den, np.ndarray) else None
-                denf = float(den) if dens is None else 0.0
-            flag = _flag_for_division(
-                r,
-                nums[i] if nums is not None else numf,
-                dens[i] if dens is not None else denf,
-                sn,
-            )
-            if flag is not None:
-                flags[flag][i] += 1
-
-    # -- observation, vectorized mode -------------------------------------
-    def observe_result(self, result, mask, *operands) -> None:
-        if self.small:
-            self._observe_result_rows(result, mask, operands)
-            return
-        r_nan = np.isnan(result)
-        if np.any(r_nan):
-            self.nan_seen = True
-        ops_nan = np.isnan(operands[0])
-        for op in operands[1:]:
-            ops_nan = ops_nan | np.isnan(op)
-        invalid = r_nan & ~ops_nan
-        r_inf = np.isinf(result)
-        ops_fin = np.isfinite(operands[0])
-        for op in operands[1:]:
-            ops_fin = ops_fin & np.isfinite(op)
-        inf_case = r_inf & ops_fin
-        any_zero = np.equal(operands[0], 0)
-        for op in operands[1:]:
-            any_zero = any_zero | np.equal(op, 0)
-        self._raise_where("invalid", invalid, mask)
-        self._raise_where("divide_by_zero", inf_case & any_zero, mask)
-        self._raise_where("overflow", inf_case & ~any_zero, mask)
-        self._raise_where("underflow", self._is_subnormal(result), mask)
-
-    def observe_division(self, result, num, den, mask) -> None:
-        if self.small:
-            self._observe_division_rows(result, num, den, mask)
-            return
-        r_nan = np.isnan(result)
-        if np.any(r_nan):
-            self.nan_seen = True
-        dbz = np.equal(den, 0) & np.not_equal(num, 0) & ~np.isnan(num)
-        invalid = ~dbz & r_nan & ~(np.isnan(num) | np.isnan(den))
-        overflow = (
-            ~dbz & ~invalid & np.isinf(result) & np.isfinite(num) & np.isfinite(den)
-        )
-        underflow = ~dbz & ~invalid & ~overflow & self._is_subnormal(result)
-        self._raise_where("divide_by_zero", dbz, mask)
-        self._raise_where("invalid", invalid, mask)
-        self._raise_where("overflow", overflow, mask)
-        self._raise_where("underflow", underflow, mask)
 
     def snapshot_row(self, row: int) -> Dict[str, int]:
         # Same key order as FPExceptionFlags.as_dict().
@@ -636,11 +468,8 @@ class _VectorRun:
         # same test executed under every opt setting repeats most call
         # sites with identical arguments).  Keys embed the argument
         # dtype via byte length, so fptypes never collide.
-        memo = getattr(interpreter, "_batch_call_memo", None)
-        if memo is None:
-            memo = {}
-            interpreter._batch_call_memo = memo
-        elif len(memo) > 200_000:
+        memo = interpreter.call_memo
+        if len(memo) > 200_000:
             memo.clear()
         self.memo: Dict[object, float] = memo
 
@@ -913,13 +742,13 @@ class _VectorRun:
         elif op == "/":
             ctx.cost += self.cost_model.div
             raw = l / r
-            env.observe_division(raw, l, r, ctx.mask)
+            env.observe(flag_for_division, raw, ctx.mask, l, r)
             if env.flush_out:
                 return env.flush_output(raw, ctx.mask)
             return raw
         else:
             raise ExecutionError(f"bad operator {op!r}")
-        env.observe_result(raw, ctx.mask, l, r)
+        env.observe(flag_for_result, raw, ctx.mask, l, r)
         if env.flush_out:
             return env.flush_output(raw, ctx.mask)
         return raw
@@ -948,7 +777,7 @@ class _VectorRun:
             raw = self._fused_widened(a, b, c, np.float32, np.float16)
         else:
             raise ExecutionError(f"FMA is not defined for {fptype!r}")
-        env.observe_result(raw, ctx.mask, a, b, c)
+        env.observe(flag_for_result, raw, ctx.mask, a, b, c)
         raw = env.cast(raw)
         if env.flush_out:
             return env.flush_output(raw, ctx.mask)
@@ -1062,7 +891,7 @@ class _VectorRun:
                     )
                     memo[key] = raw
                 result[i] = raw
-        env.observe_result(result, ctx.mask, *args)
+        env.observe(flag_for_result, result, ctx.mask, *args)
         result = env.cast(result)
         if env.flush_out:
             return env.flush_output(result, ctx.mask)
@@ -1190,32 +1019,22 @@ def _nan_exact(raw, l, r, op):
     """
     if not isinstance(raw, np.ndarray):
         return raw
-    if raw.shape[0] <= SMALL_N:
-        # A both-NaN lane necessarily yields a NaN result, so scan the
-        # (usually NaN-free) result in Python before touching operands.
-        res = raw.tolist()
-        lt = rt = None
-        for i, v in enumerate(res):
-            if v == v:
-                continue
-            if lt is None:
-                lt = l.tolist() if isinstance(l, np.ndarray) else float(l)
-                rt = r.tolist() if isinstance(r, np.ndarray) else float(r)
-            lv = lt[i] if type(lt) is list else lt
-            rv = rt[i] if type(rt) is list else rt
-            if lv != lv and rv != rv:
-                raw[i] = op(
-                    l[i] if isinstance(l, np.ndarray) else l,
-                    r[i] if isinstance(r, np.ndarray) else r,
-                )
-        return raw
-    both = np.isnan(l) & np.isnan(r)
-    if not np.any(both):
-        return raw
-    lv = np.broadcast_to(np.asarray(l), raw.shape)
-    rv = np.broadcast_to(np.asarray(r), raw.shape)
-    for i in np.nonzero(np.broadcast_to(both, raw.shape))[0]:
-        raw[i] = op(lv[i], rv[i])
+    # A both-NaN lane necessarily yields a NaN result, so scan the
+    # (usually NaN-free) result in Python before touching operands.
+    lt = rt = None
+    for i, v in enumerate(raw.tolist()):
+        if v == v:
+            continue
+        if lt is None:
+            lt = l.tolist() if isinstance(l, np.ndarray) else float(l)
+            rt = r.tolist() if isinstance(r, np.ndarray) else float(r)
+        lv = lt[i] if type(lt) is list else lt
+        rv = rt[i] if type(rt) is list else rt
+        if lv != lv and rv != rv:
+            raw[i] = op(
+                l[i] if isinstance(l, np.ndarray) else l,
+                r[i] if isinstance(r, np.ndarray) else r,
+            )
     return raw
 
 
@@ -1263,12 +1082,7 @@ def run_batch(
                 f"kernel {kernel.name!r} takes {len(kernel.params)} inputs, "
                 f"got {len(r)}"
             )
-    if (
-        vectorize
-        and not options.trace
-        and len(rows) > 1
-        and vectorizable(kernel)
-    ):
+    if vectorize and not options.trace and vectorizable(kernel):
         tracer = get_tracer()
         t0 = time.perf_counter_ns() if tracer.enabled else 0
         results = _VectorRun(interpreter, kernel, rows, options).execute()

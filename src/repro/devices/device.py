@@ -13,6 +13,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
+from repro.devices.batch import run_batch
 from repro.devices.interpreter import ExecOptions, ExecutionResult, Interpreter
 from repro.devices.mathlib.base import MathLibrary
 from repro.devices.vendor import Vendor
@@ -98,7 +99,8 @@ class Device:
                 f"binary compiled for {compiled.vendor.value} cannot run on "
                 f"{self.vendor.value} device {self.spec.name!r}"
             )
-        return self.interpreter.run_batch(
+        return run_batch(
+            self.interpreter,
             compiled.kernel,
             input_rows,
             compiled.exec_options,

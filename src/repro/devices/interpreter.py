@@ -209,6 +209,10 @@ class Interpreter:
     def __init__(self, mathlib: MathLibrary, cost_model: Optional[CostModel] = None) -> None:
         self.mathlib = mathlib
         self.cost_model = cost_model or CostModel()
+        #: Math-library and exact-FMA results keyed by operand bytes,
+        #: shared by every batch this interpreter runs
+        #: (:mod:`repro.devices.batch`).
+        self.call_memo: Dict[object, float] = {}
 
     # ------------------------------------------------------------------ run
     def run(
@@ -275,25 +279,6 @@ class Interpreter:
             trace=tuple(trace),
             cost_cycles=state.cost,
         )
-
-    # ------------------------------------------------------------ run_batch
-    def run_batch(
-        self,
-        kernel: Kernel,
-        rows: Sequence[Sequence[Union[float, int]]],
-        options: ExecOptions = ExecOptions(),
-        *,
-        vectorize: bool = True,
-    ) -> List[Optional[ExecutionResult]]:
-        """Run ``kernel`` once per input row; ``None`` marks a trapped row.
-
-        Bit-identical per row to calling :meth:`run` row by row (catching
-        :class:`TrapError` as ``None``), but the common straight-line case
-        is vectorized over the row axis — see :mod:`repro.devices.batch`.
-        """
-        from repro.devices.batch import run_batch
-
-        return run_batch(self, kernel, rows, options, vectorize=vectorize)
 
     # ---------------------------------------------------------------- stmts
     def _exec_stmt(

@@ -17,12 +17,18 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional, Sequence
 
 from repro.fp.types import FPType
 from repro.fp.classify import is_subnormal
 
-__all__ = ["FPExceptionFlags", "FlushMode", "FPEnv"]
+__all__ = [
+    "FPExceptionFlags",
+    "FlushMode",
+    "FPEnv",
+    "flag_for_result",
+    "flag_for_division",
+]
 
 
 class FlushMode(enum.Enum):
@@ -75,12 +81,69 @@ class FPExceptionFlags:
             setattr(self, name, 0)
 
 
+_INF = float("inf")
+
+
+def flag_for_result(r: float, ops: Sequence[float], sn: float) -> Optional[str]:
+    """The IEEE event an operation's result implies, or ``None``.
+
+    Without hardware status registers we infer events from values, the
+    same way GPU-FPX-style tools do on NVIDIA hardware (``sn`` is the
+    precision's smallest normal):
+
+    * result NaN with no NaN operand → Invalid;
+    * result Inf with finite operands → DivideByZero if an operand is
+      zero, else Overflow;
+    * non-zero result below the normal range → Underflow (to subnormal).
+
+    This is the only statement of the rule: :class:`FPEnv` and the batch
+    evaluator (:mod:`repro.devices.batch`) both call it.
+    """
+    if r != r:
+        for o in ops:
+            if o != o:
+                return None
+        return "invalid"
+    if r == _INF or r == -_INF:
+        for o in ops:
+            if o - o != 0.0:  # NaN or Inf operand
+                return None
+        for o in ops:
+            if o == 0.0:
+                return "divide_by_zero"
+        return "overflow"
+    if r != 0.0 and -sn < r < sn:
+        return "underflow"
+    return None
+
+
+def flag_for_division(r: float, ops: Sequence[float], sn: float) -> Optional[str]:
+    """Division's own rule over ``ops = (numerator, denominator)``.
+
+    x/0 with x neither zero nor NaN (±inf included) is DivideByZero;
+    otherwise Invalid, Overflow and Underflow follow
+    :func:`flag_for_result`.
+    """
+    num, den = ops
+    if den == 0.0 and num != 0.0 and num == num:
+        return "divide_by_zero"
+    if r != r:
+        if num == num and den == den:
+            return "invalid"
+        return None
+    if (r == _INF or r == -_INF) and num - num == 0.0 and den - den == 0.0:
+        return "overflow"
+    if r != 0.0 and -sn < r < sn:
+        return "underflow"
+    return None
+
+
 @dataclass
 class FPEnv:
     """Floating-point environment a kernel executes under.
 
     Combines the precision, the flush mode, and the sticky exception flags.
-    The interpreter calls :meth:`observe_binary` / :meth:`observe_call`
+    The interpreter calls :meth:`observe_result` / :meth:`observe_division`
     after every operation so the flags describe the whole run.
     """
 
@@ -104,39 +167,19 @@ class FPEnv:
 
     # -- exception observation ----------------------------------------------
     def observe_result(self, result, *operands) -> None:
-        """Record IEEE events implied by an operation's result.
-
-        Without hardware status registers we infer events from values, the
-        same way GPU-FPX-style tools do on NVIDIA hardware:
-
-        * result NaN with no NaN operand → Invalid;
-        * result Inf with finite operands → Overflow or DivideByZero;
-        * non-zero result below the normal range → Underflow (to subnormal).
-        """
-        r = float(result)
-        ops = [float(o) for o in operands]
-        if math.isnan(r) and not any(math.isnan(o) for o in ops):
-            self.flags.raise_event("invalid")
-        elif math.isinf(r) and all(math.isfinite(o) for o in ops):
-            if any(o == 0.0 for o in ops):
-                self.flags.raise_event("divide_by_zero")
-            else:
-                self.flags.raise_event("overflow")
-        elif is_subnormal(r, self.fptype):
-            self.flags.raise_event("underflow")
+        """Record the IEEE event :func:`flag_for_result` infers, if any."""
+        self._observe(flag_for_result, result, operands)
 
     def observe_division(self, result, numerator, denominator) -> None:
-        """Division gets its own rule: x/0 with finite non-zero x is DivideByZero."""
-        r = float(result)
-        num, den = float(numerator), float(denominator)
-        if den == 0.0 and num != 0.0 and not math.isnan(num):
-            self.flags.raise_event("divide_by_zero")
-        elif math.isnan(r) and not (math.isnan(num) or math.isnan(den)):
-            self.flags.raise_event("invalid")
-        elif math.isinf(r) and math.isfinite(num) and math.isfinite(den):
-            self.flags.raise_event("overflow")
-        elif is_subnormal(r, self.fptype):
-            self.flags.raise_event("underflow")
+        """Record the IEEE event :func:`flag_for_division` infers, if any."""
+        self._observe(flag_for_division, result, (numerator, denominator))
+
+    def _observe(self, rule, result, operands) -> None:
+        flag = rule(
+            float(result), [float(o) for o in operands], self.fptype.smallest_normal
+        )
+        if flag is not None:
+            self.flags.raise_event(flag)
 
     def cast(self, value):
         """Round a Python/NumPy value into this environment's precision."""

@@ -14,31 +14,39 @@ import math
 import numpy as np
 
 from repro.fp.types import FPType
-from repro.fp.bits import float16_to_bits, float32_to_bits, float_to_bits
+from repro.fp.bits import (
+    bits_to_float,
+    bits_to_float16,
+    bits_to_float32,
+    float16_to_bits,
+    float32_to_bits,
+    float_to_bits,
+)
 
 __all__ = ["ulp_distance", "nextafter_n", "perturb_ulps", "ulp_of"]
 
 
-def _ordered_bits64(value: float) -> int:
-    """Map binary64 to a monotone integer line (two's-complement style)."""
-    bits = float_to_bits(value)
-    if bits & (1 << 63):
-        return (1 << 63) - (bits & ~(1 << 63)) - 1
-    return bits + (1 << 63) - 1
+#: Bit-pattern codec and width of each precision's ordered integer line.
+_CODECS = {
+    FPType.FP64: (float_to_bits, bits_to_float, 64),
+    FPType.FP32: (float32_to_bits, bits_to_float32, 32),
+    FPType.FP16: (float16_to_bits, bits_to_float16, 16),
+}
 
 
-def _ordered_bits32(value: float) -> int:
-    bits = float32_to_bits(value)
-    if bits & (1 << 31):
-        return (1 << 31) - (bits & ~(1 << 31)) - 1
-    return bits + (1 << 31) - 1
+def _ordered_bits(value, fptype: FPType) -> int:
+    """Map ``value`` (rounded to ``fptype``) to a monotone integer line.
 
-
-def _ordered_bits16(value: float) -> int:
-    bits = float16_to_bits(value)
-    if bits & (1 << 15):
-        return (1 << 15) - (bits & ~(1 << 15)) - 1
-    return bits + (1 << 15) - 1
+    Two's-complement style: adjacent floats are adjacent integers, ±0
+    share the point ``2**(w-1) - 1``, and ±inf are the line's ends
+    (NaNs map beyond them).
+    """
+    to_bits, _, width = _CODECS[fptype]
+    bits = to_bits(value)
+    sign = 1 << (width - 1)
+    if bits & sign:
+        return sign - (bits & ~sign) - 1
+    return bits + sign - 1
 
 
 def ulp_distance(a: float, b: float, fptype: FPType = FPType.FP64) -> int:
@@ -52,34 +60,39 @@ def ulp_distance(a: float, b: float, fptype: FPType = FPType.FP64) -> int:
     af, bf = float(a), float(b)
     if math.isnan(af) or math.isnan(bf):
         raise ValueError("ulp_distance is undefined for NaN")
-    if fptype is FPType.FP64:
-        return abs(_ordered_bits64(af) - _ordered_bits64(bf))
-    if fptype is FPType.FP32:
-        return abs(_ordered_bits32(np.float32(af)) - _ordered_bits32(np.float32(bf)))
-    if fptype is FPType.FP16:
-        return abs(_ordered_bits16(np.float16(af)) - _ordered_bits16(np.float16(bf)))
-    raise ValueError(f"ulp_distance is not defined for {fptype!r}")
+    if fptype not in _CODECS:
+        raise ValueError(f"ulp_distance is not defined for {fptype!r}")
+    return abs(_ordered_bits(af, fptype) - _ordered_bits(bf, fptype))
 
 
 def nextafter_n(value: float, n: int, fptype: FPType = FPType.FP64):
     """Step ``value`` by ``n`` representable values (n may be negative).
 
-    Saturates at ±inf like repeated ``nextafter`` toward ±inf would.
-    Returns a numpy scalar of the requested precision.
+    One integer addition on the ordered line, bit-identical to ``n``
+    repeated ``np.nextafter`` steps toward ±inf: it saturates at ±inf,
+    crosses ±0 (landing on -0.0 from below and +0.0 from above, as
+    ``nextafter`` does), and NaN stays NaN.  Returns a numpy scalar of
+    the requested precision.
     """
     dtype = fptype.dtype
     x = dtype.type(value)
     if n == 0:
         return x
-    direction = dtype.type(np.inf if n > 0 else -np.inf)
-    # errstate: stepping off the top finite value overflows to inf, which
-    # is the documented saturation — not a warning-worthy event.
-    with np.errstate(over="ignore"):
-        for _ in range(abs(n)):
-            if np.isinf(x) and (x > 0) == (n > 0):
-                break
-            x = np.nextafter(x, direction, dtype=dtype)
-    return x
+    if x != x:
+        with np.errstate(invalid="ignore"):  # quieting a signaling NaN
+            return np.nextafter(x, dtype.type(np.inf if n > 0 else -np.inf))
+    _, from_bits, width = _CODECS[fptype]
+    sign = 1 << (width - 1)
+    zero = sign - 1  # where ±0 sit on the line
+    end = _ordered_bits(math.inf, fptype) - zero
+    point = min(max(_ordered_bits(x, fptype) + n, zero - end), zero + end)
+    if point > zero:
+        bits = point - zero
+    elif point < zero:
+        bits = sign | (zero - point)
+    else:  # zero is only reached by crossing it, from below when n > 0
+        bits = sign if n > 0 else 0
+    return dtype.type(from_bits(bits))
 
 
 def perturb_ulps(value: float, n: int, fptype: FPType = FPType.FP64) -> float:

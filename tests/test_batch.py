@@ -11,8 +11,11 @@ every worker count.
 from __future__ import annotations
 
 import dataclasses
+import math
 import pickle
 import struct
+
+import numpy as np
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,13 +25,15 @@ from repro.compilers.hipcc import HipccCompiler
 from repro.compilers.nvcc import NvccCompiler
 from repro.compilers.options import OptLevel, OptSetting, PAPER_OPT_SETTINGS
 from repro.devices.batch import (
-    SMALL_N,
     batch_stats,
     reset_batch_stats,
     run_batch,
     vectorizable,
 )
+from repro.devices.interpreter import ExecOptions
 from repro.errors import HarnessError, TrapError
+from repro.fp.env import FlushMode
+from repro.ir.types import IRType
 from repro.exec import (
     ArtifactCache,
     CachePolicy,
@@ -95,13 +100,19 @@ def _rows(cfg, kernel, seed, n):
 
 # ----------------------------------------------------------- bit equality
 class TestBatchBitEquality:
-    @given(seed=seeds, lane=st.sampled_from(sorted(CONFIGS)))
+    @given(
+        seed=seeds,
+        lane=st.sampled_from(sorted(CONFIGS)),
+        n=st.sampled_from((1, 4, 72)),
+    )
     @_slow
-    def test_run_batch_matches_scalar_rows(self, seed, lane):
-        """run_batch == row-by-row run, bit for bit, on every stack."""
+    def test_run_batch_matches_scalar_rows(self, seed, lane, n):
+        """run_batch == row-by-row run, bit for bit, on every stack, from
+        a one-row batch up to a grid far wider than any CLI preset."""
         cfg = CONFIGS[lane]()
         program = ProgramGenerator(cfg).generate(seed)
-        rows = _rows(cfg, program.kernel, seed, 4)
+        rows = _rows(cfg, program.kernel, seed, n)
+        reset_batch_stats()
         for name in STACK_NAMES:
             stack = get_stack(name)
             device, compiler = stack.device(), stack.compiler()
@@ -110,14 +121,54 @@ class TestBatchBitEquality:
                 batch = device.execute_batch(compiled, rows)
                 expected = _reference(device, compiled, rows)
                 assert [_sig(r) for r in batch] == [_sig(r) for r in expected]
+        if vectorizable(program.kernel):
+            assert batch_stats()["fallback_batches"] == 0
+
+    @given(seed=seeds, lane=st.sampled_from(sorted(CONFIGS)), data=st.data())
+    @_slow
+    def test_special_inputs_match_scalar_under_every_flush_mode(
+        self, seed, lane, data
+    ):
+        """Rows holding NaN, ±inf, ±0 and subnormals raise the same flags
+        and print the same values as row-by-row runs, with no flushing,
+        output flushing and input+output flushing."""
+        cfg = CONFIGS[lane]()
+        program = ProgramGenerator(cfg).generate(seed)
+        kernel = program.kernel
+        info = np.finfo(kernel.fptype.dtype)
+        subnormals = [float(info.smallest_subnormal), float(info.tiny) / 2]
+        specials = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+        specials += subnormals + [-v for v in subnormals]
+        floats = [i for i, p in enumerate(kernel.params) if p.type is not IRType.INT]
+        rows = []
+        for row in _rows(cfg, kernel, seed, 6):
+            row = list(row)
+            for i in floats:
+                row[i] = data.draw(st.sampled_from(specials + [row[i]]))
+            rows.append(tuple(row))
+        stack = get_stack("nvcc")
+        device, compiler = stack.device(), stack.compiler()
+        interpreter = device.interpreter
+        for opt in OPTS2:
+            compiled = compiler.compile(program, opt).kernel
+            for flush in FlushMode:
+                options = ExecOptions(flush=flush)
+                batch = run_batch(interpreter, compiled, rows, options)
+                expected = []
+                for row in rows:
+                    try:
+                        expected.append(interpreter.run(compiled, row, options))
+                    except TrapError:
+                        expected.append(None)
+                assert [_sig(r) for r in batch] == [_sig(r) for r in expected]
 
     def test_large_lane_takes_vector_path(self):
-        """Above SMALL_N the vectorized observe/flush mode engages and
-        still matches the scalar reference exactly."""
+        """A grid wider than any preset's still runs the batch evaluator
+        and matches the scalar reference exactly."""
         cfg = GeneratorConfig.fp32()
         stack = get_stack("nvcc")
         device, compiler = stack.device(), stack.compiler()
-        n = SMALL_N * 2 + 8
+        n = 72
         checked = 0
         for seed in range(6):
             program = ProgramGenerator(cfg).generate(seed)

@@ -10,6 +10,8 @@ precisions:
 * ULP distance: symmetry, identity-of-indiscernibles (with ±0
   coinciding), adjacency (= 1 between neighbours), and the triangle
   inequality that makes it a metric on the ordered-bits line;
+* ``nextafter_n`` against the step-by-step ``np.nextafter`` loop it
+  replaces, bit for bit, across subnormals, ±0, max-finite, ±inf and NaN;
 * literal parse/format round trips at full precision per format.
 """
 
@@ -173,6 +175,72 @@ class TestUlpDistanceMetric:
             a = math.nan
         with pytest.raises(ValueError):
             ulp_distance(a, 1.0)
+
+
+def _nextafter_loop(x, n: int, fptype: FPType):
+    """The O(n) reference: ``n`` single ``np.nextafter`` steps toward
+    ±inf, stopping once the value saturates at the infinity it heads for."""
+    dtype = fptype.dtype
+    x = dtype.type(x)
+    if n == 0:
+        return x
+    direction = dtype.type(np.inf if n > 0 else -np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(abs(n)):
+            if np.isinf(x) and (x > 0) == (n > 0):
+                break
+            x = np.nextafter(x, direction, dtype=dtype)
+    return x
+
+
+_WIDTH = {FPType.FP16: (16, 10), FPType.FP32: (32, 23), FPType.FP64: (64, 52)}
+
+
+def _special_bits(fptype: FPType):
+    """±0, ±smallest/largest subnormal, ±smallest normal, ±max-finite,
+    ±inf and ±NaN as bit patterns of ``fptype``."""
+    width, mant = _WIDTH[fptype]
+    inf = ((1 << (width - 1 - mant)) - 1) << mant
+    magnitudes = [0, 1, (1 << mant) - 1, 1 << mant, inf - 1, inf, inf | 1]
+    return [sign | m for sign in (0, 1 << (width - 1)) for m in magnitudes]
+
+
+def _from_bits(bits: int, fptype: FPType):
+    width, _ = _WIDTH[fptype]
+    return np.array([bits], dtype=f"<u{width // 8}").view(fptype.dtype)[0]
+
+
+class TestNextafterN:
+    @pytest.mark.parametrize("fptype", _FPTYPES)
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_matches_repeated_nextafter(self, fptype, data):
+        width, _ = _WIDTH[fptype]
+        bits = data.draw(
+            st.one_of(
+                st.sampled_from(_special_bits(fptype)),
+                st.integers(min_value=0, max_value=2**width - 1),
+            )
+        )
+        n = data.draw(
+            st.one_of(
+                st.integers(min_value=-3, max_value=3),
+                st.integers(min_value=-700, max_value=700),
+            )
+        )
+        x = _from_bits(bits, fptype)
+        expected = _nextafter_loop(x, n, fptype)
+        got = nextafter_n(x, n, fptype)
+        assert type(got) is type(expected)
+        assert got.tobytes() == expected.tobytes()  # NaN payloads included
+
+    @pytest.mark.parametrize("fptype", _FPTYPES)
+    def test_crosses_signed_zero_like_nextafter(self, fptype):
+        tiny = _from_bits(1, fptype)
+        assert nextafter_n(-tiny, 1, fptype).tobytes() == fptype.dtype.type(-0.0).tobytes()
+        assert nextafter_n(tiny, -1, fptype).tobytes() == fptype.dtype.type(0.0).tobytes()
+        assert nextafter_n(-tiny, 2, fptype) == tiny
+        assert nextafter_n(-0.0, -1, fptype) == -tiny
 
 
 # --------------------------------------------------------------- literals
