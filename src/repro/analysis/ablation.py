@@ -231,11 +231,13 @@ def run_ablation(
     Pass a ``service`` to share one (and its backend) across studies, or
     ``workers`` to parallelize this call alone.
     """
-    from repro.exec import ExecutionService, NO_CACHE, RunnerSpec, SweepRequest
+    from repro.exec import (
+        ExecutionService, NO_CACHE, RunnerSpec, SweepRequest, make_backend,
+    )
 
     owns = service is None
     if service is None:
-        service = ExecutionService.for_workers(workers)
+        service = ExecutionService(make_backend(workers))
     opts = tuple(opts)
     tests = list(corpus)
     results = [

@@ -139,12 +139,12 @@ def sweep_all(
     through the execution service's generic task map — ordered and
     deterministic at any worker count.
     """
-    from repro.exec import ExecutionService
+    from repro.exec import ExecutionService, make_backend
 
     names = list(functions) if functions else list(UNARY_FUNCTIONS + BINARY_FUNCTIONS)
     owns = service is None
     if service is None:
-        service = ExecutionService.for_workers(workers)
+        service = ExecutionService(make_backend(workers))
     try:
         return service.map(
             _sweep_task, [(f, fptype, points_per_range) for f in names]

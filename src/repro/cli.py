@@ -22,11 +22,10 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.report import render_campaign_report
-from repro.cliutil import add_execution_args, resolve_execution_args
+from repro.cliutil import add_execution_args, resolve_execution_args, run_session
 from repro.errors import HarnessError
 from repro.harness.campaign import CampaignConfig, run_campaign
 from repro.stacks import DEFAULT_STACK_PAIR, STACK_NAMES, resolve_stacks
-from repro.telemetry.session import TelemetrySession
 from repro.utils.jsonio import dump_json
 from repro.utils.tables import Table
 
@@ -154,20 +153,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     config = _config_from_args(parser, args)
 
-    def progress(group: str, done: int, total: int) -> None:
-        print(f"\r[{group}] {done}/{total} steps", end="", file=sys.stderr, flush=True)
-        if done == total:
-            print(file=sys.stderr)
-
-    telemetry = TelemetrySession.from_args(args)
-    with telemetry:
-        try:
-            result = run_campaign(
-                config, progress=progress, checkpoint=args.checkpoint, resume=args.resume
-            )
-        except HarnessError as exc:
-            print(f"repro-campaign: error: {exc}", file=sys.stderr)
-            return 2
+    result = run_session(
+        parser.prog, args, run_campaign, config,
+        unit=" steps", checkpoint=args.checkpoint, resume=args.resume,
+    )
+    if result is None:
+        return 2
     if result.resumed_steps:
         print(
             f"resumed {result.resumed_steps} completed steps from {args.checkpoint}",
@@ -180,7 +171,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             wall.add_row([label, seconds])
         print()
         print(wall.render())
-    telemetry.write(exec_metrics=result.exec_metrics)
 
     if args.json:
         payload = {

@@ -213,10 +213,10 @@ def resolve_backend(
 ) -> "Backend":
     """Resolve a named backend spec (the CLIs' ``--backend`` flag).
 
-    ``None`` keeps the historical behaviour — :func:`make_backend` picks
-    serial or pool from the worker count — so every existing caller and
-    artifact is untouched.  ``"bridge"`` needs ``bridge_url``; the
-    import is deferred so the exec layer stays bridge-free unless asked.
+    ``None`` is the worker-count rule of :func:`make_backend`, the one
+    every engine uses unless a backend is named.  ``"bridge"`` needs
+    ``bridge_url``; the import is deferred so the exec layer stays
+    bridge-free unless asked.
     """
     from repro.errors import HarnessError
 

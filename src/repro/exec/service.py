@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exec.artifacts import ArtifactCache
-from repro.exec.backends import Backend, SerialBackend, make_backend
+from repro.exec.backends import Backend, SerialBackend
 from repro.exec.content import content_id, content_text
 from repro.exec.store import BoundRunCache, RunStore
 from repro.exec.units import SweepOutcome, SweepRequest
@@ -243,7 +243,6 @@ def _execute_requests(
             test,
             req.opts,
             lhs_cache=view,
-            populate_lhs_cache=view,
             artifacts=artifacts,
         )
         t1 = time.perf_counter_ns()
@@ -411,12 +410,6 @@ class ExecutionService:
         #: requests (workers get chunk-private caches, like the store).
         self.artifacts = ArtifactCache()
         self.metrics = ExecMetrics()
-
-    @classmethod
-    def for_workers(
-        cls, workers: Optional[int], store: Optional[RunStore] = None
-    ) -> "ExecutionService":
-        return cls(backend=make_backend(workers), store=store)
 
     # ------------------------------------------------------------- sweeps
     def run_sweeps(

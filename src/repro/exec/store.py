@@ -38,12 +38,12 @@ as an import source: :func:`migrate_jsonl` copies it into a SQLite file
 from __future__ import annotations
 
 import json
-import struct
 from collections import OrderedDict
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import HarnessError
+from repro.fp.bits import bits_to_float, float_to_bits
 from repro.harness.outcomes import RunRecord
 from repro.varity.testcase import TestCase
 
@@ -57,19 +57,11 @@ __all__ = ["RunStore", "BoundRunCache", "migrate_jsonl"]
 _Neutral = Optional[Tuple[int, str, int, Optional[Tuple[Tuple[str, int], ...]]]]
 
 
-def _float_bits(value: float) -> int:
-    return struct.unpack("<Q", struct.pack("<d", float(value)))[0]
-
-
-def _bits_float(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<Q", bits))[0]
-
-
 def _neutralize(record: Optional[RunRecord]) -> _Neutral:
     if record is None:
         return None
     flags = tuple(sorted(record.flags.items())) if record.flags is not None else None
-    return (record.input_index, record.printed, _float_bits(record.value), flags)
+    return (record.input_index, record.printed, float_to_bits(record.value), flags)
 
 
 def _rebind(
@@ -84,7 +76,7 @@ def _rebind(
         opt_label=opt_label,
         compiler=compiler,
         printed=printed,
-        value=_bits_float(bits),
+        value=bits_to_float(bits),
         flags=dict(flags) if flags is not None else None,
     )
 
@@ -233,13 +225,11 @@ class RunStore:
         self.hits += 1
         return tuple(_rebind(e, test_id, opt_label, compiler) for e in entry)
 
-    def view_for(
-        self, test: TestCase, *, consult: bool = True, populate: bool = True
-    ) -> "BoundRunCache":
+    def view_for(self, test: TestCase) -> "BoundRunCache":
         """A runner-compatible view bound to ``test``'s content id."""
         from repro.exec.content import content_id_for
 
-        return BoundRunCache(self, content_id_for(test), consult, populate)
+        return BoundRunCache(self, content_id_for(test))
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -290,7 +280,7 @@ class RunStore:
 
 class BoundRunCache:
     """A store view bound to one content key, duck-compatible with the
-    cache arguments of :meth:`~repro.harness.runner.DifferentialRunner.run_sweep`.
+    ``lhs_cache`` argument of :meth:`~repro.harness.runner.DifferentialRunner.run_sweep`.
 
     The runner counts each replayed input on :attr:`hits` — the number
     surfaced as ``nvcc_cache_hits`` — and calls :meth:`get`/:meth:`put`
@@ -298,26 +288,15 @@ class BoundRunCache:
     content key, rebinding replayed records to the requesting test's id.
     """
 
-    def __init__(
-        self,
-        store: RunStore,
-        key: str,
-        consult: bool = True,
-        populate: bool = True,
-        compiler: str = "nvcc",
-    ) -> None:
+    def __init__(self, store: RunStore, key: str, compiler: str = "nvcc") -> None:
         self.store = store
         self.key = key
-        self.consult = consult
-        self.populate = populate
         self.compiler = compiler
         self.hits = 0
 
     def get(
         self, test_id: str, opt_label: str
     ) -> Optional[Tuple[Optional[RunRecord], ...]]:
-        if not self.consult:
-            return None
         return self.store.get(
             self.key, opt_label, test_id=test_id, compiler=self.compiler
         )
@@ -325,5 +304,4 @@ class BoundRunCache:
     def put(
         self, test_id: str, opt_label: str, outcomes: Sequence[Optional[RunRecord]]
     ) -> None:
-        if self.populate:
-            self.store.put(self.key, opt_label, outcomes)
+        self.store.put(self.key, opt_label, outcomes)

@@ -20,7 +20,9 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.cliutil import add_execution_args, resolve_execution_args
+from repro.cliutil import (
+    add_execution_args, parse_names, resolve_execution_args, run_session,
+)
 from repro.errors import HarnessError
 from repro.fp.types import FPType
 from repro.fuzz.engine import FuzzConfig, run_fuzz
@@ -29,7 +31,6 @@ from repro.fuzz.search import STRATEGIES
 from repro.fuzz.signature import signature_histogram
 from repro.oracle.relations import RELATION_NAMES
 from repro.stacks import DEFAULT_STACK_PAIR, STACK_NAMES, resolve_stacks
-from repro.telemetry.session import TelemetrySession
 from repro.utils.tables import Table
 
 __all__ = ["main", "build_parser"]
@@ -159,28 +160,14 @@ def _config_from_args(
     base = FuzzConfig()
     mutations = base.mutations
     if args.mutations is not None:
-        mutations = tuple(m.strip() for m in args.mutations.split(",") if m.strip())
-        unknown = [m for m in mutations if m not in MUTATION_NAMES]
-        if unknown:
-            parser.error(
-                f"unknown mutations: {', '.join(unknown)} "
-                f"(known: {', '.join(MUTATION_NAMES)})"
-            )
-        if not mutations:
-            parser.error("--mutations must name at least one mutation")
+        mutations = parse_names(
+            parser, "--mutations", args.mutations, MUTATION_NAMES, "mutation"
+        )
     oracle_relations: tuple = ()
     if args.oracle_relations is not None:
-        oracle_relations = tuple(
-            r.strip() for r in args.oracle_relations.split(",") if r.strip()
+        oracle_relations = parse_names(
+            parser, "--oracle-relations", args.oracle_relations, RELATION_NAMES, "relation"
         )
-        unknown_rel = [r for r in oracle_relations if r not in RELATION_NAMES]
-        if unknown_rel:
-            parser.error(
-                f"unknown relations: {', '.join(unknown_rel)} "
-                f"(known: {', '.join(RELATION_NAMES)})"
-            )
-        if not oracle_relations:
-            parser.error("--oracle-relations must name at least one relation")
     elif args.oracle:
         oracle_relations = RELATION_NAMES
     stacks = DEFAULT_STACK_PAIR
@@ -214,21 +201,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     config = _config_from_args(parser, args)
 
-    def progress(phase: str, done: int, total: int) -> None:
-        print(f"\r[{phase}] {done}/{total}", end="", file=sys.stderr, flush=True)
-        if done == total:
-            print(file=sys.stderr)
-
-    telemetry = TelemetrySession.from_args(args)
-    with telemetry:
-        try:
-            result = run_fuzz(
-                config, ledger=args.ledger, resume=args.resume, progress=progress
-            )
-        except HarnessError as exc:
-            print(f"repro-fuzz: error: {exc}", file=sys.stderr)
-            return 2
-
+    result = run_session(
+        parser.prog, args, run_fuzz, config, ledger=args.ledger, resume=args.resume
+    )
+    if result is None:
+        return 2
     if result.resumed_iterations:
         print(
             f"resumed {result.resumed_iterations} iterations from {args.ledger}",
@@ -325,7 +302,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 wall.add_row([f"{start}..{stop}", seconds])
             print()
             print(wall.render())
-    telemetry.write(exec_metrics=result.exec_metrics)
     return 0
 
 

@@ -762,15 +762,6 @@ class _LazyCorpus:
 # ---------------------------------------------------------------------------
 
 
-def _service_for(config: "FuzzConfig") -> ExecutionService:
-    """The configured execution service: worker-count rule or named backend."""
-    if config.backend is None:
-        return ExecutionService.for_workers(config.workers)
-    return ExecutionService(
-        backend=resolve_backend(config.backend, config.workers, config.bridge_url)
-    )
-
-
 #: The result counter each skip kind lands in.
 _SKIP_COUNTERS = {
     "no_site": "mutants_no_site",
@@ -815,38 +806,24 @@ def run_fuzz(
 ) -> FuzzResult:
     """Run one fuzzing session; returns the findings and the accounting.
 
-    ``ledger`` names the JSONL findings file; ``resume=True`` reloads a
-    matching ledger (config fingerprint must agree) and continues the
-    iteration stream where it stopped; ``resume="auto"`` falls back to a
-    fresh session when the ledger is missing or mismatched.  ``progress``
-    is an optional ``(phase, done, total)`` callable.
+    ``ledger`` names the JSONL findings file; a resumed session continues
+    the iteration stream where the ledger stopped (``resume`` follows
+    :meth:`~repro.utils.checkpoint.JsonlCheckpoint.open_session`).
+    ``progress`` is an optional ``(phase, done, total)`` callable.
     """
     config = config or FuzzConfig()
-    if resume and ledger is None:
-        raise HarnessError("resume requires a ledger path")
     t0 = time.perf_counter()
 
-    service = _service_for(config)
+    book, loaded = FindingsLedger.open_session(ledger, config.fingerprint(), resume)
+    state: LedgerState = loaded or LedgerState()
+    service = ExecutionService(
+        resolve_backend(config.backend, config.workers, config.bridge_url)
+    )
     corpus = _LazyCorpus(config)
     evaluator = _Evaluator(config, service)
 
-    book: Optional[FindingsLedger] = None
-    state = LedgerState()
-    resuming = bool(resume)
-    if ledger is not None:
-        book = FindingsLedger(ledger)
-        if resume:
-            try:
-                state = book.load(config.fingerprint())
-            except HarnessError:
-                if resume != "auto":
-                    raise
-                state = LedgerState()
-                resuming = False
-        book.open_for_append(config.fingerprint(), fresh=not resuming)
-
     try:
-        if resuming and state.has_baseline:
+        if state.has_baseline:
             baseline_signatures = state.baseline_signatures
             hot_indices = state.hot_corpus_indices
             baseline_pair_runs = state.baseline_runs
@@ -1054,7 +1031,9 @@ def run_random_session(
     # The control arm honors config.workers too: its chunks stream with
     # no feedback loop, so parallelism never changes the result — only
     # the wall clock, keeping the fuzz-vs-blind timing comparison fair.
-    service = _service_for(config)
+    service = ExecutionService(
+        resolve_backend(config.backend, config.workers, config.bridge_url)
+    )
     evaluator = _Evaluator(config, service)
     corpus = build_corpus(
         config.generator_config(),

@@ -50,13 +50,14 @@ the full *lineage* of the mutant: the corpus index it started from and
 the ``(mutation_id, seed[, donor])`` steps applied.  Mutated IR cannot be
 regenerated from a ProgramGenerator seed, but it can be *replayed* —
 deterministic generation plus deterministic mutation make the lineage a
-complete recipe, which is how a resumed session rebuilds its seed pool.
+complete recipe, which is how a resumed session checks that its re-run
+selections match the recorded ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fuzz.signature import DiscrepancySignature
 from repro.harness.differential import Discrepancy
@@ -235,9 +236,7 @@ class LedgerState:
     hot_corpus_indices: List[int] = field(default_factory=list)
     baseline_runs: int = 0
     findings: List[Finding] = field(default_factory=list)
-    #: interleaved pool events in ledger order, for exact state replay:
-    #: ``("finding", Finding)`` and ``("promotion", Promotion)``.
-    pool_events: List[Tuple[str, Union[Finding, Promotion]]] = field(default_factory=list)
+    promotions: List[Promotion] = field(default_factory=list)
     #: format-5 (mcts) per-iteration search records, in ledger order;
     #: empty for bandit-mode ledgers.
     search_steps: List[SearchTrace] = field(default_factory=list)
@@ -271,24 +270,14 @@ class FindingsLedger(JsonlCheckpoint):
                 state.iterations_completed = max(
                     state.iterations_completed, int(data["stop"])
                 )
-                findings = [
+                state.findings.extend(
                     Finding.from_json_dict(f) for f in data.get("findings", [])
-                ]
-                promotions = [
+                )
+                state.promotions.extend(
                     Promotion.from_json(p) for p in data.get("promoted", [])
-                ]
-                state.findings.extend(findings)
+                )
                 state.search_steps.extend(
                     SearchTrace.from_json(s) for s in data.get("search", [])
-                )
-                # Interleave in live-run order: all of one iteration's
-                # findings land before that iteration's promotion.
-                events = [(f.iteration, 0, "finding", f) for f in findings]
-                events += [(p.iteration, 1, "promotion", p) for p in promotions]
-                state.pool_events.extend(
-                    (kind_, obj) for _, _, kind_, obj in sorted(
-                        events, key=lambda e: (e[0], e[1])
-                    )
                 )
         return state
 

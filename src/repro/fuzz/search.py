@@ -79,7 +79,12 @@ the ledger stays byte-identical at every worker count.
 Resume
 ------
 
-The ledger's per-iteration ``search`` trace (format 5) records
+Both strategies resume the same way: ``replay`` re-runs ``prepare`` for
+every completed iteration (mutation only, never execution), adds each
+evaluated content id to the dedup set, and commits the outcome the
+ledger recorded.  The bandit reads that outcome from the batch lines'
+findings and promotions.  For tree search, the ledger's per-iteration
+``search`` trace (format 5) records
 ``(iteration, corpus_index, lineage, reward)`` for every *evaluated*
 iteration.  Skipped iterations need no record: ``prepare`` is a pure
 function of the tree state and the iteration's derived rng, so replaying
@@ -96,6 +101,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
     Any, Dict, List, Optional, Protocol, Sequence, Set, Tuple, Type,
@@ -255,8 +261,9 @@ class SearchStrategy(Protocol):
         return None
 
     def replay(self, state: LedgerState, evaluated: Set[str]) -> None:
-        """Rebuild the committed state of ``state``'s completed iterations,
-        adding the content ids it knows were evaluated to ``evaluated``."""
+        """Rebuild the committed state of ``state``'s completed iterations
+        by re-running ``prepare`` for each, adding every evaluated content
+        id to ``evaluated``."""
 
     def take_batch_records(self) -> Dict[str, Any]:
         """This batch's strategy records as ``append_batch`` keywords;
@@ -281,10 +288,6 @@ class _PoolEntry:
     content: str
     energy: float = 1.0
 
-    @property
-    def key(self) -> Tuple[int, Tuple[LineageStep, ...]]:
-        return (self.corpus_index, self.lineage)
-
 
 class BanditSearch(SearchStrategy):
     """The default ``search="bandit"`` strategy: a power-scheduled flat
@@ -308,8 +311,9 @@ class BanditSearch(SearchStrategy):
     ``promotion_energy`` otherwise (a ledgered :class:`Promotion` — AFL's
     "interesting input" queue).  Selection reads only wins and the pool,
     so :meth:`prepare` touches nothing and :meth:`invalidate` has nothing
-    to undo.  Resume replays the ledger's findings and promotions in
-    order, which reconstructs both exactly.
+    to undo.  Resume re-runs :meth:`prepare` for every completed
+    iteration and commits the ledgered findings count and promotion,
+    which reconstructs both exactly (see :meth:`replay`).
     """
 
     def __init__(self, config, corpus, hot_indices: Sequence[int]) -> None:
@@ -319,28 +323,22 @@ class BanditSearch(SearchStrategy):
             ("explore",) if config.explore else ()
         ) + config.mutations
         self.wins: Dict[str, int] = {a: 0 for a in self.arms}
-        self.pool: List[_PoolEntry] = []
-        self.by_key: Dict[Tuple[int, Tuple[LineageStep, ...]], _PoolEntry] = {}
-        self._promotions: List[Promotion] = []
-        for index, test in enumerate(corpus.seed_tests()):
-            self._add(
-                _PoolEntry(
-                    test=test,
-                    corpus_index=index,
-                    lineage=(),
-                    content=content_text(test.program.kernel, test.inputs),
-                )
+        self.pool: List[_PoolEntry] = [
+            _PoolEntry(
+                test=test,
+                corpus_index=index,
+                lineage=(),
+                content=content_text(test.program.kernel, test.inputs),
             )
+            for index, test in enumerate(corpus.seed_tests())
+        ]
+        self._promotions: List[Promotion] = []
         for index in hot_indices:
             self.pool[index].energy += config.novelty_bonus
 
     @classmethod
     def fingerprint_keys(cls) -> Dict[str, object]:
         return {}  # bandit ledgers keep their pre-search formats 2–4
-
-    def _add(self, entry: _PoolEntry) -> None:
-        self.pool.append(entry)
-        self.by_key[entry.key] = entry
 
     def prepare(
         self, i: int, evaluated: Set[str], overlay: Set[str]
@@ -435,7 +433,7 @@ class BanditSearch(SearchStrategy):
                 Promotion(prep.iteration, prep.corpus_index, prep.lineage)
             )
             entry.energy = self.config.promotion_energy
-        self._add(entry)
+        self.pool.append(entry)
         return True
 
     def _reward(self, arm: str, parent: Optional[object], novel: int) -> None:
@@ -447,42 +445,25 @@ class BanditSearch(SearchStrategy):
                 self.wins[arm] += 1
 
     def replay(self, state: LedgerState, evaluated: Set[str]) -> None:
-        """Apply the ledger's findings and promotions in live-run order."""
-        for kind, event in state.pool_events:
-            corpus_index, lineage = event.corpus_index, event.lineage
-            energy = self.config.promotion_energy
-            if kind == "finding":
-                self._reward(
-                    lineage[-1].mutation if lineage else "explore",
-                    self.by_key.get((corpus_index, lineage[:-1])) if lineage else None,
-                    1,
-                )
-                energy = 1.0 + self.config.novelty_bonus
-            if (corpus_index, lineage) not in self.by_key:
-                entry = self._rebuild(corpus_index, lineage, energy)
-                self._add(entry)
-                evaluated.add(mutant_content_id(self.config.fptype, entry.content))
-
-    def _rebuild(
-        self, corpus_index: int, lineage: Tuple[LineageStep, ...], energy: float
-    ) -> _PoolEntry:
-        """A pool entry back from its ledger identity."""
-        base = self.corpus.get(corpus_index)
-        if not lineage:
-            # an explore-arm program: the corpus test itself
-            content = content_text(base.program.kernel, base.inputs)
-            return _PoolEntry(base, corpus_index, lineage, content, energy)
-        kernel = replay_lineage(self.corpus, corpus_index, lineage)
-        content = content_text(kernel, base.inputs)
-        program = Program(
-            program_id=mutant_content_id(self.config.fptype, content),
-            kernel=kernel,
-            seed=lineage[-1].seed,
-            source_note="fuzz mutant",
+        """Re-run each completed iteration's selection (mutation only,
+        never execution) and commit its recorded outcome: the ledgered
+        findings count and promotion.  This rebuilds the wins, the pool
+        and the full evaluated-content dedup set."""
+        novel = Counter(f.iteration for f in state.findings)
+        recorded = {f.iteration: (f.corpus_index, f.lineage) for f in state.findings}
+        recorded.update(
+            (p.iteration, (p.corpus_index, p.lineage)) for p in state.promotions
         )
-        return _PoolEntry(
-            TestCase(program, base.inputs), corpus_index, lineage, content, energy
-        )
+        for i in range(state.iterations_completed):
+            p = self.prepare(i, evaluated, set())
+            if p.skip is None:
+                evaluated.add(p.content_id)
+            if i not in recorded:
+                continue
+            if p.skip is not None or recorded[i] != (p.corpus_index, p.lineage):
+                raise HarnessError(f"ledger does not replay at iteration {i}")
+            self.commit(p, novel[i], 0, True)
+        self._promotions = []  # already in the ledger
 
     def take_batch_records(self) -> Dict[str, Any]:
         promoted, self._promotions = self._promotions, []

@@ -734,10 +734,10 @@ class _Checkpoint(JsonlCheckpoint):
     noun = "checkpoint"
     writer = "a campaign"
 
-    def load_completed(self, config: CampaignConfig) -> Dict[str, Dict[str, ArmResult]]:
-        """Read completed steps, validating the header against ``config``."""
+    def load(self, fingerprint: Dict[str, object]) -> Dict[str, Dict[str, ArmResult]]:
+        """Completed steps by plan-step key."""
         done: Dict[str, Dict[str, ArmResult]] = {}
-        for data in self.iter_records(config.fingerprint()):
+        for data in self.iter_records(fingerprint):
             if data.get("kind") != "step":
                 continue
             done[str(data["key"])] = {
@@ -745,9 +745,6 @@ class _Checkpoint(JsonlCheckpoint):
                 for name, arm_data in data["arms"].items()
             }
         return done
-
-    def open_for_append(self, config: CampaignConfig, fresh: bool) -> None:  # type: ignore[override]
-        super().open_for_append(config.fingerprint(), fresh)
 
     def append_step(self, key: str, arms: Dict[str, ArmResult]) -> None:
         self.append_record(
@@ -775,34 +772,16 @@ def run_campaign(
 
     ``progress`` is an optional callable ``(group_label, done, total)``
     invoked as plan steps complete (used by the CLI).  ``checkpoint``
-    names a JSONL file that receives each completed step; with
-    ``resume=True`` the steps already recorded there are reloaded instead
-    of re-executed (the checkpoint's config fingerprint must match).
-    ``resume="auto"`` resumes when the checkpoint exists and matches,
-    and silently starts fresh otherwise — for unattended callers that
-    want best-effort continuation without handling mismatch errors.
+    names a JSONL file that receives each completed step; a resumed run
+    reloads the steps recorded there instead of re-executing them
+    (``resume`` follows :meth:`~repro.utils.checkpoint.JsonlCheckpoint.open_session`).
     """
     config = config or CampaignConfig.default()
-    if resume and checkpoint is None:
-        raise HarnessError("resume requires a checkpoint path")
     t0 = time.perf_counter()
 
     plan = build_plan(config)
-    completed: Dict[str, Dict[str, ArmResult]] = {}
-    ckpt: Optional[_Checkpoint] = None
-    resuming = bool(resume)
-    if checkpoint is not None:
-        ckpt = _Checkpoint(checkpoint)
-        if resume:
-            try:
-                completed = ckpt.load_completed(config)
-            except HarnessError:
-                # Missing, headerless, or mismatched checkpoint: a strict
-                # resume refuses; "auto" falls back to a fresh run.
-                if resume != "auto":
-                    raise
-                resuming = False
-        ckpt.open_for_append(config, fresh=not resuming)
+    ckpt, loaded = _Checkpoint.open_session(checkpoint, config.fingerprint(), resume)
+    completed: Dict[str, Dict[str, ArmResult]] = loaded or {}
 
     # Progress is reported per plan group ("fp64+fp64_hipify", "fp32", …).
     group_totals: Dict[str, int] = {}
@@ -845,12 +824,7 @@ def run_campaign(
     # backend is always honoured: its workers live in other processes,
     # so even one pending step belongs on the fleet when asked for.)
     workers = config.workers if len(pending) > 1 else 0
-    if config.backend is None:
-        service = ExecutionService.for_workers(workers)
-    else:
-        service = ExecutionService(
-            backend=resolve_backend(config.backend, workers, config.bridge_url)
-        )
+    service = ExecutionService(resolve_backend(config.backend, workers, config.bridge_url))
     try:
         chunks = (_step_requests(config, step) for step in pending)
         # Steps are checkpointed the moment they complete — a kill loses

@@ -4,8 +4,7 @@
 work: one test compiled once per compiler (front end shared across the
 optimization settings) and executed at every setting — each setting's
 whole input grid in one :meth:`Device.execute_batch` call.  The
-``lhs_cache`` / ``populate_lhs_cache`` arguments take a cache *view* —
-any object with
+``lhs_cache`` argument takes a cache *view* — any object with
 ``get(test_id, opt_label)``, ``put(test_id, opt_label, outcomes)`` and a
 ``hits`` counter, in practice a content-keyed
 :class:`~repro.exec.store.BoundRunCache` — letting a later request replay
@@ -211,7 +210,6 @@ class DifferentialRunner:
         opts: Sequence[OptSetting],
         *,
         lhs_cache: Optional["BoundRunCache"] = None,
-        populate_lhs_cache: Optional["BoundRunCache"] = None,
         artifacts: Optional["ArtifactCache"] = None,
     ) -> Dict[str, PairResult]:
         """One test across every optimization setting, keyed by opt label.
@@ -224,8 +222,8 @@ class DifferentialRunner:
         re-enters the pass pipeline.  When ``lhs_cache`` (a
         content-keyed store view) holds this test's entry at an opt
         setting, the left side is replayed from the cached outcomes
-        instead of executing; ``populate_lhs_cache`` stores this sweep's
-        left-stack outcomes for a later request to reuse.
+        instead of executing; either way the sweep's left-stack outcomes
+        are then stored in it for a later request to reuse.
         """
         if artifacts is not None:
             lhs_kernels = artifacts.compile_sweep(
@@ -253,7 +251,6 @@ class DifferentialRunner:
                 lhs_kernels[opt.label],
                 rhs_kernels[opt.label],
                 lhs_cache=lhs_cache,
-                populate_lhs_cache=populate_lhs_cache,
                 lhs_memo=lhs_memo,
                 rhs_memo=rhs_memo,
             )
@@ -323,7 +320,6 @@ class DifferentialRunner:
         ck_rhs: CompiledKernel,
         *,
         lhs_cache: Optional["BoundRunCache"] = None,
-        populate_lhs_cache: Optional["BoundRunCache"] = None,
         lhs_memo=None,
         rhs_memo=None,
     ) -> PairResult:
@@ -376,8 +372,8 @@ class DifferentialRunner:
             lhs_runs.append(lhs_outcomes[idx])
             rhs_runs.append(self._record(test, idx, opt, self.stacks[1], rr))
         skipped.sort()
-        if populate_lhs_cache is not None:
-            populate_lhs_cache.put(test.test_id, opt.label, lhs_outcomes)
+        if lhs_cache is not None:
+            lhs_cache.put(test.test_id, opt.label, lhs_outcomes)
         return PairResult(
             lhs_runs,
             rhs_runs,

@@ -19,13 +19,14 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.cliutil import add_execution_args, resolve_execution_args
+from repro.cliutil import (
+    add_execution_args, parse_names, resolve_execution_args, run_session,
+)
 from repro.errors import HarnessError
 from repro.fp.types import FPType
 from repro.oracle.engine import OracleConfig, run_oracle
 from repro.oracle.relations import RELATION_NAMES
 from repro.stacks import DEFAULT_STACK_PAIR, STACK_NAMES, resolve_stacks
-from repro.telemetry.session import TelemetrySession
 
 __all__ = ["main", "build_parser"]
 
@@ -105,15 +106,9 @@ def _config_from_args(
     base = OracleConfig()
     relations = base.relations
     if args.relations is not None:
-        relations = tuple(r.strip() for r in args.relations.split(",") if r.strip())
-        unknown = [r for r in relations if r not in RELATION_NAMES]
-        if unknown:
-            parser.error(
-                f"unknown relations: {', '.join(unknown)} "
-                f"(known: {', '.join(RELATION_NAMES)})"
-            )
-        if not relations:
-            parser.error("--relations must name at least one relation")
+        relations = parse_names(
+            parser, "--relations", args.relations, RELATION_NAMES, "relation"
+        )
     stacks = DEFAULT_STACK_PAIR
     if args.stacks is not None:
         try:
@@ -144,21 +139,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     config = _config_from_args(parser, args)
 
-    def progress(phase: str, done: int, total: int) -> None:
-        print(f"\r[{phase}] {done}/{total}", end="", file=sys.stderr, flush=True)
-        if done == total:
-            print(file=sys.stderr)
-
-    telemetry = TelemetrySession.from_args(args)
-    with telemetry:
-        try:
-            result = run_oracle(
-                config, ledger=args.ledger, resume=args.resume, progress=progress
-            )
-        except HarnessError as exc:
-            print(f"repro-oracle: error: {exc}", file=sys.stderr)
-            return 2
-
+    result = run_session(
+        parser.prog, args, run_oracle, config, ledger=args.ledger, resume=args.resume
+    )
+    if result is None:
+        return 2
     if result.resumed_programs:
         print(
             f"resumed {result.resumed_programs} programs from {args.ledger}",
@@ -189,7 +174,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  pair runs            {result.pair_runs}")
         print(f"  nvcc executions      {exec_metrics.get('nvcc_executions', 0)}")
         print(f"  store hits/misses    {store.get('hits', 0)}/{store.get('misses', 0)}")
-    telemetry.write(exec_metrics=result.exec_metrics)
     return 0
 
 

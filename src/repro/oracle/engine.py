@@ -395,15 +395,12 @@ def run_oracle(
 ) -> OracleResult:
     """Run one oracle session; returns violations and accounting.
 
-    ``ledger`` names the JSONL file; ``resume=True`` reloads a matching
-    ledger (fingerprint must agree) and continues from the first
-    unrecorded corpus index; ``resume="auto"`` starts fresh when the
-    ledger is missing or mismatched.  ``progress`` is an optional
-    ``(phase, done, total)`` callable.
+    ``ledger`` names the JSONL file; a resumed session continues from the
+    first unrecorded corpus index (``resume`` follows
+    :meth:`~repro.utils.checkpoint.JsonlCheckpoint.open_session`).
+    ``progress`` is an optional ``(phase, done, total)`` callable.
     """
     config = config or OracleConfig()
-    if resume and ledger is None:
-        raise HarnessError("resume requires a ledger path")
     t0 = time.perf_counter()
 
     relations = resolve_relations(config.relations)
@@ -411,20 +408,8 @@ def run_oracle(
         config.generator_config(), config.n_programs, config.corpus_seed, prefix="oracle"
     )
 
-    book: Optional[OracleLedger] = None
-    state = OracleLedgerState()
-    resuming = bool(resume)
-    if ledger is not None:
-        book = OracleLedger(ledger)
-        if resume:
-            try:
-                state = book.load(config.fingerprint())
-            except HarnessError:
-                if resume != "auto":
-                    raise
-                state = OracleLedgerState()
-                resuming = False
-        book.open_for_append(config.fingerprint(), fresh=not resuming)
+    book, loaded = OracleLedger.open_session(ledger, config.fingerprint(), resume)
+    state: OracleLedgerState = loaded or OracleLedgerState()
 
     # A ledger may already record more programs than this session asks
     # for (resume under a smaller --programs); the reloaded violations
@@ -436,14 +421,9 @@ def run_oracle(
     checked_by_relation: Dict[str, int] = dict(state.checked_by_relation)
     pair_runs = state.pair_runs
 
-    if config.backend is None:
-        service = ExecutionService.for_workers(config.workers)
-    else:
-        service = ExecutionService(
-            backend=resolve_backend(
-                config.backend, config.workers, config.bridge_url
-            )
-        )
+    service = ExecutionService(
+        resolve_backend(config.backend, config.workers, config.bridge_url)
+    )
     try:
         plans = [
             oracle_requests_for(

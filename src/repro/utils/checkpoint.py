@@ -1,8 +1,8 @@
 """Append-only JSONL checkpoint files with fingerprint headers.
 
-Both resumable surfaces of the system — the campaign engine's plan-step
-checkpoint and the fuzzer's findings ledger — share the same crash-safe
-file discipline:
+Every resumable session — the campaign engine's plan-step checkpoint,
+the fuzzer's findings ledger and the oracle ledger — shares one
+crash-safe file discipline:
 
 * line 1 is a ``{"kind": "header", "fingerprint": ...}`` record; a file
   written under one configuration refuses to resume under another;
@@ -11,19 +11,30 @@ file discipline:
 * a torn final line (killed mid-append) is skipped on read and trimmed
   before the next append, so the work it described simply re-runs.
 
-This module owns that discipline once; the campaign checkpoint and the
-fuzz ledger subclass it with their own record vocabularies.
+and one resume policy, :meth:`JsonlCheckpoint.open_session`:
+
+* resuming needs a path (``resume requires a <noun> path``);
+* ``resume=True`` is strict: a missing, empty, headerless or
+  mismatched file raises :class:`~repro.errors.HarnessError`;
+* ``resume="auto"`` resumes when it can and otherwise starts fresh;
+* the file is rewritten with a new header exactly when nothing was
+  loaded.
+
+Subclasses add a record vocabulary and a ``load(fingerprint)`` that
+folds the records into the session's resume state.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, IO, Iterator, Optional, Union
+from typing import Any, Dict, IO, Iterator, Optional, Tuple, Type, TypeVar, Union
 
 from repro.errors import HarnessError
 
 __all__ = ["JsonlCheckpoint"]
+
+_C = TypeVar("_C", bound="JsonlCheckpoint")
 
 
 class JsonlCheckpoint:
@@ -38,7 +49,40 @@ class JsonlCheckpoint:
         self.path = Path(path)
         self._fh: Optional[IO[str]] = None
 
+    @classmethod
+    def open_session(
+        cls: Type[_C],
+        path: Optional[Union[str, Path]],
+        fingerprint: Dict[str, object],
+        resume: Union[bool, str] = False,
+    ) -> Tuple[Optional[_C], Any]:
+        """Open ``path`` for a session; returns ``(file, loaded state)``.
+
+        The file is ``None`` without a path; the state is ``None`` unless
+        a resume loaded one.  Resuming without a path raises, a strict
+        resume re-raises any load error, and ``resume="auto"`` falls back
+        to a fresh file.
+        """
+        if path is None:
+            if resume:
+                raise HarnessError(f"resume requires a {cls.noun} path")
+            return None, None
+        book = cls(path)
+        state = None
+        if resume:
+            try:
+                state = book.load(fingerprint)
+            except HarnessError:
+                if resume != "auto":
+                    raise
+        book.open_for_append(fingerprint, fresh=state is None)
+        return book, state
+
     # ------------------------------------------------------------------ read
+    def load(self, fingerprint: Dict[str, object]) -> Any:
+        """The resume state folded from the records (see :meth:`iter_records`)."""
+        raise NotImplementedError
+
     def iter_records(self, fingerprint: Dict[str, object]) -> Iterator[Dict[str, object]]:
         """Yield the data records, validating the header against ``fingerprint``.
 

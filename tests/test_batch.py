@@ -485,7 +485,7 @@ class TestRunSweepRename:
         )
         new = DifferentialRunner()
         new_view = BoundRunCache(store, key)
-        new.run_sweep(test, OPTS2, populate_lhs_cache=new_view)
+        new.run_sweep(test, OPTS2, lhs_cache=new_view)
         legacy = DifferentialRunner()
         legacy_view = BoundRunCache(store, key)
         pairs = legacy.run_sweep(test, OPTS2, lhs_cache=legacy_view)

@@ -215,7 +215,7 @@ class TestRunStore:
         the fused-arm invariant, now by content instead of test id."""
         test = fp32_corpus.tests[0]
         store = RunStore()
-        DifferentialRunner().run_sweep(test, OPTS2, populate_lhs_cache=store.view_for(test))
+        DifferentialRunner().run_sweep(test, OPTS2, lhs_cache=store.view_for(test))
         twin = test.hipified()
         view = store.view_for(twin)
         runner = DifferentialRunner()

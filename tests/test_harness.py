@@ -352,7 +352,7 @@ class TestCampaignEngine:
         test = small_fp64_corpus.tests[0]
         store = RunStore()
         DifferentialRunner().run_sweep(
-            test, PAPER_OPT_SETTINGS, populate_lhs_cache=store.view_for(test)
+            test, PAPER_OPT_SETTINGS, lhs_cache=store.view_for(test)
         )
         twin = test.hipified()
         # The twin shares the native test's content id: its view hits.

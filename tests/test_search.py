@@ -276,16 +276,37 @@ ADDITIVE_COUNTERS = (
 )
 
 
+#: seed -> (config, iterations before the interruption).  Seed 14 re-
+#: draws an earlier clean mutant after the split, which a resumed session
+#: must count as a duplicate exactly as the straight run does.
+RESUME_SPLITS = {
+    3: (dataclasses.replace(TINY, seed=3), 20),
+    11: (TINY, 20),
+    14: (
+        FuzzConfig(
+            seed=14,
+            n_seed_programs=3,
+            inputs_per_program=2,
+            max_mutants=60,
+            batch_size=10,
+            minimize=False,
+        ),
+        30,
+    ),
+}
+
+
 class TestResumeAccounting:
     @pytest.mark.parametrize("search", ["bandit", "mcts"])
-    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("seed", sorted(RESUME_SPLITS))
     def test_prefix_plus_resume_adds_up_to_straight(self, tmp_path, search, seed):
-        config = dataclasses.replace(TINY, seed=seed, search=search)
+        base, split = RESUME_SPLITS[seed]
+        config = dataclasses.replace(base, search=search)
         straight = run_fuzz(config)
         path = tmp_path / "split.jsonl"
-        prefix = run_fuzz(dataclasses.replace(config, max_mutants=20), ledger=path)
+        prefix = run_fuzz(dataclasses.replace(config, max_mutants=split), ledger=path)
         resumed = run_fuzz(config, ledger=path, resume=True)
-        assert resumed.resumed_iterations == 20
+        assert resumed.resumed_iterations == split
         for counter in ADDITIVE_COUNTERS:
             assert (
                 getattr(prefix, counter) + getattr(resumed, counter)

@@ -1,13 +1,19 @@
-"""Tests for repro.utils: hashing, RNG derivation, tables, JSON I/O."""
+"""Tests for repro.utils: hashing, RNG derivation, tables, JSON I/O, and
+the resumable JSONL session files."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import HarnessError
+from repro.fuzz.ledger import FindingsLedger
+from repro.harness.campaign import _Checkpoint
+from repro.oracle.ledger import OracleLedger
 from repro.utils.hashing import hash_bytes, hash_floats, splitmix64, stable_hash
 from repro.utils.jsonio import decode_float, dump_json, encode_float, load_json
 from repro.utils.rng import SeedSequenceFactory, derive_seed
@@ -194,3 +200,70 @@ class TestJsonFiles:
         # dump_json uses allow_nan=False: raw NaN floats must be encoded.
         with pytest.raises(ValueError):
             dump_json({"x": math.nan}, tmp_path / "bad.json")
+
+
+# ------------------------------------------------------------ checkpoints
+#: every session file, with one record its ``load`` folds into state.
+SESSION_FILES = {
+    "campaign": (_Checkpoint, lambda book: book.append_step("fp64/0", {})),
+    "fuzz": (FindingsLedger, lambda book: book.append_baseline(4, [], [1])),
+    "oracle": (OracleLedger, lambda book: book.append_program(0, "t0", [], 3, [])),
+}
+FP = {"seed": 1}
+
+
+@pytest.mark.parametrize("kind", sorted(SESSION_FILES))
+class TestOpenSession:
+    """The one resume policy every session file shares."""
+
+    def _written(self, kind, path, fingerprint=FP):
+        cls, write = SESSION_FILES[kind]
+        book, state = cls.open_session(path, fingerprint)
+        assert state is None
+        write(book)
+        book.close()
+        return cls
+
+    def test_strict_resume_of_missing_file_raises(self, kind, tmp_path):
+        cls, _ = SESSION_FILES[kind]
+        with pytest.raises(HarnessError, match="does not exist"):
+            cls.open_session(tmp_path / "none.jsonl", FP, resume=True)
+
+    def test_strict_resume_of_mismatched_fingerprint_raises(self, kind, tmp_path):
+        path = tmp_path / "s.jsonl"
+        cls = self._written(kind, path)
+        with pytest.raises(HarnessError, match="refusing to resume"):
+            cls.open_session(path, {"seed": 2}, resume=True)
+
+    def test_auto_starts_fresh_and_rewrites_the_header(self, kind, tmp_path):
+        path = tmp_path / "s.jsonl"
+        cls = self._written(kind, path)
+        book, state = cls.open_session(path, {"seed": 2}, resume="auto")
+        book.close()
+        assert state is None
+        lines = path.read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"kind": "header", "fingerprint": {"seed": 2}}
+        ]
+        missing, state = cls.open_session(tmp_path / "new.jsonl", FP, resume="auto")
+        missing.close()
+        assert state is None
+
+    def test_resume_without_path_raises(self, kind):
+        cls, _ = SESSION_FILES[kind]
+        noun = cls.noun
+        with pytest.raises(HarnessError, match=f"resume requires a {noun} path"):
+            cls.open_session(None, FP, resume=True)
+        assert cls.open_session(None, FP) == (None, None)
+
+    def test_torn_tail_is_trimmed_on_resume(self, kind, tmp_path):
+        path = tmp_path / "s.jsonl"
+        cls = self._written(kind, path)
+        intact = path.read_bytes()
+        expected = cls(path).load(FP)
+        with path.open("ab") as fh:
+            fh.write(b'{"kind": "step", "ke')
+        book, state = cls.open_session(path, FP, resume=True)
+        book.close()
+        assert state == expected
+        assert path.read_bytes() == intact
