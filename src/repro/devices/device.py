@@ -91,8 +91,8 @@ class Device:
         """Run a compiled kernel once per input row (``None`` = trapped).
 
         Bit-identical per row to calling :meth:`execute` row by row with
-        :class:`~repro.errors.TrapError` caught as ``None``; the common
-        straight-line case is vectorized over the row axis.
+        :class:`~repro.errors.TrapError` caught as ``None``; the kernel is
+        lowered once into per-row closures (:mod:`repro.devices.batch`).
         """
         if compiled.vendor is not self.vendor:
             raise ValueError(

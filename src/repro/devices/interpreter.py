@@ -71,6 +71,7 @@ __all__ = [
     "Interpreter",
     "fma_exact",
     "CostModel",
+    "int_of_scalar",
 ]
 
 
@@ -190,6 +191,16 @@ def fma_exact(a: float, b: float, c: float) -> float:
         return float(exact)
     except OverflowError:
         return math.inf if exact > 0 else -math.inf
+
+
+def int_of_scalar(name: str, value: float) -> int:
+    """C's float-to-int conversion of scalar ``name`` in integer context
+    (a loop bound or subscript); NaN and ±inf have no integer value."""
+    if not math.isfinite(value):
+        raise ExecutionError(
+            f"{name!r} holds {float(value)!r}, which has no integer value"
+        )
+    return int(value)
 
 
 class _Frame:
@@ -486,7 +497,7 @@ class Interpreter:
             if expr.name in frame.ints:
                 return frame.ints[expr.name]
             if expr.name in frame.scalars:
-                return int(frame.scalars[expr.name])
+                return int_of_scalar(expr.name, frame.scalars[expr.name])
             raise ExecutionError(f"unknown int name {expr.name!r}")
         if isinstance(expr, BinOp):
             # Integer index arithmetic (i + 1, 2*j, ...), C semantics with

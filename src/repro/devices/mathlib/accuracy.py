@@ -26,7 +26,7 @@ from typing import Dict, Sequence, Tuple
 from repro.fp.types import FPType
 from repro.fp.bits import float16_to_bits, float32_to_bits, float_to_bits
 from repro.fp.ulp import perturb_ulps
-from repro.utils.hashing import stable_hash
+from repro.utils.hashing import absorb, stable_hash
 
 __all__ = ["ErrorProfile", "AccuracyModel"]
 
@@ -105,6 +105,8 @@ class AccuracyModel:
     def __init__(self, vendor_key: str, salt: int = 0) -> None:
         self.vendor_key = vendor_key
         self.salt = salt
+        #: :func:`stable_hash` state after each constant prefix.
+        self._prefixes: Dict[Tuple[str, ...], int] = {}
 
     # -- profile lookup -------------------------------------------------------
     def profile(self, func: str, fptype: FPType, variant: str) -> ErrorProfile:
@@ -129,6 +131,16 @@ class AccuracyModel:
             return tuple(float16_to_bits(a) for a in args)
         raise ValueError(f"operand bits are not defined for {fptype!r}")
 
+    def placement_hash(
+        self, prefix: Tuple[str, ...], args: Sequence[float], fptype: FPType
+    ) -> int:
+        """``stable_hash(*prefix, *operand_bits, seed=salt)``, hashing the
+        constant prefix once per model."""
+        state = self._prefixes.get(prefix)
+        if state is None:
+            state = self._prefixes[prefix] = stable_hash(*prefix, seed=self.salt)
+        return absorb(state, self._operand_bits(args, fptype))
+
     def error_ulps(
         self,
         func: str,
@@ -138,14 +150,8 @@ class AccuracyModel:
     ) -> int:
         """Signed ULP deviation this vendor applies at these operands (0 = exact)."""
         prof = self.profile(func, fptype, variant)
-        h = stable_hash(
-            self.vendor_key,
-            func,
-            variant,
-            fptype.value,
-            *self._operand_bits(args, fptype),
-            seed=self.salt,
-        )
+        prefix = (self.vendor_key, func, variant, fptype.value)
+        h = self.placement_hash(prefix, args, fptype)
         if (h % prof.rate_den) >= prof.rate_num:
             return 0
         direction = 1 if (h >> 17) & 1 else -1
@@ -170,13 +176,7 @@ class AccuracyModel:
         self, func: str, args: Sequence[float], result: float, fptype: FPType
     ) -> float:
         """Extra modeled rounding of the HIPIFY compatibility wrapper."""
-        h = stable_hash(
-            "hipify-wrapper",
-            func,
-            fptype.value,
-            *self._operand_bits(args, fptype),
-            seed=self.salt,
-        )
+        h = self.placement_hash(("hipify-wrapper", func, fptype.value), args, fptype)
         if (h % _HIPIFY_WRAPPER.rate_den) >= _HIPIFY_WRAPPER.rate_num:
             return result
         direction = 1 if (h >> 19) & 1 else -1

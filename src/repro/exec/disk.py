@@ -27,6 +27,7 @@ never load SQLite.
 from __future__ import annotations
 
 import sqlite3
+import time
 from pathlib import Path
 from typing import Optional, Union
 
@@ -50,6 +51,24 @@ CREATE TABLE IF NOT EXISTS artifacts (
 #: conflict clause of a put: first writer wins, unless healing a bad row
 _CONFLICT = {False: "IGNORE", True: "REPLACE"}
 
+#: how long an opener or writer waits on another connection's lock
+_BUSY_MS = 30000
+
+
+def _enable_wal(conn: sqlite3.Connection) -> None:
+    """Switch to WAL, retrying within the busy budget: the journal-mode
+    pragma does not wait on ``busy_timeout``, so processes opening one
+    fresh file at once get "database is locked" from it immediately."""
+    deadline = time.monotonic() + _BUSY_MS / 1000
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() > deadline:
+                raise
+            time.sleep(0.005)
+
 
 class ContentDB:
     """One SQLite content store file, shared by runs and artifacts."""
@@ -60,8 +79,8 @@ class ContentDB:
         conn: Optional[sqlite3.Connection] = None
         try:
             conn = sqlite3.connect(str(path))
-            conn.execute("PRAGMA busy_timeout=30000")
-            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute(f"PRAGMA busy_timeout={_BUSY_MS}")
+            _enable_wal(conn)
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.executescript(_SCHEMA)
         except sqlite3.DatabaseError as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import struct
 from typing import Iterable
 
-__all__ = ["splitmix64", "hash_bytes", "hash_floats", "stable_hash"]
+__all__ = ["splitmix64", "hash_bytes", "hash_floats", "stable_hash", "absorb"]
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -70,7 +70,17 @@ def stable_hash(*parts: object, seed: int = 0) -> int:
     Each part is tagged by type before hashing so ``1`` and ``1.0`` and
     ``"1"`` produce distinct digests.
     """
-    h = splitmix64(seed & _MASK)
+    return absorb(splitmix64(seed & _MASK), parts)
+
+
+def absorb(state: int, parts: Iterable[object]) -> int:
+    """Continue :func:`stable_hash`'s sponge from ``state``.
+
+    ``absorb(stable_hash(*a, seed=s), b) == stable_hash(*a, *b, seed=s)``,
+    so a caller that hashes many tuples sharing a constant prefix can
+    hash the prefix once.
+    """
+    h = state
     for part in parts:
         if isinstance(part, bool):  # before int: bool is an int subclass
             h = hash_bytes(b"b" + bytes([part]), h)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.compilers.hipcc import HipccCompiler
 from repro.compilers.nvcc import NvccCompiler
@@ -14,6 +17,17 @@ from repro.harness.runner import DifferentialRunner
 from repro.ir.builder import IRBuilder
 from repro.varity.config import GeneratorConfig
 from repro.varity.corpus import build_corpus
+
+#: The CI exec-bench job's long bit-equality search
+#: (``HYPOTHESIS_PROFILE=deep``); see ``TestBatchBitEquality``.
+settings.register_profile(
+    "deep",
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+if os.environ.get("HYPOTHESIS_PROFILE"):
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 @pytest.fixture(scope="session")

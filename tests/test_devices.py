@@ -33,6 +33,7 @@ from repro.devices.vendor import Vendor
 from repro.errors import ExecutionError, TrapError
 from repro.fp.env import FlushMode
 from repro.fp.types import FPType
+from repro.utils.hashing import stable_hash
 from repro.fp.ulp import ulp_distance
 from repro.ir.builder import IRBuilder
 from repro.ir.nodes import IntConst
@@ -93,6 +94,29 @@ class TestReferenceCall:
 
 # ---------------------------------------------------------------- accuracy
 class TestAccuracyModel:
+    @given(
+        vendor=st.sampled_from(["nvidia-libdevice", "amd-ocml", "cpu-libm"]),
+        salt=st.integers(0, 2**32),
+        func=st.sampled_from(SUPPORTED_FUNCTIONS),
+        variant=st.sampled_from(["default", "approx", "hipify"]),
+        fptype=st.sampled_from(list(FPType)),
+        args=st.lists(st.floats(width=16), min_size=1, max_size=2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cached_prefix_equals_stable_hash(self, vendor, salt, func, variant, fptype, args):
+        """Hashing the constant prefix once per model changes no digest:
+        both placements equal a from-scratch ``stable_hash``, on a cold
+        and on a warm prefix cache."""
+        m = AccuracyModel(vendor, salt=salt)
+        bits = m._operand_bits(args, fptype)
+        for prefix in (
+            (vendor, func, variant, fptype.value),
+            ("hipify-wrapper", func, fptype.value),
+        ):
+            expected = stable_hash(*prefix, *bits, seed=salt)
+            assert m.placement_hash(prefix, args, fptype) == expected
+            assert m.placement_hash(prefix, args, fptype) == expected
+
     def test_deterministic(self):
         m = AccuracyModel("nvidia-libdevice")
         args = [1.2345]

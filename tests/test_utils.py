@@ -14,7 +14,7 @@ from repro.errors import HarnessError
 from repro.fuzz.ledger import FindingsLedger
 from repro.harness.campaign import _Checkpoint
 from repro.oracle.ledger import OracleLedger
-from repro.utils.hashing import hash_bytes, hash_floats, splitmix64, stable_hash
+from repro.utils.hashing import absorb, hash_bytes, hash_floats, splitmix64, stable_hash
 from repro.utils.jsonio import decode_float, dump_json, encode_float, load_json
 from repro.utils.rng import SeedSequenceFactory, derive_seed
 from repro.utils.tables import Table, format_table
@@ -79,6 +79,17 @@ class TestStableHash:
 
     def test_order_matters(self):
         assert stable_hash("a", "b") != stable_hash("b", "a")
+
+    @given(
+        prefix=st.lists(st.one_of(st.text(max_size=12), st.integers(), st.floats())),
+        rest=st.lists(st.one_of(st.integers(-(2**70), 2**70), st.binary(max_size=20))),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_absorb_resumes_the_sponge(self, prefix, rest, seed):
+        assert absorb(stable_hash(*prefix, seed=seed), rest) == stable_hash(
+            *prefix, *rest, seed=seed
+        )
 
 
 class TestHashFloats:
