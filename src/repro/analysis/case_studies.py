@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.codegen.base import EmitterConfig, render_kernel_body, render_signature
 from repro.codegen.cuda import render_cuda
 from repro.compilers.options import OptSetting
 from repro.harness.campaign import ArmResult
 from repro.harness.differential import Discrepancy, DiscrepancyClass
 from repro.harness.runner import DifferentialRunner
-from repro.ir.printer import print_ir
 from repro.varity.testcase import TestCase
 
 __all__ = ["DivergencePoint", "CaseStudyReport", "isolate_divergence", "select_case_studies"]
@@ -62,11 +62,15 @@ class CaseStudyReport:
     divergence: Optional[DivergencePoint]
 
     def render(self) -> str:
+        kernel = self.test.program.kernel
+        cfg = EmitterConfig(fptype=kernel.fptype, dialect="cuda")
         lines = [
             "=" * 72,
             f"Case study: {self.test.test_id}  [{self.opt.label}]",
             "=" * 72,
-            print_ir(self.test.program.kernel),
+            f"void {kernel.name}({render_signature(kernel, cfg)}) {{",
+            render_kernel_body(kernel, cfg),
+            "}",
             "",
             f"Input   : {self.test.inputs[self.input_index].line}",
             "Output  :",

@@ -161,10 +161,6 @@ class ExecutionResult:
     #: modeled device cycles (see CostModel)
     cost_cycles: int = 0
 
-    @property
-    def is_exceptional(self) -> bool:
-        return self.outcome in (OutcomeClass.NAN, OutcomeClass.INF)
-
 
 def fma_exact(a: float, b: float, c: float) -> float:
     """Correctly-rounded-to-binary64 fused multiply-add.

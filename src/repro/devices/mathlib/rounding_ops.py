@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.fp.types import FPType
 
-__all__ = ["nvidia_ceil", "amd_ceil", "exact_floor", "exact_trunc"]
+__all__ = ["nvidia_ceil", "amd_ceil"]
 
 #: The largest value below 1.0 in each precision — the "magic" addend of
 #: the fast path.
@@ -76,14 +76,3 @@ def amd_ceil(x: float, fptype: FPType = FPType.FP64) -> float:
     with np.errstate(all="ignore"):
         return float(np.ceil(dtype.type(x)))
 
-
-def exact_floor(x: float, fptype: FPType = FPType.FP64) -> float:
-    dtype = fptype.dtype
-    with np.errstate(all="ignore"):
-        return float(np.floor(dtype.type(x)))
-
-
-def exact_trunc(x: float, fptype: FPType = FPType.FP64) -> float:
-    dtype = fptype.dtype
-    with np.errstate(all="ignore"):
-        return float(np.trunc(dtype.type(x)))

@@ -22,6 +22,12 @@ Guarantees:
   flag, opts, runner) are executed once; the duplicate's outcome is the
   original's, rebound to the duplicate's test id, with zero execution
   counters.
+* **One task** — every remote backend (pool or bridge) runs one chunk
+  task, :func:`_execute_task`, on groups of indexed chunks with the
+  parent's tracing flag riding in the payload; ordered and unordered
+  sweeps share one dispatch loop and differ only in ``imap`` versus
+  ``imap_unordered``.  Serial backends run each chunk in-process
+  against the service's shared store and artifact cache.
 """
 
 from __future__ import annotations
@@ -293,63 +299,6 @@ def _execute_requests(
     return outcomes, stats
 
 
-def _execute_chunk_task(
-    requests: Sequence[SweepRequest],
-) -> Tuple[List[SweepOutcome], Dict[str, float]]:
-    """Top-level chunk entry point for process-pool workers."""
-    return _execute_requests(requests)
-
-
-def _execute_indexed_chunk_task(
-    payload: Tuple[int, Sequence[SweepRequest]],
-) -> Tuple[int, List[SweepOutcome], Dict[str, float]]:
-    """Chunk entry point for unordered dispatch: the index rides along so
-    completion-order consumers can re-associate results with chunks."""
-    index, requests = payload
-    outcomes, stats = _execute_requests(requests)
-    return index, outcomes, stats
-
-
-def _run_chunk_traced(
-    requests: Sequence[SweepRequest],
-) -> Tuple[List[SweepOutcome], Dict[str, float], List[SpanRecord]]:
-    """Run one chunk under a fresh local tracer; ship its spans back.
-
-    Used only when the parent's tracer is enabled, so the untraced task
-    above stays the zero-overhead path.  The worker records into its
-    own tracer (the parent's is unreachable across the process
-    boundary) and the parent merges the batch by submission-order chunk
-    index — never arrival order — keeping traces deterministic.
-    """
-    tracer = Tracer()
-    previous = set_tracer(tracer)
-    try:
-        t0 = time.perf_counter_ns()
-        outcomes, stats = _execute_requests(requests)
-        tracer.record(
-            "exec.chunk", t0, time.perf_counter_ns(), requests=len(requests)
-        )
-    finally:
-        set_tracer(previous)
-    return outcomes, stats, tracer.drain()
-
-
-def _execute_chunk_task_traced(
-    requests: Sequence[SweepRequest],
-) -> Tuple[List[SweepOutcome], Dict[str, float], List[SpanRecord]]:
-    """Traced twin of :func:`_execute_chunk_task`."""
-    return _run_chunk_traced(requests)
-
-
-def _execute_indexed_chunk_task_traced(
-    payload: Tuple[int, Sequence[SweepRequest]],
-) -> Tuple[int, List[SweepOutcome], Dict[str, float], List[SpanRecord]]:
-    """Traced twin of :func:`_execute_indexed_chunk_task`."""
-    index, requests = payload
-    outcomes, stats, records = _run_chunk_traced(requests)
-    return index, outcomes, stats, records
-
-
 def _grouped(chunks: Iterable[Any], size: int) -> Iterator[List[Any]]:
     """Batch consecutive items into lists of at most ``size``."""
     group: List[Any] = []
@@ -362,37 +311,46 @@ def _grouped(chunks: Iterable[Any], size: int) -> Iterator[List[Any]]:
         yield group
 
 
-def _execute_group_task(
-    group: Sequence[Sequence[SweepRequest]],
-) -> List[Tuple[List[SweepOutcome], Dict[str, float]]]:
-    """Several chunks in one pool task (one pickle/IPC round trip).
-
-    Each chunk still runs through :func:`_execute_requests` with its own
-    private store, so results are byte-identical to one-task-per-chunk;
-    only the transport granularity changes.
-    """
-    return [_execute_requests(requests) for requests in group]
-
-
-def _execute_group_task_traced(
-    group: Sequence[Sequence[SweepRequest]],
-) -> List[Tuple[List[SweepOutcome], Dict[str, float], List[SpanRecord]]]:
-    """Traced twin of :func:`_execute_group_task` (per-chunk span batches)."""
-    return [_run_chunk_traced(requests) for requests in group]
-
-
-def _execute_indexed_group_task(
-    group: Sequence[Tuple[int, Sequence[SweepRequest]]],
-) -> List[Tuple[int, List[SweepOutcome], Dict[str, float]]]:
-    """Grouped twin of :func:`_execute_indexed_chunk_task`."""
-    return [_execute_indexed_chunk_task(payload) for payload in group]
-
-
-def _execute_indexed_group_task_traced(
-    group: Sequence[Tuple[int, Sequence[SweepRequest]]],
+def _execute_task(
+    payload: Tuple[bool, Sequence[Tuple[int, Sequence[SweepRequest]]]],
 ) -> List[Tuple[int, List[SweepOutcome], Dict[str, float], List[SpanRecord]]]:
-    """Grouped twin of :func:`_execute_indexed_chunk_task_traced`."""
-    return [_execute_indexed_chunk_task_traced(payload) for payload in group]
+    """The one chunk task remote backends run: ``(traced, [(index,
+    requests), ...])`` in, ``[(index, outcomes, stats, spans)]`` out.
+
+    Several chunks ride in one task (one pickle/IPC round trip); each
+    still runs through :func:`_execute_requests` with its own private
+    store, so results are byte-identical at any group size.  When
+    ``traced``, each chunk runs under a fresh local tracer (the parent's
+    is unreachable across the process boundary) and ships back its
+    spans, ending with an ``exec.chunk`` span; the parent merges them by
+    the submission-order chunk index, never arrival order, keeping
+    traces deterministic.  Untraced, the span list is empty.
+    """
+    traced, group = payload
+    results = []
+    for index, requests in group:
+        tracer = Tracer() if traced else NullTracer()
+        previous = set_tracer(tracer)
+        try:
+            t0 = time.perf_counter_ns()
+            outcomes, stats = _execute_requests(requests)
+            tracer.record(
+                "exec.chunk", t0, time.perf_counter_ns(), requests=len(requests)
+            )
+        finally:
+            set_tracer(previous)
+        results.append((index, outcomes, stats, tracer.drain()))
+    return results
+
+
+# perfbench hooks the service's pool tasks by these names (ROADMAP item
+# 1); they stay aliases of the one task until it stops hooking by name.
+(
+    _execute_chunk_task_traced,
+    _execute_indexed_chunk_task_traced,
+    _execute_group_task_traced,
+    _execute_indexed_group_task_traced,
+) = (_execute_task,) * 4
 
 
 class ExecutionService:
@@ -417,38 +375,7 @@ class ExecutionService:
     ) -> Iterator[List[SweepOutcome]]:
         """Execute chunks through the backend, yielding outcome lists in
         chunk order as they complete (consume lazily to stream)."""
-        tracer = get_tracer()
-        if self.backend.remote:
-            group = getattr(self.backend, "group_requests", 0) or 0
-            payloads = (tuple(chunk) for chunk in chunks)
-            if tracer.enabled:
-                if group > 1:
-                    batches = self.backend.imap(
-                        _execute_group_task_traced, _grouped(payloads, group)
-                    )
-                    traced = (r for batch in batches for r in batch)
-                else:
-                    traced = self.backend.imap(_execute_chunk_task_traced, payloads)
-                # Ordered imap: arrival order == submission order, so
-                # enumerate() is the deterministic chunk index.
-                for index, (outcomes, stats, records) in enumerate(traced):
-                    tracer.merge(index, records)
-                    self._absorb(outcomes, stats)
-                    yield outcomes
-                return
-            if group > 1:
-                batches = self.backend.imap(
-                    _execute_group_task, _grouped(payloads, group)
-                )
-                results = (r for batch in batches for r in batch)
-            else:
-                results = self.backend.imap(_execute_chunk_task, payloads)
-            for outcomes, stats in results:
-                self._absorb(outcomes, stats)
-                yield outcomes
-            return
-        for index, chunk in enumerate(chunks):
-            yield self._run_local(index, chunk, tracer)
+        return (outcomes for _, outcomes in self._sweep(chunks, ordered=True))
 
     def run_sweeps_unordered(
         self, chunks: Iterable[Sequence[SweepRequest]]
@@ -459,43 +386,33 @@ class ExecutionService:
         aggregation themselves; outcome content is identical to the
         ordered path's, only arrival order is scheduling-dependent.
         """
+        return self._sweep(chunks, ordered=False)
+
+    def _sweep(
+        self, chunks: Iterable[Sequence[SweepRequest]], ordered: bool
+    ) -> Iterator[Tuple[int, List[SweepOutcome]]]:
+        """The one dispatch loop: local chunks run in order against the
+        shared store; remote ones travel as groups of ``group_requests``
+        (1 when the backend names none) through the one chunk task."""
         tracer = get_tracer()
         indexed = ((i, tuple(chunk)) for i, chunk in enumerate(chunks))
-        if self.backend.remote:
-            group = getattr(self.backend, "group_requests", 0) or 0
-            if tracer.enabled:
-                if group > 1:
-                    batches = self.backend.imap_unordered(
-                        _execute_indexed_group_task_traced,
-                        _grouped(indexed, group),
-                    )
-                    traced = (r for batch in batches for r in batch)
-                else:
-                    traced = self.backend.imap_unordered(
-                        _execute_indexed_chunk_task_traced, indexed
-                    )
-                # The chunk index rides inside the payload, so merging
-                # stays deterministic even though arrival order is not.
-                for index, outcomes, stats, records in traced:
-                    tracer.merge(index, records)
-                    self._absorb(outcomes, stats)
-                    yield index, outcomes
-                return
-            if group > 1:
-                batches = self.backend.imap_unordered(
-                    _execute_indexed_group_task, _grouped(indexed, group)
-                )
-                results = (r for batch in batches for r in batch)
-            else:
-                results = self.backend.imap_unordered(
-                    _execute_indexed_chunk_task, indexed
-                )
-            for index, outcomes, stats in results:
+        if not self.backend.remote:
+            for index, chunk in indexed:
+                yield index, self._run_local(index, chunk, tracer)
+            return
+        size = getattr(self.backend, "group_requests", 0) or 1
+        imap = self.backend.imap if ordered else self.backend.imap_unordered
+        # Looked up at call time, so a hook installed on this name wraps
+        # every task.
+        batches = imap(
+            _execute_indexed_group_task_traced,
+            ((tracer.enabled, group) for group in _grouped(indexed, size)),
+        )
+        for batch in batches:
+            for index, outcomes, stats, records in batch:
+                tracer.merge(index, records)
                 self._absorb(outcomes, stats)
                 yield index, outcomes
-            return
-        for i, chunk in indexed:
-            yield i, self._run_local(i, chunk, tracer)
 
     def run_chunk(self, requests: Sequence[SweepRequest]) -> List[SweepOutcome]:
         """One chunk, synchronously, on the calling process."""

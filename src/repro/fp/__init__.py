@@ -5,7 +5,7 @@ NaN/Inf/Zero/Number taxonomy), IEEE-754 exception tracking (Table II), and
 Varity-style literal formatting.
 """
 
-from repro.fp.types import FPType, dtype_of, finfo_of
+from repro.fp.types import FPType
 from repro.fp.bits import (
     float_to_bits,
     bits_to_float,
@@ -31,8 +31,6 @@ from repro.fp.literals import (
 
 __all__ = [
     "FPType",
-    "dtype_of",
-    "finfo_of",
     "float_to_bits",
     "bits_to_float",
     "float32_to_bits",

@@ -41,10 +41,6 @@ class OutcomeClass(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
-    @property
-    def paper_label(self) -> str:
-        return self.value
-
     @classmethod
     def from_string(cls, label: str) -> "OutcomeClass":
         table = {

@@ -20,11 +20,11 @@ which would miscompile a new lane instead of failing loudly.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Union
+from typing import Dict
 
 import numpy as np
 
-__all__ = ["FPType", "dtype_of", "finfo_of", "suffix_of", "c_name_of"]
+__all__ = ["FPType"]
 
 
 class FPType(enum.Enum):
@@ -105,10 +105,6 @@ class FPType(enum.Enum):
     def max(self) -> float:
         return float(np.finfo(self.dtype).max)
 
-    @property
-    def eps(self) -> float:
-        return float(np.finfo(self.dtype).eps)
-
     @classmethod
     def from_string(cls, name: str) -> "FPType":
         name = name.strip().lower()
@@ -149,21 +145,3 @@ _BITS = {FPType.FP16: 16, FPType.FP32: 32, FPType.FP64: 64}
 _MANTISSA_BITS = {FPType.FP16: 10, FPType.FP32: 23, FPType.FP64: 52}
 _EXPONENT_BITS = {FPType.FP16: 5, FPType.FP32: 8, FPType.FP64: 11}
 
-
-def dtype_of(fptype: Union[FPType, str]) -> np.dtype:
-    """NumPy dtype for a precision (accepts enum or string alias)."""
-    if isinstance(fptype, str):
-        fptype = FPType.from_string(fptype)
-    return fptype.dtype
-
-
-def finfo_of(fptype: Union[FPType, str]) -> np.finfo:
-    return np.finfo(dtype_of(fptype))
-
-
-def suffix_of(fptype: FPType) -> str:
-    return fptype.math_suffix
-
-
-def c_name_of(fptype: FPType) -> str:
-    return fptype.c_name

@@ -62,7 +62,6 @@ from repro.ir.nodes import (
     UnOp,
 )
 from repro.ir.program import Kernel
-from repro.utils.tables import Table
 
 __all__ = ["kernel_features", "CoverageTracker"]
 
@@ -224,12 +223,3 @@ class CoverageTracker:
             "programs_observed": self.programs_observed,
             "counts": dict(sorted(self.counts.items())),
         }
-
-    def report(self, title: str = "Grammar-feature coverage") -> Table:
-        """Rarest-first histogram: the under-covered regions lead."""
-        table = Table(title=title, headers=["Feature", "Programs"])
-        for feature, count in sorted(
-            self.counts.items(), key=lambda item: (item[1], item[0])
-        ):
-            table.add_row([feature, count])
-        return table

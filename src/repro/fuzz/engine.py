@@ -73,8 +73,13 @@ from repro.fp.classify import OutcomeClass
 from repro.fp.types import FPType
 from repro.fuzz.ledger import Finding, FindingsLedger, LedgerState
 from repro.fuzz.mutators import MUTATION_NAMES, MUTATORS
-from repro.fuzz.search import STRATEGIES, PreparedIteration
-from repro.fuzz.signature import DiscrepancySignature, signature_histogram
+from repro.fuzz.search import (
+    NOVELTY_BONUS,
+    PROMOTION_ENERGY,
+    STRATEGIES,
+    PreparedIteration,
+)
+from repro.fuzz.signature import DiscrepancySignature
 from repro.harness.differential import Discrepancy, classify_pair
 from repro.harness.runner import DifferentialRunner
 from repro.oracle.engine import build_relation_requests, check_relation_outcomes
@@ -82,7 +87,6 @@ from repro.oracle.relations import Relation, RelationViolation, resolve_relation
 from repro.stacks import DEFAULT_STACK_PAIR, pair_name, resolve_stacks, stack_pairs
 from repro.telemetry.spans import get_tracer
 from repro.utils.rng import derive_seed
-from repro.utils.tables import Table
 from repro.varity.config import GeneratorConfig
 from repro.varity.corpus import build_corpus, build_corpus_slice
 from repro.varity.testcase import TestCase
@@ -116,20 +120,6 @@ class FuzzConfig:
     opts: Tuple[OptSetting, ...] = PAPER_OPT_SETTINGS
     #: probe each mutant's HIPIFY twin too (CUDA half served by the cache).
     include_hipify: bool = True
-    #: give the scheduler an "explore" arm that evaluates a brand-new
-    #: generated program instead of mutating — the hybrid
-    #: generation/mutation strategy.  The bandit decides how much budget
-    #: exploration deserves: when the pool's neighborhoods run dry it
-    #: degrades gracefully toward blind generation, and when they are
-    #: rich it concentrates on mutation.
-    explore: bool = True
-    #: energy added to a seed for each novel signature it (or its mutant)
-    #: produced — the power schedule's feedback term.
-    novelty_bonus: float = 8.0
-    #: selection energy of promoted (discrepant-but-known-signature)
-    #: queue entries; kept near the cold-seed weight so the queue widens
-    #: the search without drowning out confirmed-novel regions.
-    promotion_energy: float = 1.0
     #: delta-debug every novel finding down to a minimal reproducer.
     minimize: bool = True
     mutations: Tuple[str, ...] = MUTATION_NAMES
@@ -264,9 +254,11 @@ class FuzzConfig:
             "batch_size": self.batch_size,
             "opts": [o.label for o in self.opts],
             "include_hipify": self.include_hipify,
-            "explore": self.explore,
-            "novelty_bonus": self.novelty_bonus,
-            "promotion_energy": self.promotion_energy,
+            # Fixed search constants, still signed: every existing
+            # ledger header carries them, and resume compares headers.
+            "explore": True,
+            "novelty_bonus": NOVELTY_BONUS,
+            "promotion_energy": PROMOTION_ENERGY,
             "minimize": self.minimize,
             "mutations": list(self.mutations),
         }
@@ -334,18 +326,9 @@ class FuzzResult:
         return [f.signature for f in self.findings]
 
     @property
-    def novel_signature_keys(self) -> Set[str]:
-        return {f.signature.key for f in self.findings}
-
-    @property
     def cache_hit_rate(self) -> float:
         attempts = self.nvcc_executions + self.nvcc_cache_hits
         return self.nvcc_cache_hits / attempts if attempts else 0.0
-
-    def histogram(self) -> Table:
-        return signature_histogram(
-            self.novel_signatures, title="Novel discrepancy signatures (fuzz findings)"
-        )
 
 
 @dataclass
@@ -360,10 +343,6 @@ class RandomSessionResult:
     #: comparable to the fuzz session's).
     oracle_violations: int = 0
     novel_signatures: List[DiscrepancySignature] = field(default_factory=list)
-
-    @property
-    def novel_signature_keys(self) -> Set[str]:
-        return {s.key for s in self.novel_signatures}
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,15 @@ MAX_DEPTH = 8
 #: paying programs instead of sweeping the whole frontier round-robin.
 EXPLORATION_C = 0.5
 
+#: Energy the bandit adds to a seed for each novel signature it (or its
+#: mutant) produced — the power schedule's feedback term.
+NOVELTY_BONUS = 8.0
+
+#: Selection energy of promoted (discrepant-but-known-signature) pool
+#: entries; kept near the cold-seed weight so the queue widens the
+#: search without drowning out confirmed-novel regions.
+PROMOTION_ENERGY = 1.0
+
 #: The explore arm's optimistic prior (virtual wins): fresh programs
 #: stay competitive until the seed subtrees prove they pay better.
 EXPLORE_PRIOR = 2.0
@@ -293,8 +302,8 @@ class BanditSearch(SearchStrategy):
     """The default ``search="bandit"`` strategy: a power-scheduled flat
     pool plus a win-count bandit over the iteration's action.
 
-    The arms are the registered mutators plus (when enabled) "explore" —
-    evaluate a fresh generated program instead of mutating.  An arm's
+    The arms are "explore" — evaluate a fresh generated program instead
+    of mutating — plus the registered mutators.  An arm's
     selection weight is ``1 + its novel-signature findings so far``, so
     budget flows to whatever is currently paying: a barren pool drifts
     toward blind generation, a rich one concentrates on the mutators that
@@ -305,10 +314,10 @@ class BanditSearch(SearchStrategy):
     commits to a paying region immediately instead of waiting for rate
     estimates to stabilize.)
 
-    Each novel finding adds ``novelty_bonus`` energy to the mutated
+    Each novel finding adds :data:`NOVELTY_BONUS` energy to the mutated
     parent, and every diverging mutant joins the pool: at ``1 +
-    novelty_bonus`` energy when it carried a novel signature, at
-    ``promotion_energy`` otherwise (a ledgered :class:`Promotion` — AFL's
+    NOVELTY_BONUS`` energy when it carried a novel signature, at
+    :data:`PROMOTION_ENERGY` otherwise (a ledgered :class:`Promotion` — AFL's
     "interesting input" queue).  Selection reads only wins and the pool,
     so :meth:`prepare` touches nothing and :meth:`invalidate` has nothing
     to undo.  Resume re-runs :meth:`prepare` for every completed
@@ -319,9 +328,7 @@ class BanditSearch(SearchStrategy):
     def __init__(self, config, corpus, hot_indices: Sequence[int]) -> None:
         self.config = config
         self.corpus = corpus
-        self.arms: Tuple[str, ...] = (
-            ("explore",) if config.explore else ()
-        ) + config.mutations
+        self.arms: Tuple[str, ...] = ("explore",) + config.mutations
         self.wins: Dict[str, int] = {a: 0 for a in self.arms}
         self.pool: List[_PoolEntry] = [
             _PoolEntry(
@@ -334,7 +341,7 @@ class BanditSearch(SearchStrategy):
         ]
         self._promotions: List[Promotion] = []
         for index in hot_indices:
-            self.pool[index].energy += config.novelty_bonus
+            self.pool[index].energy += NOVELTY_BONUS
 
     @classmethod
     def fingerprint_keys(cls) -> Dict[str, object]:
@@ -423,7 +430,7 @@ class BanditSearch(SearchStrategy):
         )
         if novel:
             self._reward(prep.arm, prep.parent, novel)
-            entry.energy = 1.0 + self.config.novelty_bonus
+            entry.energy = 1.0 + NOVELTY_BONUS
         else:
             # Discrepant but nothing novel: still an interesting input.
             # It joins the pool — chains of mutations walk the signature
@@ -432,7 +439,7 @@ class BanditSearch(SearchStrategy):
             self._promotions.append(
                 Promotion(prep.iteration, prep.corpus_index, prep.lineage)
             )
-            entry.energy = self.config.promotion_energy
+            entry.energy = PROMOTION_ENERGY
         self.pool.append(entry)
         return True
 
@@ -440,7 +447,7 @@ class BanditSearch(SearchStrategy):
         """One novelty credit per novel finding, to the arm and the parent."""
         for _ in range(novel):
             if isinstance(parent, _PoolEntry):
-                parent.energy += self.config.novelty_bonus
+                parent.energy += NOVELTY_BONUS
             if arm in self.wins:
                 self.wins[arm] += 1
 
@@ -535,13 +542,14 @@ class MctsSearch(SearchStrategy):
         #: this batch's per-iteration search records (format 5).
         self._traces: List[SearchTrace] = []
         self.mutations: Tuple[str, ...] = config.mutations
-        self.explore_enabled: bool = config.explore
         #: root children, in creation order: the seed pool, then every
         #: rewarded program the explore arm generated.
         self.children: List[_Node] = []
-        self.root_visits = 0
-        self.explore_visits = 0
-        self.explore_reward = 0.0
+        #: the explore arm starts with one virtual visit worth
+        #: ``EXPLORE_PRIOR`` wins, counted at the root like a seed's.
+        self.root_visits = 1
+        self.explore_visits = 1
+        self.explore_reward = EXPLORE_PRIOR
         #: cross-node mutation-arm evidence: visits accrue at prepare
         #: (undo-able), reward only at commit — the prior every node's
         #: own arm bandit shrinks toward.
@@ -561,10 +569,6 @@ class MctsSearch(SearchStrategy):
             self.children.append(node)
             self.coverage.observe(kernel_features(test.program.kernel))
             self.root_visits += 1
-        if self.explore_enabled:
-            self.explore_visits = 1
-            self.explore_reward = EXPLORE_PRIOR
-            self.root_visits += 1
 
     @classmethod
     def fingerprint_keys(cls) -> Dict[str, object]:
@@ -577,10 +581,10 @@ class MctsSearch(SearchStrategy):
         )
 
     def _select_root(self):
-        """The root action: a live child subtree, ``_EXPLORE``, or None
-        (everything dead and exploration disabled).  Deterministic:
-        strict-greater comparison makes the earliest-created winner of a
-        tie stable, and the explore arm yields ties to subtrees."""
+        """The root action: a live child subtree or ``_EXPLORE``.
+        Deterministic: strict-greater comparison makes the earliest-created
+        winner of a tie stable, and the explore arm yields ties to
+        subtrees."""
         best = None
         best_value = -math.inf
         for node in self.children:
@@ -589,14 +593,13 @@ class MctsSearch(SearchStrategy):
             value = self._ucb(node.mean, node.visits, self.root_visits)
             if value > best_value:
                 best, best_value = node, value
-        if self.explore_enabled:
-            value = self._ucb(
-                self.explore_reward / self.explore_visits,
-                self.explore_visits,
-                self.root_visits,
-            )
-            if value > best_value:
-                return _EXPLORE
+        value = self._ucb(
+            self.explore_reward / self.explore_visits,
+            self.explore_visits,
+            self.root_visits,
+        )
+        if value > best_value:
+            return _EXPLORE
         return best
 
     def _expand_stats(self, node: _Node) -> Tuple[float, int]:
@@ -654,13 +657,6 @@ class MctsSearch(SearchStrategy):
         delta: List[Tuple[str, object]] = []
         while True:
             choice = self._select_root()
-            if choice is None:
-                # Exploration disabled and every subtree exhausted: the
-                # iteration is deterministically unproductive.
-                self._outstanding[i] = _Outstanding(delta=delta)
-                return PreparedIteration(
-                    iteration=i, arm=self.mutations[0], skip="no_site"
-                )
             if choice is _EXPLORE:
                 if tracer.enabled:
                     tracer.record(

@@ -34,7 +34,6 @@ from repro.ir.nodes import (
 )
 from repro.ir.program import Param, Kernel, Program
 from repro.ir.visitor import Visitor, Transformer, walk, collect
-from repro.ir.printer import print_ir
 from repro.ir.builder import IRBuilder
 from repro.ir.validate import validate_kernel, ValidationIssue
 from repro.ir.metrics import ProgramMetrics, compute_metrics
@@ -67,7 +66,6 @@ __all__ = [
     "Transformer",
     "walk",
     "collect",
-    "print_ir",
     "IRBuilder",
     "validate_kernel",
     "ValidationIssue",

@@ -64,10 +64,6 @@ class Kernel:
         raise KeyError(f"kernel has no parameter {name!r}")
 
     @property
-    def param_names(self) -> List[str]:
-        return [p.name for p in self.params]
-
-    @property
     def float_params(self) -> List[Param]:
         return [p for p in self.params if p.type is IRType.FLOAT]
 

@@ -37,7 +37,7 @@ from repro.ir.nodes import (
     VarRef,
 )
 
-__all__ = ["float_sites", "replace_site", "site_at"]
+__all__ = ["float_sites", "replace_site"]
 
 
 def _expr_float_sites(expr: Expr, out: List[Expr]) -> None:
@@ -165,7 +165,3 @@ def replace_site(body: Sequence[Stmt], target: int, repl: Expr) -> List[Stmt]:
 
     return rewrite(body)
 
-
-def site_at(body: Sequence[Stmt], target: int) -> Expr:
-    """The ``target``-th float site of a body (pre-order index)."""
-    return float_sites(body)[target]

@@ -23,14 +23,6 @@ class IRType(enum.Enum):
     FLOAT_PTR = "float*"  # array-of-campaign-fp-type parameter
 
     @property
-    def is_pointer(self) -> bool:
-        return self is IRType.FLOAT_PTR
-
-    @property
-    def is_float(self) -> bool:
-        return self is IRType.FLOAT
-
-    @property
     def element(self) -> "IRType":
         """Element type of a pointer type."""
         if self is IRType.FLOAT_PTR:

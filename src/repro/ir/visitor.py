@@ -68,10 +68,6 @@ class Visitor:
         for child in node.children():
             self.visit(child)
 
-    def visit_body(self, body: Sequence[Stmt]) -> None:
-        for stmt in body:
-            self.visit(stmt)
-
 
 class Transformer:
     """Bottom-up rebuilding transformer.

@@ -23,7 +23,6 @@ from repro.oracle.relations import (
     RELATIONS,
     Relation,
     RelationViolation,
-    check_relation,
     resolve_relations,
 )
 
@@ -41,5 +40,4 @@ __all__ = [
     "RELATIONS",
     "RELATION_NAMES",
     "resolve_relations",
-    "check_relation",
 ]

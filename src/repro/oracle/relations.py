@@ -88,7 +88,6 @@ __all__ = [
     "RELATIONS",
     "RELATION_NAMES",
     "resolve_relations",
-    "check_relation",
 ]
 
 #: Calls whose argument order is semantically irrelevant (IEEE symmetric).
@@ -647,13 +646,3 @@ def resolve_relations(names: Sequence[str]) -> List[Relation]:
         raise ValueError(f"unknown relations: {', '.join(unknown)}")
     return [RELATIONS[n] for n in names]
 
-
-def check_relation(
-    name: str,
-    fptype: FPType,
-    base: Dict[str, PairResult],
-    variants: Dict[str, Dict[str, PairResult]],
-    ulp_bound: int,
-) -> List[RelationViolation]:
-    """Run one registered relation's checker over executed sweeps."""
-    return RELATIONS[name].check(fptype, base, variants, ulp_bound)

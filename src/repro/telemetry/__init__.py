@@ -24,8 +24,6 @@ Layout:
 from repro.telemetry.metrics import (
     DEFAULT_TIME_EDGES,
     MetricsRegistry,
-    get_metrics,
-    reset_metrics,
 )
 from repro.telemetry.spans import (
     NullTracer,
@@ -41,8 +39,6 @@ __all__ = [
     "NullTracer",
     "SpanRecord",
     "Tracer",
-    "get_metrics",
     "get_tracer",
-    "reset_metrics",
     "set_tracer",
 ]

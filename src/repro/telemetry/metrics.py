@@ -9,7 +9,7 @@ shows real deltas, not bucket-boundary noise.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 #: Deterministic seconds-scale edges: 1e-6 * 4**i for i in 0..11.
 DEFAULT_TIME_EDGES: Tuple[float, ...] = tuple(1e-6 * 4**i for i in range(12))
@@ -51,10 +51,6 @@ class Histogram:
         self.counts[bisect.bisect_left(self.edges, value)] += 1
         self.sum += value
         self.count += 1
-
-    def observe_many(self, values: Iterable[float]) -> None:
-        for v in values:
-            self.observe(v)
 
 
 class MetricsRegistry:
@@ -109,17 +105,3 @@ class MetricsRegistry:
             },
         }
 
-
-_registry = MetricsRegistry()
-
-
-def get_metrics() -> MetricsRegistry:
-    """The process-global registry."""
-    return _registry
-
-
-def reset_metrics() -> MetricsRegistry:
-    """Replace the global registry with a fresh one (tests, CLI runs)."""
-    global _registry
-    _registry = MetricsRegistry()
-    return _registry

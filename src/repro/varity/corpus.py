@@ -55,17 +55,6 @@ class Corpus:
             tests=tuple(t.hipified() for t in self.tests),
         )
 
-    def iter_with_hipified(self) -> Iterator[Tuple[TestCase, TestCase]]:
-        """Yield ``(native, hipified-twin)`` pairs, lazily.
-
-        The campaign engine's fused fp64 + fp64_hipify execution walks the
-        corpus once and runs each program's twin right after the native
-        test, so the per-program nvcc run cache stays a single test wide
-        instead of materializing a whole converted corpus up front.
-        """
-        for t in self.tests:
-            yield t, t.hipified()
-
 
 def build_corpus(
     config: GeneratorConfig,

@@ -46,10 +46,6 @@ class TestCase:
     def fptype(self) -> FPType:
         return self.program.fptype
 
-    @property
-    def n_runs_per_compiler_per_option(self) -> int:
-        return len(self.inputs)
-
     def hipified(self) -> "TestCase":
         """The HIPIFY-converted twin of this test (same inputs)."""
         return TestCase(self.program.marked_hipify(), self.inputs)

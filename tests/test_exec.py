@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import sqlite3
 import struct
 from pathlib import Path
@@ -39,6 +40,7 @@ from repro.fp.types import FPType
 from repro.fuzz.engine import FuzzConfig, run_fuzz
 from repro.harness.outcomes import RunRecord
 from repro.harness.runner import DifferentialRunner
+from repro.telemetry.spans import Tracer, set_tracer
 from repro.varity.config import GeneratorConfig
 from repro.varity.corpus import build_corpus
 
@@ -343,7 +345,11 @@ class TestExecutionService:
         assert test.test_id == fp32_corpus.tests[3].test_id
         assert content_id_for(test) == content_id_for(fp32_corpus.tests[3])
 
-    def test_pool_backend_matches_serial(self, fp32_corpus):
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("method", ["run_sweeps", "run_sweeps_unordered"])
+    def test_pool_backend_matches_serial(self, fp32_corpus, method, traced):
+        """Every dispatch combination (ordered or unordered, tracing off
+        or on) matches the serial run's outcomes and counters."""
         chunks = [
             [
                 SweepRequest(test=t, opts=OPTS2, tag=("native",), cache=CHUNK_CACHE),
@@ -354,30 +360,51 @@ class TestExecutionService:
             for t in fp32_corpus.tests[:4]
         ]
 
-        def flatten(service):
-            out = []
+        def run(service):
+            tracer = Tracer() if traced else None
+            previous = set_tracer(tracer)
             try:
-                for outcomes in service.run_sweeps(chunks):
-                    for o in outcomes:
-                        out.append(
-                            (
-                                o.tag,
-                                o.test_id,
-                                o.nvcc_executions,
-                                o.nvcc_cache_hits,
-                                sorted(
-                                    (d.test_id, d.input_index, d.opt_label, d.dclass.value)
-                                    for d in o.iter_discrepancies()
-                                ),
-                            )
+                if method == "run_sweeps":
+                    results = list(service.run_sweeps(chunks))
+                else:
+                    results = [
+                        outcomes
+                        for _, outcomes in sorted(
+                            service.run_sweeps_unordered(chunks),
+                            key=lambda item: item[0],
                         )
+                    ]
+                stats = service.stats()
             finally:
+                set_tracer(previous)
                 service.close()
-            return out
+            del stats["phase_seconds"]
+            out = [
+                (
+                    o.tag,
+                    o.test_id,
+                    o.nvcc_executions,
+                    o.nvcc_cache_hits,
+                    sorted(
+                        (d.test_id, d.input_index, d.opt_label, d.dclass.value)
+                        for d in o.iter_discrepancies()
+                    ),
+                )
+                for outcomes in results
+                for o in outcomes
+            ]
+            return out, stats, tracer
 
-        serial = flatten(ExecutionService(backend=SerialBackend()))
-        pooled = flatten(ExecutionService(backend=ProcessPoolBackend(2)))
+        serial, serial_stats, _ = run(ExecutionService(backend=SerialBackend()))
+        pooled, pooled_stats, tracer = run(
+            ExecutionService(backend=ProcessPoolBackend(2))
+        )
         assert serial == pooled
+        assert serial_stats == pooled_stats
+        if traced:
+            spans = [r for r in tracer.records() if r.name == "exec.chunk"]
+            assert sorted(r.chunk for r in spans) == list(range(len(chunks)))
+            assert all(r.pid != os.getpid() for r in spans)
 
     def test_make_backend(self):
         assert make_backend(0).name == "serial"

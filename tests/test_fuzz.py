@@ -15,11 +15,11 @@ import json
 import pytest
 
 from repro.errors import HarnessError
+from repro.exec.artifacts import kernel_text
 from repro.fuzz.engine import FuzzConfig, run_fuzz, run_random_session
 from repro.fuzz.ledger import FindingsLedger, LineageStep
 from repro.fuzz.mutators import MUTATION_NAMES, apply_mutation
 from repro.fuzz.signature import DiscrepancySignature, signature_histogram
-from repro.ir.printer import print_ir
 from repro.ir.validate import validate_kernel
 from repro.varity.config import GeneratorConfig
 from repro.varity.corpus import build_corpus
@@ -64,7 +64,7 @@ class TestMutators:
             if a is None:
                 assert b is None
                 continue
-            assert print_ir(a) == print_ir(b)
+            assert kernel_text(a) == kernel_text(b)
 
     @pytest.mark.parametrize("mutation", MUTATION_NAMES)
     def test_seed_changes_mutant(self, fuzz_corpus, mutation):
@@ -75,7 +75,7 @@ class TestMutators:
             kernel = test.program.kernel
             a = apply_mutation(kernel, mutation, seed=1, donor=donor)
             b = apply_mutation(kernel, mutation, seed=2, donor=donor)
-            if a is not None and b is not None and print_ir(a) != print_ir(b):
+            if a is not None and b is not None and kernel_text(a) != kernel_text(b):
                 differs = True
                 break
         assert differs, f"{mutation} ignored its seed on every test"

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.codegen.base import EmitterConfig, render_expr, render_kernel_body, render_signature
 from repro.fp.types import FPType
 from repro.ir.builder import IRBuilder
 from repro.ir.metrics import aggregate_metrics, compute_metrics
@@ -27,7 +28,6 @@ from repro.ir.nodes import (
     VarRef,
     structurally_equal,
 )
-from repro.ir.printer import expr_to_str, print_ir
 from repro.ir.program import Kernel, Param, Program
 from repro.ir.types import IRType
 from repro.ir.validate import validate_kernel
@@ -218,21 +218,25 @@ class TestTransformer:
 
 
 # ----------------------------------------------------------------- printer
+FP64_CFG = EmitterConfig(fptype=FPType.FP64)
+
+
 class TestPrinter:
     def test_expr_precedence(self):
         e = BinOp("*", BinOp("+", VarRef("a"), VarRef("b")), VarRef("c"))
-        assert expr_to_str(e) == "(a + b) * c"
+        assert render_expr(e, FP64_CFG) == "(a + b) * c"
 
     def test_right_assoc_parens(self):
         e = BinOp("-", VarRef("a"), BinOp("-", VarRef("b"), VarRef("c")))
-        assert expr_to_str(e) == "a - (b - c)"
+        assert render_expr(e, FP64_CFG) == "a - (b - c)"
 
     def test_division_chain(self):
         e = BinOp("/", BinOp("/", VarRef("a"), VarRef("b")), VarRef("c"))
-        assert expr_to_str(e) == "a / b / c"
+        assert render_expr(e, FP64_CFG) == "a / b / c"
 
     def test_const_uses_text(self):
-        assert expr_to_str(Const(1.5793e-307, "+1.5793E-307")) == "+1.5793E-307"
+        const = Const(1.5793e-307, "+1.5793E-307")
+        assert render_expr(const, FP64_CFG) == "+1.5793E-307"
 
     def test_kernel_renders(self, b64):
         k = b64.kernel(
@@ -242,10 +246,10 @@ class TestPrinter:
                 b64.when(b64.cmp(">=", "comp", 0.0), [b64.aug("comp", "*", b64.lit(2.0))]),
             ],
         )
-        text = print_ir(k)
+        text = render_kernel_body(k, FP64_CFG)
         assert "for (int i = 0; i < var_1; ++i) {" in text
         assert "if (comp >= +0.0) {" in text
-        assert text.startswith("void compute(double comp, int var_1)")
+        assert render_signature(k, FP64_CFG) == "double comp, int var_1"
 
 
 # ----------------------------------------------------------------- builder

@@ -14,6 +14,7 @@ import math
 
 import pytest
 
+from repro.codegen.base import EmitterConfig, render_expr
 from repro.compilers.passes.constant_folding import ConstantFolding
 from repro.compilers.passes.fma_contraction import (
     FMAContraction,
@@ -100,14 +101,14 @@ class TestReassociationContract:
             # printed form: a term may itself contain a rebalanced nested
             # chain, which printing (association-insensitive for + and *)
             # deliberately ignores.
-            from repro.ir.printer import expr_to_str
+            cfg = EmitterConfig(fptype=before.fptype)
 
             def maximal_chains(expr, out):
                 if isinstance(expr, BinOp) and expr.op in ("+", "*"):
                     terms = []
                     _collect_chain(expr, expr.op, terms)
                     if len(terms) >= 3:
-                        out.append(sorted(expr_to_str(t) for t in terms))
+                        out.append(sorted(render_expr(t, cfg) for t in terms))
                     for t in terms:
                         maximal_chains(t, out)
                 else:
