@@ -12,7 +12,8 @@ three execution configurations the redesign enables:
 * ``serial``    — ``SerialBackend``, cold two-tier ``RunStore`` with a
   SQLite disk tier (this pass also writes the store the warm mode reads);
 * ``pool``      — ``ProcessPoolBackend``, the same chunks fanned out to
-  spawn workers;
+  pool workers (forked from the already-imported bench process on
+  single-threaded Linux, spawned elsewhere);
 * ``bridge``    — ``BridgeBackend`` against an in-process bridge server
   with 2 local ``repro-worker`` processes: the same chunks leased over
   HTTP, executed remotely, and merged back in submission order;
@@ -252,7 +253,7 @@ def test_exec_service_throughput(results_dir):
 
     # Pool wall-clock attribution: the fraction of the pool pass during
     # which at least one named backend phase was in flight.  What the
-    # union misses is pool spawn/teardown and the parent's own chunk
+    # union misses is pool start-up/teardown and the parent's own chunk
     # bookkeeping.
     write_chrome_trace(records, results_dir / "exec_service_trace.json")
     phase_totals = {
@@ -265,7 +266,7 @@ def test_exec_service_throughput(results_dir):
 
     multicore = (os.cpu_count() or 1) >= 2
     if SCALE != "tiny":
-        # At tiny scale pool spawn/teardown dominates and the bound is
+        # At tiny scale pool start-up/teardown dominates and the bound is
         # not meaningful; at real scale ≥90% of the pool wall must be
         # attributed to named phases.
         assert attribution >= 0.9, (

@@ -9,10 +9,26 @@ a chunk runs, never what it computes or the order results come back.
 
 ``SerialBackend`` runs in-process (and lazily, so streaming callers
 interleave their own work between chunks).  ``ProcessPoolBackend`` owns
-a persistent spawn pool — created on first use, reused across calls so
+a persistent process pool — created on first use, reused across calls so
 repeated small submissions (the fuzzer's speculation windows) do not pay
-process startup each time.  Workers import the repo fresh; payloads and
-the mapped function must be picklable (module-level functions only).
+process startup each time.  Payloads and the mapped function must be
+picklable (module-level functions only) under either start method.
+
+**Start method** (decided once, when the pool is created): ``fork`` when
+the parent runs on Linux with a single Python thread, ``spawn``
+otherwise (macOS, Windows, or a parent running a live thread such as an
+in-process bridge server — forking a process that holds another
+thread's locks can deadlock the child).  A forked worker starts from a
+copy of the parent: its imported modules (so it skips re-importing
+``repro`` and NumPy before its first chunk, as a spawned worker must),
+and also every process-global cache, counter and tracer as they stood
+at fork time.  None of that can reach an output, because a worker's
+result is a pure function of its payload: the chunk task builds fresh
+stores and artifact caches per chunk, reads runner counters as deltas
+(process-wide runners and probe memos only memoize pure results), and
+installs its own tracer per chunk; workers end through
+``Pool.terminate`` without touching inherited connections or file
+buffers.
 
 Future backends (async, distributed) implement the same two methods.
 
@@ -39,6 +55,8 @@ from __future__ import annotations
 import functools
 import os
 import pickle
+import sys
+import threading
 import time
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -62,7 +80,7 @@ def _worker_timed_call(fn, wrapped):
     """Worker-side shim: unwrap a tagged payload, time the real call.
 
     Module-level (and used via ``functools.partial(fn=...)``) so the
-    spawn pool can pickle it.
+    pool can pickle it.
     """
     index, submit_ns, payload = wrapped
     start_ns = time.perf_counter_ns()
@@ -137,11 +155,16 @@ class SerialBackend:
 
 
 class ProcessPoolBackend:
-    """A persistent spawn pool; results are re-ordered to payload order.
+    """A persistent process pool; results are re-ordered to payload order.
 
     ``imap`` (not ``imap_unordered``) keeps results in submission order,
     so callers see the exact sequence a serial run would produce — the
     scheduling is free to complete chunks out of order underneath.
+
+    The pool forks from the already-imported parent when that is safe
+    (Linux, one Python thread at pool creation) and spawns otherwise;
+    see the module docstring for what a forked worker inherits and why
+    no output can depend on it.  :attr:`start_method` reports the choice.
     """
 
     name = "process-pool"
@@ -153,18 +176,29 @@ class ProcessPoolBackend:
     #: private store, so outcomes are byte-identical at any group size.
     group_requests = 8
 
-    def __init__(self, workers: int, mp_context: str = "spawn") -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 2:
             raise ValueError("ProcessPoolBackend needs workers >= 2")
         self.workers = workers
-        self._mp_context = mp_context
+        self._start_method: Optional[str] = None
         self._pool = None
+
+    @property
+    def start_method(self) -> Optional[str]:
+        """``"fork"`` or ``"spawn"``, chosen when the pool was created
+        (``None`` before the first call creates it)."""
+        return self._start_method
 
     def _ensure_pool(self):
         if self._pool is None:
             import multiprocessing as mp
 
-            self._pool = mp.get_context(self._mp_context).Pool(self.workers)
+            # Pool threads start only after the fork, so this counts the
+            # caller's threads alone.
+            single_threaded = threading.active_count() == 1
+            method = "fork" if sys.platform == "linux" and single_threaded else "spawn"
+            self._pool = mp.get_context(method).Pool(self.workers)
+            self._start_method = method
         return self._pool
 
     def imap(self, fn: Callable[[Any], Any], payloads: Iterable[Any]) -> Iterator[Any]:

@@ -9,7 +9,7 @@ scheduler, one cache, and one set of counters instead of four private
 loops.
 
 Requests must be picklable: the process-pool backend ships whole chunks
-to spawn workers.  Campaign requests therefore carry a
+to pool workers.  Campaign requests therefore carry a
 :class:`CorpusTestSpec` (the worker regenerates the program from its
 seed — no IR pickling at scale), while fuzz mutants, which cannot be
 regenerated from a generator seed, ship their small concrete
@@ -18,7 +18,7 @@ regenerated from a generator seed, ship their small concrete
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Tuple, TYPE_CHECKING, Union
 
 from repro.compilers.options import OptSetting
@@ -86,13 +86,15 @@ class RunnerSpec:
     """How to build the differential runner a request executes on.
 
     A *spec* rather than a runner instance so requests stay picklable and
-    every backend — in-process or spawn worker — constructs an identical,
+    every backend — in-process or pool worker — constructs an identical,
     deterministic runner.  ``stacks`` selects the (lhs, rhs) stack pair
     from the :mod:`repro.stacks` registry; being a field of a frozen spec
     it participates in the service's dedup key, so requests for different
     pairs never collapse into each other.  ``ablation`` selects an
     equalized runner from :data:`repro.analysis.ablation.ABLATIONS`-style
-    specs (ablations are defined on the legacy nvcc/hipcc pair).
+    specs (ablations are defined on the legacy nvcc/hipcc pair, vectorized
+    and without flag recording, so ``ablation`` combined with any other
+    non-default field raises ``ValueError`` instead of being ignored).
 
     ``vectorize=False`` forces the per-row scalar interpreter path — the
     bit-identical reference lane the benchmarks and property tests
@@ -103,6 +105,20 @@ class RunnerSpec:
     record_flags: bool = False
     stacks: Tuple[str, str] = DEFAULT_STACK_PAIR
     vectorize: bool = True
+
+    def __post_init__(self) -> None:
+        if self.ablation is None:
+            return
+        ignored = [
+            f.name
+            for f in fields(self)
+            if f.name != "ablation" and getattr(self, f.name) != f.default
+        ]
+        if ignored:
+            raise ValueError(
+                "RunnerSpec(ablation=...) always builds the default "
+                f"nvcc/hipcc runner; it cannot honour {', '.join(ignored)}"
+            )
 
     def build(self) -> "DifferentialRunner":
         if self.ablation is not None:

@@ -15,6 +15,8 @@ import math
 import os
 import sqlite3
 import struct
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,7 @@ from repro.exec import (
     NO_CACHE,
     ProcessPoolBackend,
     RunStore,
+    RunnerSpec,
     SHARED_CACHE,
     SerialBackend,
     SweepRequest,
@@ -80,6 +83,58 @@ def _outcome_lines(outcome):
         for label, pair in outcome.pairs.items()
         for r in (*pair.lhs_runs, *pair.rhs_runs)
     ]
+
+
+def _twin_chunks(corpus):
+    """One chunk per test: the native sweep plus its HIPIFY twin."""
+    return [
+        [
+            SweepRequest(test=t, opts=OPTS2, tag=("native",), cache=CHUNK_CACHE),
+            SweepRequest(
+                test=t.hipified(), opts=OPTS2, tag=("hipify",), cache=CHUNK_CACHE
+            ),
+        ]
+        for t in corpus.tests[:4]
+    ]
+
+
+def _sweep_summary(service, chunks, method, traced):
+    """Run ``chunks`` through ``service`` (then close it); return the
+    outcomes' comparable fields, ``stats()`` minus wall-clock phases, and
+    the tracer (``None`` untraced)."""
+    tracer = Tracer() if traced else None
+    previous = set_tracer(tracer)
+    try:
+        if method == "run_sweeps":
+            results = list(service.run_sweeps(chunks))
+        else:
+            results = [
+                outcomes
+                for _, outcomes in sorted(
+                    service.run_sweeps_unordered(chunks), key=lambda item: item[0]
+                )
+            ]
+        stats = service.stats()
+    finally:
+        set_tracer(previous)
+        service.close()
+    del stats["phase_seconds"]
+    out = [
+        (
+            o.tag,
+            o.test_id,
+            o.nvcc_executions,
+            o.nvcc_cache_hits,
+            o.hipcc_executions,
+            sorted(
+                (d.test_id, d.input_index, d.opt_label, d.dclass.value)
+                for d in o.iter_discrepancies()
+            ),
+        )
+        for outcomes in results
+        for o in outcomes
+    ]
+    return out, stats, tracer
 
 
 # ----------------------------------------------------------------- content
@@ -350,54 +405,12 @@ class TestExecutionService:
     def test_pool_backend_matches_serial(self, fp32_corpus, method, traced):
         """Every dispatch combination (ordered or unordered, tracing off
         or on) matches the serial run's outcomes and counters."""
-        chunks = [
-            [
-                SweepRequest(test=t, opts=OPTS2, tag=("native",), cache=CHUNK_CACHE),
-                SweepRequest(
-                    test=t.hipified(), opts=OPTS2, tag=("hipify",), cache=CHUNK_CACHE
-                ),
-            ]
-            for t in fp32_corpus.tests[:4]
-        ]
-
-        def run(service):
-            tracer = Tracer() if traced else None
-            previous = set_tracer(tracer)
-            try:
-                if method == "run_sweeps":
-                    results = list(service.run_sweeps(chunks))
-                else:
-                    results = [
-                        outcomes
-                        for _, outcomes in sorted(
-                            service.run_sweeps_unordered(chunks),
-                            key=lambda item: item[0],
-                        )
-                    ]
-                stats = service.stats()
-            finally:
-                set_tracer(previous)
-                service.close()
-            del stats["phase_seconds"]
-            out = [
-                (
-                    o.tag,
-                    o.test_id,
-                    o.nvcc_executions,
-                    o.nvcc_cache_hits,
-                    sorted(
-                        (d.test_id, d.input_index, d.opt_label, d.dclass.value)
-                        for d in o.iter_discrepancies()
-                    ),
-                )
-                for outcomes in results
-                for o in outcomes
-            ]
-            return out, stats, tracer
-
-        serial, serial_stats, _ = run(ExecutionService(backend=SerialBackend()))
-        pooled, pooled_stats, tracer = run(
-            ExecutionService(backend=ProcessPoolBackend(2))
+        chunks = _twin_chunks(fp32_corpus)
+        serial, serial_stats, _ = _sweep_summary(
+            ExecutionService(backend=SerialBackend()), chunks, method, traced
+        )
+        pooled, pooled_stats, tracer = _sweep_summary(
+            ExecutionService(backend=ProcessPoolBackend(2)), chunks, method, traced
         )
         assert serial == pooled
         assert serial_stats == pooled_stats
@@ -406,12 +419,110 @@ class TestExecutionService:
             assert sorted(r.chunk for r in spans) == list(range(len(chunks)))
             assert all(r.pid != os.getpid() for r in spans)
 
+    @pytest.mark.parametrize(
+        "platform, parked_thread, expected",
+        [
+            ("linux", False, "fork"),
+            ("darwin", False, "spawn"),
+            ("linux", True, "spawn"),
+        ],
+        ids=["linux-single-thread", "macos", "linux-live-thread"],
+    )
+    def test_pool_start_method_rule(
+        self, fp32_corpus, monkeypatch, platform, parked_thread, expected
+    ):
+        """Fork only from a single-threaded Linux parent; either start
+        method reproduces the serial run exactly."""
+        monkeypatch.setattr(sys, "platform", platform)
+        parked = threading.Event()
+        thread = threading.Thread(target=parked.wait, daemon=True)
+        if parked_thread:
+            thread.start()
+        else:
+            # A thread some other test left running must not flip the
+            # fork branch to spawn.
+            monkeypatch.setattr(threading, "active_count", lambda: 1)
+        chunks = _twin_chunks(fp32_corpus)
+        backend = ProcessPoolBackend(2)
+        assert backend.start_method is None
+        try:
+            pooled, pooled_stats, _ = _sweep_summary(
+                ExecutionService(backend=backend), chunks, "run_sweeps", False
+            )
+        finally:
+            parked.set()
+            if parked_thread:
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert backend.start_method == expected
+        serial, serial_stats, _ = _sweep_summary(
+            ExecutionService(backend=SerialBackend()), chunks, "run_sweeps", False
+        )
+        assert pooled == serial
+        assert pooled_stats == serial_stats
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="fork start method is Linux-only")
+    def test_forked_workers_ignore_inherited_parent_state(self, fp32_corpus, monkeypatch):
+        """A forked worker inherits the parent's process-wide ablated
+        runner with the serial run's nonzero execution counters and warm
+        caches; outcomes and counters must still equal the serial run's,
+        and the pool's work must not run in the parent."""
+        from repro.analysis.ablation import ABLATIONS, build_ablated_runner
+        from repro.devices.batch import batch_stats
+
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+        spec = ABLATIONS[1]
+        chunks = [
+            [
+                SweepRequest(
+                    test=t, opts=OPTS2, tag=(t.test_id,), runner=RunnerSpec(ablation=spec)
+                )
+                for t in fp32_corpus.tests[lo : lo + 2]
+            ]
+            for lo in range(0, 4, 2)
+        ]
+        serial, serial_stats, _ = _sweep_summary(
+            ExecutionService(backend=SerialBackend()), chunks, "run_sweeps", False
+        )
+        assert build_ablated_runner(spec).lhs_executions > 0
+        assert all(nv > 0 and hp > 0 for _, _, nv, _, hp, _ in serial)
+        backend = ProcessPoolBackend(2)
+        parent_batches = batch_stats()
+        pooled, pooled_stats, _ = _sweep_summary(
+            ExecutionService(backend=backend), chunks, "run_sweeps", False
+        )
+        assert backend.start_method == "fork"
+        assert batch_stats() == parent_batches
+        assert pooled == serial
+        assert pooled_stats == serial_stats
+
     def test_make_backend(self):
         assert make_backend(0).name == "serial"
         assert make_backend(1).name == "serial"
         backend = make_backend(3)
         assert backend.name == "process-pool" and backend.workers == 3
         backend.close()
+
+
+class TestRunnerSpec:
+    def test_ablation_alone_builds_the_ablated_runner(self):
+        from repro.analysis.ablation import ABLATIONS, build_ablated_runner
+
+        spec = ABLATIONS[1]
+        assert RunnerSpec(ablation=spec).build() is build_ablated_runner(spec)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("stacks", ("nvcc", "cpu")), ("record_flags", True), ("vectorize", False)],
+    )
+    def test_ablation_rejects_fields_it_would_ignore(self, field, value):
+        """An ablated runner is always the default vectorized nvcc/hipcc
+        runner without flag recording, so a field it cannot honour is
+        an error, not a silently different dedup key."""
+        from repro.analysis.ablation import ABLATIONS
+
+        with pytest.raises(ValueError, match=rf"cannot honour {field}$"):
+            RunnerSpec(ablation=ABLATIONS[1], **{field: value})
 
 
 # ---------------------------------------------------- worker-count invariance
