@@ -4,7 +4,8 @@ The table benches (IV through X) analyze ONE shared medium-scale campaign
 run (the expensive part), so `pytest benchmarks/ --benchmark-only` finishes
 in minutes while still printing every table at a statistically meaningful
 scale.  Set ``REPRO_BENCH_SCALE=paper`` to run the full 694,400-run grid
-(hours, uses all cores) or ``REPRO_BENCH_SCALE=tiny`` for a smoke pass.
+(uses all cores; the Table IV-X benches took about 105 s on a 2-core
+x86 container) or ``REPRO_BENCH_SCALE=tiny`` for a smoke pass.
 
 The shared campaign streams into a checkpoint under ``benchmarks/results/``;
 an interrupted bench session resumes from it on the next invocation, and a

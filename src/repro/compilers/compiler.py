@@ -1,5 +1,16 @@
 """Compiler base: pass pipelines → compiled kernels.
 
+Passes run one top-level statement at a time through a process-wide
+memo keyed by ``(pass key, fptype, value number of the statement)``
+(:class:`~repro.compilers.passes.base.Pass`, at most ``MEMO_MAX``
+entries; value numbers are interned in a table of at most
+``VALUE_TABLE_MAX`` structures, :func:`repro.ir.nodes.value_number`).
+A fuzz mutant re-runs the pipeline only on the statements its mutation
+touched, and O3_FM only on what O3's passes left different.  A new pass
+keeps the memo sound by making its output a function of its ``key``,
+the fptype and one top-level statement: expression hooks only, or
+statement hooks that never read neighbouring statements.
+
 Telemetry: when the active tracer is enabled the base driver records a
 ``compile.front_end`` span per preprocess+validate, a ``compile`` span
 per (program, opt) specialization, and a ``compile.pass`` span per

@@ -19,8 +19,8 @@ because ROCm's ``-ffast-math`` NaN/Inf assumptions broke Varity tests
 
 from __future__ import annotations
 
+from repro.fp.types import FPType
 from repro.ir.nodes import BinOp, Const, Expr, structurally_equal
-from repro.ir.program import Kernel
 from repro.ir.visitor import Transformer
 from repro.compilers.passes.base import Pass
 
@@ -33,33 +33,33 @@ def _is_const(expr: Expr, value: float) -> bool:
 
 class _Simplifier(Transformer):
     def __init__(self) -> None:
-        self.n_simplified = 0
+        self.n_changed = 0
 
     def visit_BinOp(self, node: BinOp) -> Expr:
         if node.op == "*":
             if _is_const(node.left, 0.0) or _is_const(node.right, 0.0):
-                self.n_simplified += 1
+                self.n_changed += 1
                 return Const(0.0, "+0.0")
             if _is_const(node.right, 1.0):
-                self.n_simplified += 1
+                self.n_changed += 1
                 return node.left
             if _is_const(node.left, 1.0):
-                self.n_simplified += 1
+                self.n_changed += 1
                 return node.right
         elif node.op == "-":
             if structurally_equal(node.left, node.right):
-                self.n_simplified += 1
+                self.n_changed += 1
                 return Const(0.0, "+0.0")
         elif node.op == "+":
             if _is_const(node.right, 0.0):
-                self.n_simplified += 1
+                self.n_changed += 1
                 return node.left
             if _is_const(node.left, 0.0):
-                self.n_simplified += 1
+                self.n_changed += 1
                 return node.right
         elif node.op == "/":
             if _is_const(node.right, 1.0):
-                self.n_simplified += 1
+                self.n_changed += 1
                 return node.left
         return node
 
@@ -69,9 +69,5 @@ class AlgebraicSimplify(Pass):
 
     name = "fast-algebraic"
 
-    def run(self, kernel: Kernel) -> Kernel:
-        s = _Simplifier()
-        body = s.transform_body(kernel.body)
-        if s.n_simplified == 0:
-            return kernel
-        return kernel.with_body(body)
+    def transformer(self, fptype: FPType) -> Transformer:
+        return _Simplifier()

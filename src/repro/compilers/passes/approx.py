@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from repro.fp.types import FPType
 from repro.ir.nodes import BinOp, Call, Expr
-from repro.ir.program import Kernel
 from repro.ir.visitor import Transformer
 from repro.compilers.passes.base import Pass
 from repro.devices.mathlib.base import APPROX_CAPABLE
@@ -34,17 +33,17 @@ __all__ = ["ApproxSubstitution"]
 class _Substituter(Transformer):
     def __init__(self, rewrite_division: bool) -> None:
         self.rewrite_division = rewrite_division
-        self.n_substituted = 0
+        self.n_changed = 0
 
     def visit_Call(self, node: Call) -> Expr:
         if node.func in APPROX_CAPABLE and node.variant in ("default", "hipify"):
-            self.n_substituted += 1
+            self.n_changed += 1
             return Call(node.func, node.args, variant="approx")
         return node
 
     def visit_BinOp(self, node: BinOp) -> Expr:
         if self.rewrite_division and node.op == "/":
-            self.n_substituted += 1
+            self.n_changed += 1
             return Call("__fdividef", (node.left, node.right), variant="approx")
         return node
 
@@ -56,11 +55,8 @@ class ApproxSubstitution(Pass):
         self.rewrite_division = rewrite_division
         self.name = "fast-approx+fdividef" if rewrite_division else "fast-approx"
 
-    def run(self, kernel: Kernel) -> Kernel:
-        if kernel.fptype is not FPType.FP32:
-            return kernel
-        s = _Substituter(self.rewrite_division)
-        body = s.transform_body(kernel.body)
-        if s.n_substituted == 0:
-            return kernel
-        return kernel.with_body(body)
+    def applies_to(self, fptype: FPType) -> bool:
+        return fptype is FPType.FP32
+
+    def transformer(self, fptype: FPType) -> Transformer:
+        return _Substituter(self.rewrite_division)

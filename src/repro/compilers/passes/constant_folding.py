@@ -27,7 +27,6 @@ import numpy as np
 from repro.fp.types import FPType
 from repro.fp.literals import format_varity_literal
 from repro.ir.nodes import BinOp, Call, Const, Expr, UnOp
-from repro.ir.program import Kernel
 from repro.ir.visitor import Transformer
 from repro.compilers.passes.base import Pass
 from repro.devices.mathlib.base import reference_call
@@ -51,14 +50,14 @@ class _Folder(Transformer):
     def __init__(self, fptype: FPType, fold_math_calls: bool) -> None:
         self.fptype = fptype
         self.fold_math_calls = fold_math_calls
-        self.n_folded = 0
+        self.n_changed = 0
 
     def _cast(self, value: float):
         return self.fptype.dtype.type(value)
 
     def visit_UnOp(self, node: UnOp) -> Expr:
         if node.op == "-" and isinstance(node.operand, Const):
-            self.n_folded += 1
+            self.n_changed += 1
             return _const(float(-self._cast(node.operand.value)), self.fptype)
         if node.op == "+" and isinstance(node.operand, Const):
             return node.operand
@@ -78,7 +77,7 @@ class _Folder(Transformer):
                 v = l * r
             else:
                 v = l / r
-        self.n_folded += 1
+        self.n_changed += 1
         return _const(float(v), self.fptype)
 
     def visit_Call(self, node: Call) -> Expr:
@@ -92,7 +91,7 @@ class _Folder(Transformer):
             value = reference_call(node.func, [a.value for a in node.args], self.fptype)
         except (KeyError, ValueError):
             return node
-        self.n_folded += 1
+        self.n_changed += 1
         return _const(value, self.fptype)
 
 
@@ -103,9 +102,5 @@ class ConstantFolding(Pass):
         self.fold_math_calls = fold_math_calls
         self.name = "const-fold+libm" if fold_math_calls else "const-fold"
 
-    def run(self, kernel: Kernel) -> Kernel:
-        folder = _Folder(kernel.fptype, self.fold_math_calls)
-        body = folder.transform_body(kernel.body)
-        if folder.n_folded == 0:
-            return kernel
-        return kernel.with_body(body)
+    def transformer(self, fptype: FPType) -> Transformer:
+        return _Folder(fptype, self.fold_math_calls)

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from typing import FrozenSet
 
+from repro.fp.types import FPType
 from repro.ir.nodes import BinOp, Expr, FMA, UnOp
-from repro.ir.program import Kernel
 from repro.ir.visitor import Transformer
 from repro.compilers.passes.base import Pass
 
@@ -39,22 +39,22 @@ HIPCC_PATTERNS: FrozenSet[str] = frozenset({"mul-left-add", "mul-left-sub"})
 class _Contractor(Transformer):
     def __init__(self, patterns: FrozenSet[str]) -> None:
         self.patterns = patterns
-        self.n_contracted = 0
+        self.n_changed = 0
 
     def visit_BinOp(self, node: BinOp) -> Expr:
         if node.op == "+":
             if isinstance(node.left, BinOp) and node.left.op == "*" and "mul-left-add" in self.patterns:
-                self.n_contracted += 1
+                self.n_changed += 1
                 return FMA(node.left.left, node.left.right, node.right)
             if isinstance(node.right, BinOp) and node.right.op == "*" and "mul-right-add" in self.patterns:
-                self.n_contracted += 1
+                self.n_changed += 1
                 return FMA(node.right.left, node.right.right, node.left)
         elif node.op == "-":
             if isinstance(node.left, BinOp) and node.left.op == "*" and "mul-left-sub" in self.patterns:
-                self.n_contracted += 1
+                self.n_changed += 1
                 return FMA(node.left.left, node.left.right, UnOp("-", node.right))
             if isinstance(node.right, BinOp) and node.right.op == "*" and "mul-right-sub" in self.patterns:
-                self.n_contracted += 1
+                self.n_changed += 1
                 return FMA(node.right.left, node.right.right, node.left, negate_product=True)
         return node
 
@@ -74,9 +74,5 @@ class FMAContraction(Pass):
         # nvcc and hipcc share the name but not the recognised shapes.
         return f"{self.name}[{','.join(sorted(self.patterns))}]"
 
-    def run(self, kernel: Kernel) -> Kernel:
-        contractor = _Contractor(self.patterns)
-        body = contractor.transform_body(kernel.body)
-        if contractor.n_contracted == 0:
-            return kernel
-        return kernel.with_body(body)
+    def transformer(self, fptype: FPType) -> Transformer:
+        return _Contractor(self.patterns)

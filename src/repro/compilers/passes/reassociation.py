@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.fp.types import FPType
 from repro.ir.nodes import BinOp, Expr
-from repro.ir.program import Kernel
 from repro.ir.visitor import Transformer
 from repro.compilers.passes.base import Pass
 
@@ -41,7 +41,7 @@ def _balanced(terms: List[Expr], op: str) -> Expr:
 
 class _Reassociator(Transformer):
     def __init__(self) -> None:
-        self.n_rebuilt = 0
+        self.n_changed = 0
 
     def _maybe_rebuild(self, node: BinOp) -> Expr:
         terms: List[Expr] = []
@@ -51,7 +51,7 @@ class _Reassociator(Transformer):
         rebuilt = _balanced(terms, node.op)
         if rebuilt == node:
             return node
-        self.n_rebuilt += 1
+        self.n_changed += 1
         return rebuilt
 
     def visit_BinOp(self, node: BinOp) -> Expr:
@@ -69,9 +69,5 @@ class Reassociation(Pass):
 
     name = "fast-reassoc"
 
-    def run(self, kernel: Kernel) -> Kernel:
-        r = _Reassociator()
-        body = r.transform_body(kernel.body)
-        if r.n_rebuilt == 0:
-            return kernel
-        return kernel.with_body(body)
+    def transformer(self, fptype: FPType) -> Transformer:
+        return _Reassociator()

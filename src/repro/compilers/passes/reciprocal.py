@@ -20,7 +20,6 @@ import numpy as np
 from repro.fp.types import FPType
 from repro.fp.literals import format_varity_literal
 from repro.ir.nodes import BinOp, Const, Expr
-from repro.ir.program import Kernel
 from repro.ir.visitor import Transformer
 from repro.compilers.passes.base import Pass
 
@@ -30,7 +29,7 @@ __all__ = ["ReciprocalDivision"]
 class _Recip(Transformer):
     def __init__(self, fptype: FPType) -> None:
         self.fptype = fptype
-        self.n_rewritten = 0
+        self.n_changed = 0
 
     def visit_BinOp(self, node: BinOp) -> Expr:
         if node.op != "/" or not isinstance(node.right, Const):
@@ -49,7 +48,7 @@ class _Recip(Transformer):
                 text = format_varity_literal(recip, self.fptype)
             except ValueError:
                 text = None
-        self.n_rewritten += 1
+        self.n_changed += 1
         return BinOp("*", node.left, Const(recip, text))
 
 
@@ -58,9 +57,5 @@ class ReciprocalDivision(Pass):
 
     name = "fast-recip"
 
-    def run(self, kernel: Kernel) -> Kernel:
-        t = _Recip(kernel.fptype)
-        body = t.transform_body(kernel.body)
-        if t.n_rewritten == 0:
-            return kernel
-        return kernel.with_body(body)
+    def transformer(self, fptype: FPType) -> Transformer:
+        return _Recip(fptype)

@@ -46,12 +46,14 @@ from __future__ import annotations
 import pickle
 from collections import OrderedDict
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.codegen.base import EmitterConfig, render_kernel_body, render_signature
 from repro.compilers.compiler import CompiledKernel, Compiler
 from repro.compilers.options import OptSetting
+from repro.ir.nodes import value_number
 from repro.ir.program import Kernel, Program
 from repro.utils.hashing import hash_bytes
 
@@ -96,12 +98,6 @@ class ArtifactCache:
         # The type and spec — never ``compiler.name``, which an ablated
         # subclass inherits — identify the pipeline.
         self._fingerprints: Dict[Tuple[object, ...], str] = {}
-        # Kernel-text digests, memoized by kernel object identity: a
-        # sweep keys the same kernel once per (compiler, opt), and the
-        # canonical render dominates keying cost.  The stored kernel
-        # reference keeps the id stable; the ``is`` check on lookup
-        # catches id reuse after an eviction frees one.
-        self._kernel_digests: "OrderedDict[int, Tuple[Kernel, str]]" = OrderedDict()
         # disk keys whose blob did not unpickle: their recompile overwrites
         self._corrupt: Set[str] = set()
         self.hits = 0
@@ -121,30 +117,17 @@ class ArtifactCache:
             fingerprint = self._fingerprints[fp_key] = f"{flush}\n{passes}"
         return fingerprint
 
-    def _kernel_digest(self, kernel: Kernel) -> str:
-        entry = self._kernel_digests.get(id(kernel))
-        if entry is not None and entry[0] is kernel:
-            return entry[1]
-        digest = f"{hash_bytes(kernel_text(kernel).encode('utf-8')):016x}"
-        self._kernel_digests[id(kernel)] = (kernel, digest)
-        while len(self._kernel_digests) > 512:
-            self._kernel_digests.popitem(last=False)
-        return digest
-
     def key(self, compiler: Compiler, program: Program, opt: OptSetting) -> str:
         """Content key of one (program, compiler, opt) compile."""
         kernel = program.kernel
         hipify = program.via_hipify if compiler.hipify_sensitive else False
-        text = "\n".join(
-            (
-                compiler.name,
-                kernel.fptype.value,
-                "hipify" if hipify else "native",
-                self._fingerprint(compiler, opt, kernel),
-                self._kernel_digest(kernel),
-            )
+        return _artifact_key(
+            compiler.name,
+            kernel.fptype.value,
+            "hipify" if hipify else "native",
+            self._fingerprint(compiler, opt, kernel),
+            _text_digest(kernel),
         )
-        return f"art-{hash_bytes(text.encode('utf-8')):016x}"
 
     # -------------------------------------------------------------- lookup
     def _get(self, key: str) -> Optional[CompiledKernel]:
@@ -235,6 +218,37 @@ class ArtifactCache:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+#: Kernel-text digests memoized by structure: a sweep keys one kernel
+#: once per (compiler, opt), a reduction's candidates and triage's
+#: replays rebuild kernels an earlier request rendered, and the
+#: canonical render dominates keying cost.
+TEXT_MEMO_MAX = 4096
+_text_digests: "OrderedDict[tuple, str]" = OrderedDict()
+
+
+def _text_digest(kernel: Kernel) -> str:
+    """Digest of :func:`kernel_text`, keyed on the statements' value numbers."""
+    shape = (kernel.name, kernel.fptype, kernel.params, tuple(value_number(s) for s in kernel.body))
+    digest = _text_digests.get(shape)
+    if digest is None:
+        digest = _text_digests[shape] = f"{hash_bytes(kernel_text(kernel).encode('utf-8')):016x}"
+        if len(_text_digests) > TEXT_MEMO_MAX:
+            _text_digests.popitem(last=False)
+    return digest
+
+
+#: Memoized artifact keys; a sweep keys one kernel once per setting, and
+#: O1-O3 (same pipeline) and fuzz re-requests repeat the same five parts.
+KEY_MEMO_MAX = 4096
+
+
+@lru_cache(maxsize=KEY_MEMO_MAX)
+def _artifact_key(*parts: str) -> str:
+    """The ``art-…`` hash of a key's five parts."""
+    text = "\n".join(parts)
+    return f"art-{hash_bytes(text.encode('utf-8')):016x}"
 
 
 def _rebind(

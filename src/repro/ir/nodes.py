@@ -9,12 +9,22 @@ Structural equality: ``==`` on nodes compares by structure with float
 constants compared by *bit pattern* (so ``-0.0`` and ``+0.0`` differ and a
 NaN constant equals itself), which is the right notion for "did this pass
 change the program".
+
+Value numbering: :func:`value_number` gives each node a process-local
+structural id — equal ids mean equal structure *and* equal ``Const.text``
+spellings, so "have I seen this subtree?" is one dict probe (hash-consing
+of the lookup key; Filliâtre & Conchon, "Type-Safe Modular Hash-Consing",
+ML Workshop 2006).  The compiler's per-statement pass memo keys on it.
+Nodes are never mutated after construction; a node caches its number,
+and pickling and copying drop that cache.
 """
 
 from __future__ import annotations
 
+import itertools
+import struct
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.fp.bits import float_to_bits
 
@@ -41,6 +51,7 @@ __all__ = [
     "COMPARE_OPS",
     "BOOL_OPS",
     "structurally_equal",
+    "value_number",
 ]
 
 #: Arithmetic operators of the Varity grammar (Table III).
@@ -70,6 +81,16 @@ class Node:
     def __hash__(self) -> int:
         # Hash by type + child hashes + scalar fields; adequate for memo sets.
         return hash((type(self).__name__,) + tuple(hash(c) for c in self.children()))
+
+    def __getstate__(self) -> dict:
+        # Pickle and copy without the cached value number: a numbered node
+        # serializes to the same bytes as before numbering, and a number
+        # never reaches another process.
+        state = self.__dict__
+        if _VN_ATTR in state:
+            state = dict(state)
+            del state[_VN_ATTR]
+        return state
 
 
 class Expr(Node):
@@ -433,3 +454,60 @@ def structurally_equal(a: object, b: object) -> bool:
     if len(ca) != len(cb):
         return False
     return all(structurally_equal(x, y) for x, y in zip(ca, cb))
+
+
+# --------------------------------------------------------------------------
+# Value numbering
+# --------------------------------------------------------------------------
+
+#: Interned structures before the table starts over.  A number is never
+#: reissued, so starting over only makes later equal structures miss.
+VALUE_TABLE_MAX = 1 << 16
+
+_VN_ATTR = "_value_number"
+_vn_table: Dict[tuple, int] = {}
+_vn_ids = itertools.count()
+_pack_double = struct.Struct("<d").pack
+
+
+def value_number(node: Node) -> int:
+    """Structural id of ``node``, cached on the node.
+
+    Two nodes share a number only if they have the same type, the same
+    scalar fields (floats by type and bit pattern, so ``-0.0``/``+0.0``,
+    NaN payloads and ``1``/``1.0`` stay apart), the same ``Const.text`` —
+    which ``==`` ignores — and children with the same numbers.  Ids come
+    from one process-wide counter and the intern table is bounded by
+    :data:`VALUE_TABLE_MAX`, so eviction can only cause a miss, never a
+    shared number for different structures.
+    """
+    state = node.__dict__
+    number = state.get(_VN_ATTR)
+    if number is not None:
+        return number
+    # Names, not classes, in the key: a tuple of atoms only is one the
+    # garbage collector stops tracking, so the table costs no GC time.
+    cls = type(node)
+    key: List[object] = [cls.__name__]
+    for name in _VN_FIELDS[cls]:
+        v = getattr(node, name)
+        key.append((type(v).__name__, _pack_double(v)) if isinstance(v, float) else v)
+    for child in node.children():
+        key.append(value_number(child))
+    frozen = tuple(key)
+    number = _vn_table.get(frozen)
+    if number is None:
+        if len(_vn_table) >= VALUE_TABLE_MAX:
+            _vn_table.clear()
+        number = _vn_table[frozen] = next(_vn_ids)
+    state[_VN_ATTR] = number
+    return number
+
+
+#: Scalar fields per node type: those ``==`` compares, plus ``Const.text``.
+#: A node type missing here fails loudly instead of sharing numbers.
+_VN_FIELDS: Dict[type, Tuple[str, ...]] = {
+    cls: _SCALAR_FIELDS[cls.__name__] + (("text",) if cls is Const else ())
+    for cls in (Const, IntConst, VarRef, ArrayRef, UnOp, BinOp, FMA, Call,
+                Compare, BoolOp, Decl, Assign, AugAssign, For, If)
+}
