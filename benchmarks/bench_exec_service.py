@@ -5,10 +5,13 @@ The workload is the fuzz engine's evaluation shape at default fuzz scale
 (CUDA half replayed from the content-keyed store) — pushed through the
 three execution configurations the redesign enables:
 
-* ``scalar``    — ``SerialBackend`` with the PR-9 hot path switched OFF
-  (``RunnerSpec(vectorize=False)`` + ``CachePolicy(artifacts=False)``):
-  the per-row interpreter and per-sweep recompiles every earlier PR
-  lived with — the baseline the batch speedup is measured against;
+* ``scalar``    — ``SerialBackend`` with the batch hot path switched OFF:
+  every batch runs row by row on the reference tree walk
+  (``tests/reference_interpreter.py``, under ``reference_batches()``)
+  and ``CachePolicy(artifacts=False)`` recompiles every sweep — the
+  baseline the batch speedup is measured against.  The lane still
+  shares one execution across opt settings whose kernels came out
+  identical, as every runner does;
 * ``serial``    — ``SerialBackend``, cold two-tier ``RunStore`` with a
   SQLite disk tier (this pass also writes the store the warm mode reads);
 * ``pool``      — ``ProcessPoolBackend``, the same chunks fanned out to
@@ -45,7 +48,9 @@ from __future__ import annotations
 import json
 import multiprocessing as mp
 import os
+import sys
 import time
+from pathlib import Path
 
 from repro.bridge.client import BridgeBackend
 from repro.bridge.server import start_server
@@ -67,6 +72,9 @@ from repro.varity.config import GeneratorConfig
 from repro.varity.corpus import build_corpus
 
 from conftest import emit
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from reference_interpreter import reference_batches  # noqa: E402
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "default")
 
@@ -97,10 +105,10 @@ def _union_seconds(records, names):
     return total / 1e9
 
 
-#: The PR-9 hot path switched off: per-row scalar interpretation and a
-#: fresh compile per sweep.  ``batch_speedup`` in the summary JSON is
-#: the ratio of this lane to the batched serial lane.
-SCALAR_RUNNER = RunnerSpec(vectorize=False)
+#: The batch hot path switched off: the reference tree walk row by row
+#: (the lane runs under ``reference_batches()``) and a fresh compile per
+#: sweep.  ``batch_speedup`` in the summary JSON is the ratio of this
+#: lane to the batched serial lane.
 SCALAR_CACHE = CachePolicy(reuse=True, scope="shared", artifacts=False)
 
 
@@ -108,14 +116,13 @@ def _workload():
     """One chunk per program: native sweep + HIPIFY twin, fuzz-style.
 
     Returns the batched chunks plus a scalar-lane copy of the same
-    workload (vectorize=False, artifact cache off) for the baseline
-    pass."""
+    workload (artifact cache off) for the baseline pass."""
     n_programs = {"tiny": 12, "paper": 400}.get(SCALE, 120)
     corpus = build_corpus(
         GeneratorConfig.fp32(inputs_per_program=3), n_programs, root_seed=2024
     )
 
-    def make(cache, runner):
+    def make(cache):
         return [
             [
                 SweepRequest(
@@ -123,24 +130,20 @@ def _workload():
                     opts=PAPER_OPT_SETTINGS,
                     tag=("native",),
                     cache=cache,
-                    runner=runner,
+                    runner=RunnerSpec(),
                 ),
                 SweepRequest(
                     test=t.hipified(),
                     opts=PAPER_OPT_SETTINGS,
                     tag=("hipify",),
                     cache=cache,
-                    runner=runner,
+                    runner=RunnerSpec(),
                 ),
             ]
             for t in corpus
         ]
 
-    return (
-        n_programs,
-        make(SHARED_CACHE, RunnerSpec()),
-        make(SCALAR_CACHE, SCALAR_RUNNER),
-    )
+    return n_programs, make(SHARED_CACHE), make(SCALAR_CACHE)
 
 
 def _run(service, chunks):
@@ -171,12 +174,13 @@ def test_exec_service_throughput(results_dir):
             path.with_name(path.name + suffix).unlink(missing_ok=True)
     workers = max(2, (os.cpu_count() or 2) - 1)
 
-    scalar_s, scalar_t, scalar_keys = _run(
-        ExecutionService(
-            SerialBackend(), RunStore(path=scalar_store_path, max_entries=4096)
-        ),
-        scalar_chunks,
-    )
+    with reference_batches():
+        scalar_s, scalar_t, scalar_keys = _run(
+            ExecutionService(
+                SerialBackend(), RunStore(path=scalar_store_path, max_entries=4096)
+            ),
+            scalar_chunks,
+        )
     serial_s, serial_t, serial_keys = _run(
         ExecutionService(SerialBackend(), RunStore(path=store_path, max_entries=4096)),
         chunks,
@@ -235,8 +239,8 @@ def test_exec_service_throughput(results_dir):
 
     # Correctness first: every mode finds the same discrepancies and the
     # twin's CUDA half always rides the cache.  The scalar lane is the
-    # strongest check — different interpreter path, no artifact cache,
-    # same bits.
+    # strongest check — the reference tree walk, no artifact cache, same
+    # bits.
     assert scalar_keys == serial_keys == pool_keys == bridge_keys == warm_keys
     assert scalar_t == serial_t == pool_t == bridge_t
     assert serial_t["nvcc_cache_hits"] == serial_t["nvcc_executions"]
@@ -336,8 +340,8 @@ def test_exec_service_throughput(results_dir):
         "bridge_seconds": round(bridge_s, 3),
         "bridge_workers": bridge_workers,
         "warm_seconds": round(warm_s, 3),
-        # The two PR-9 headline ratios (scalar = per-row interpreter +
-        # no artifact cache; serial = the batched default).
+        # The two headline ratios (scalar = the reference tree walk row
+        # by row + no artifact cache; serial = the batched default).
         "batch_speedup": round(scalar_s / serial_s, 3) if serial_s else None,
         "pool_vs_serial": round(serial_s / pool_s, 3) if pool_s else None,
         "pool_speedup": round(serial_s / pool_s, 3) if pool_s else None,

@@ -4,6 +4,11 @@ Substitute for the paper's Lassen (NVIDIA V100) and Tioga (AMD MI250X)
 clusters: each device couples an IEEE-754 IR interpreter with a vendor
 math-library model.  See DESIGN.md §2 for the substitution argument and §5
 for the divergence mechanisms.
+
+There is one evaluator: :mod:`repro.devices.batch` lowers a kernel into
+per-row closures, and every execution — single rows, batches, traced
+runs — evaluates them.  The tree walk the lowering was derived from is
+kept in ``tests/reference_interpreter.py`` as the bit-exactness oracle.
 """
 
 from repro.devices.vendor import Vendor

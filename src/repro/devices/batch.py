@@ -1,12 +1,16 @@
-"""Batch execution: each kernel lowered once into per-row closures.
+"""The one evaluator: each kernel lowered once into per-row closures.
 
-:func:`run_batch` evaluates one kernel over a grid of input rows.
-:func:`lower` turns the kernel into a tree of Python closures once per
-call (the closure-generation technique of Feeley & Lapalme, "Using
-Closures for Code Generation", Computer Languages, 1987), and the
-returned function evaluates one row at a time with NumPy scalars of the
-kernel dtype.  Everything the tree walk of :meth:`Interpreter.run`
-decides per node is decided at lowering time instead:
+:func:`lower` turns a kernel into a tree of Python closures (the
+closure-generation technique of Feeley & Lapalme, "Using Closures for
+Code Generation", Computer Languages, 1987), and the returned function
+evaluates one input row with NumPy scalars of the kernel dtype.  Every
+execution runs through it: :func:`run_batch` lowers once and evaluates
+a grid of rows, and :meth:`~repro.devices.interpreter.Interpreter.run`
+lowers and evaluates a single row.  The direct tree walk over the IR
+that the lowering was derived from is kept in
+``tests/reference_interpreter.py``, where the property tests compare the
+two bit for bit.  Everything that walk decides per node is decided at
+lowering time instead:
 
 * each operator, comparison and math-library call site;
 * the flush code: under :attr:`FlushMode.NONE` it is left out entirely;
@@ -19,6 +23,14 @@ decides per node is decided at lowering time instead:
   statement completes; a ``&&``/``||`` right-hand side adds its own sums
   only when it runs.
 
+**Tracing.**  A traced lowering (``lower(..., trace=True)``) emits one
+:class:`~repro.devices.interpreter.TraceEntry` per store, at the
+statements the tree walk traces: paths ``s0.f[i=3].s1`` and
+``s2.t.s0``, array targets labelled ``a[idx]`` with ``idx = index % n``,
+and values as Python floats, an array store's value taken before its
+cast.  An untraced lowering builds none of that: its closures carry no
+path or trace bookkeeping.
+
 **Why rows, not columns.**  An earlier version carried ``(n_rows,)``
 columns through a masked tree walk.  Batches hold one test's input grid,
 3–7 rows in every CLI preset, where a NumPy ufunc on a 3-wide array
@@ -26,26 +38,22 @@ costs 330–450 ns and the same operation on a NumPy scalar about 35 ns;
 each node also paid for event observation, casts, bit-uniformity checks
 and ``np.where`` masks.  Per-row closures beat the columns at every
 width measured: over 40 generated programs per precision on a 2-core
-host, 1.6–2.6x per row at 1–7 rows and 1.2–1.7x at 72.  Evaluating on
-NumPy scalars is also exactly what :meth:`Interpreter.run` does, so
-the two agree bit for bit by construction, NaN signs included.
+host, 1.6–2.6x per row at 1–7 rows and 1.2–1.7x at 72.
 
-**Trap precedence.**  :meth:`Interpreter.run` raises
-:class:`~repro.errors.TrapError` at the first node that takes the step
-count past ``max_steps``.  The lowered code checks the budget at every
-loop iteration and at the end of the run, where its count is exact.  A
-node that raises :class:`~repro.errors.ExecutionError` mid-statement
-(integer division by zero, an unknown name, a non-finite value used as
-an integer) first adds the statically known ticks of the nodes entered
-so far in its statement; if that count is over budget the row traps
-instead, which is what the tree walk would have done first.
+**Trap precedence.**  The model raises :class:`~repro.errors.TrapError`
+at the first node that takes the step count past ``max_steps``.  The
+lowered code checks the budget at every loop iteration and at the end
+of the run, where its count is exact.  A node that raises
+:class:`~repro.errors.ExecutionError` mid-statement (integer division by
+zero, an unknown name, a non-finite value used as an integer) first adds
+the statically known ticks of the nodes entered so far in its statement;
+if that count is over budget the row traps instead, which is what the
+tree walk would have done first.
 
-A trapped row's slot in the result list is ``None``.  Trace mode and
-``vectorize=False`` run :meth:`Interpreter.run` row by row — the
-reference the property tests compare against.  Repeated math-library
-calls and FP64 fused multiply-adds with identical operands are served
-from the interpreter's call memo; the library models are pure, so this
-is observationally invisible.
+A trapped row's slot in :func:`run_batch`'s result list is ``None``.
+Repeated math-library calls and FP64 fused multiply-adds with identical
+operands are served from the interpreter's call memo; the library models
+are pure, so this is observationally invisible.
 """
 
 from __future__ import annotations
@@ -71,6 +79,7 @@ from repro.devices.interpreter import (
     CostModel,
     ExecOptions,
     ExecutionResult,
+    TraceEntry,
     fma_exact,
     format_printf_g17,
     int_of_scalar,
@@ -98,16 +107,11 @@ from repro.ir.program import Kernel
 from repro.ir.types import IRType
 from repro.telemetry.spans import get_tracer
 
-__all__ = ["run_batch", "batch_stats", "reset_batch_stats", "lower"]
+__all__ = ["run_batch", "batch_stats", "reset_batch_stats", "lower", "check_arity"]
 
 
-#: Process-local counters tests use to prove the fast path engaged.
-_STATS = {
-    "vector_batches": 0,
-    "vector_rows": 0,
-    "fallback_batches": 0,
-    "fallback_rows": 0,
-}
+#: Process-local counts of :func:`run_batch` calls and the rows they ran.
+_STATS = {"batches": 0, "rows": 0}
 
 
 def batch_stats() -> Dict[str, int]:
@@ -134,10 +138,13 @@ _Lowered = Tuple[Callable, int, int]
 
 
 class _Frame:
-    """One row's mutable state, the lowered twin of the interpreter's
-    ``_Frame`` and ``_RunState``."""
+    """One row's mutable state: bindings, step and cycle sums, event
+    counts, and in a traced run the current statement path and trace."""
 
-    __slots__ = ("sc", "it", "ar", "n", "steps", "cost", "flags", "max_steps", "mathlib", "memo")
+    __slots__ = (
+        "sc", "it", "ar", "n", "steps", "cost", "flags", "max_steps", "mathlib", "memo",
+        "path", "trace",
+    )
     sc: Dict[str, object]
     it: Dict[str, int]
     ar: Dict[str, List[object]]
@@ -148,6 +155,8 @@ class _Frame:
     max_steps: int
     mathlib: MathLibrary
     memo: Dict[object, object]
+    path: str
+    trace: List[TraceEntry]
 
 
 def _trap(fr: _Frame) -> TrapError:
@@ -166,6 +175,13 @@ def _fail(fr: _Frame, ticks: int, message: str) -> NoReturn:
 
 def _failing(ticks: int, message: str) -> Callable:
     return lambda fr: _fail(fr, ticks, message)
+
+
+def _run_block(fr: _Frame, body: Sequence[Callable], prefix: str) -> None:
+    """Run traced statements, each under its path ``{prefix}s{j}``."""
+    for j, inner in enumerate(body):
+        fr.path = f"{prefix}s{j}"
+        inner(fr)
 
 
 def _loop_vars(body: Sequence[Stmt]):
@@ -188,9 +204,13 @@ def _scalar_stores(body: Sequence[Stmt]):
 
 
 class _Lowering:
-    """Builds the closures of one kernel under one flush mode."""
+    """Builds the closures of one kernel under one flush mode, traced or
+    not."""
 
-    def __init__(self, kernel: Kernel, flush: FlushMode, cost_model: CostModel) -> None:
+    def __init__(
+        self, kernel: Kernel, flush: FlushMode, cost_model: CostModel, trace: bool
+    ) -> None:
+        self.trace = trace
         self.fptype = kernel.fptype
         self.T = kernel.fptype.dtype.type
         self.sn = kernel.fptype.smallest_normal
@@ -202,7 +222,7 @@ class _Lowering:
         self.arrays = {p.name for p in params if p.type is IRType.FLOAT_PTR}
         self.ints = {p.name for p in params if p.type is IRType.INT}
         self.ints.update(_loop_vars(kernel.body))
-        # Scalars the interpreter may hold as an uncast Python float (an
+        # Scalars the tree walk may hold as an uncast Python float (an
         # int read in float context, an off-grid integer literal): their
         # loads are cast before arithmetic.  Everything else already is
         # a scalar of the kernel dtype.  Fixed point over copies.
@@ -260,7 +280,7 @@ class _Lowering:
     def expr(self, expr: Expr, pre: int, cast: bool) -> _Lowered:
         """Lower ``expr`` whose first tick is the ``pre+1``-th of its
         statement.  ``cast`` asks for a dtype scalar; otherwise the
-        closure returns what the interpreter would hold, which may be an
+        closure returns what the tree walk would hold, which may be an
         uncast Python float."""
         T = self.T
         cls = type(expr)
@@ -397,12 +417,15 @@ class _Lowering:
 
         elif fptype is FPType.FP32:
             # 24-bit operands: the double product is exact; one more
-            # double add then a single narrowing (Interpreter._fma).
+            # double add then a single narrowing keeps error below 1/2
+            # ULP except double-rounding corners shared by both vendors.
             def fused(fr: _Frame, a, b, c):
                 return np.float32(np.float64(a) * np.float64(b) + np.float64(c))
 
         elif fptype is FPType.FP16:
-
+            # 11-bit operands: the float32 product is exact (22 bits), one
+            # float32 add then a single narrowing to binary16, the same
+            # compute-in-fp32-round-to-fp16 model as plain FP16 arithmetic.
             def fused(fr: _Frame, a, b, c):
                 return np.float16(np.float32(a) * np.float32(b) + np.float32(c))
 
@@ -462,8 +485,8 @@ class _Lowering:
 
     # ------------------------------------------------ boolean and integer
     def cond(self, expr: Expr, pre: int) -> _Lowered:
-        """Lower ``expr`` in boolean context (the interpreter's
-        ``_eval_bool``); the closure returns a truth value."""
+        """Lower ``expr`` in boolean context; the closure returns a
+        truth value."""
         cls = type(expr)
         if cls is Compare:
             left, lt, lc = self.expr(expr.left, pre + 1, cast=True)
@@ -559,6 +582,10 @@ class _Lowering:
 
     def stmt(self, stmt: Stmt) -> Callable:
         """One statement: evaluates, then adds its own static sums."""
+        fn = self._stmt(stmt)
+        return self._traced(stmt, fn) if self.trace else fn
+
+    def _stmt(self, stmt: Stmt) -> Callable:
         cls = type(stmt)
         if cls is Decl:
             init, ticks, cost = self.expr(stmt.init, 1, cast=False)
@@ -578,6 +605,16 @@ class _Lowering:
             cond, ticks, cost = self.cond(stmt.cond, 1)
             body = self.block(stmt.body)
             ticks += 1
+            if self.trace:
+
+                def traced_if(fr: _Frame):
+                    taken = cond(fr)
+                    fr.steps += ticks
+                    fr.cost += cost
+                    if taken:
+                        _run_block(fr, body, f"{fr.path}.t.")
+
+                return traced_if
 
             def if_(fr: _Frame):
                 taken = cond(fr)
@@ -594,6 +631,20 @@ class _Lowering:
         bound, ticks, _ = self.index(stmt.bound, 1)
         body = self.block(stmt.body)
         var, ticks = stmt.var, ticks + 1
+        if self.trace:
+
+            def traced_for(fr: _Frame):
+                n = bound(fr)
+                fr.steps += ticks
+                ints, limit, base = fr.it, fr.max_steps, fr.path
+                for i in range(n):
+                    if fr.steps > limit:
+                        raise _trap(fr)
+                    ints[var] = i
+                    _run_block(fr, body, f"{base}.f[{var}={i}].")
+                ints.pop(var, None)
+
+            return traced_for
 
         def for_(fr: _Frame):
             n = bound(fr)
@@ -696,6 +747,42 @@ class _Lowering:
 
         return update_element
 
+    def _traced(self, stmt: Stmt, run: Callable) -> Callable:
+        """``run``, then the trace entry the tree walk records for a
+        store: the statement's path, the target and the value stored."""
+        cls = type(stmt)
+        if cls is Decl:
+            target, name = None, stmt.name
+        elif cls is Assign or cls is AugAssign:
+            target, name = stmt.target, stmt.target.name
+        else:
+            return run
+        if type(target) is not ArrayRef:
+
+            def record(fr: _Frame):
+                run(fr)
+                fr.trace.append(TraceEntry(fr.path, name, float(fr.sc[name])))
+
+            return record
+        if name not in self.arrays:
+            return run  # the store raises
+        index, _, _ = self.index(target.index, 0)
+        # An array store keeps the cast value; the trace takes the value
+        # before the cast, which differs only for an expression that may
+        # be uncast.  Such an expression only reads a name or a literal,
+        # so evaluating it again after the store gives the same value.
+        uncast = None
+        if cls is Assign and self._may_be_uncast(stmt.expr):
+            uncast, _, _ = self.expr(stmt.expr, 0, cast=False)
+
+        def record_element(fr: _Frame):
+            run(fr)
+            idx = index(fr) % fr.n
+            value = fr.ar[name][idx] if uncast is None else uncast(fr)
+            fr.trace.append(TraceEntry(fr.path, f"{name}[{idx}]", float(value)))
+
+        return record_element
+
     def _input(self, cast: bool) -> Callable:
         """The input side of an operation on a value already computed:
         cast (when it may be uncast) and input flush, if the mode has it."""
@@ -719,17 +806,20 @@ def _identity(v):
     return v
 
 
-def lower(kernel: Kernel, flush: FlushMode, cost_model: CostModel) -> Callable:
+def lower(
+    kernel: Kernel, flush: FlushMode, cost_model: CostModel, *, trace: bool = False
+) -> Callable:
     """Lower ``kernel`` once; the result evaluates one input row.
 
-    The returned ``evaluate(row, mathlib, memo, options)`` matches
-    ``Interpreter(mathlib, cost_model).run(kernel, row, options)`` bit
-    for bit for ``options.flush == flush`` without tracing, raising
-    :class:`~repro.errors.TrapError` and
-    :class:`~repro.errors.ExecutionError` where it would.  ``memo`` is
-    the interpreter's :attr:`~Interpreter.call_memo`.
+    The returned ``evaluate(row, mathlib, memo, options)`` runs the row
+    under ``flush`` (``options`` supplies the step budget and the array
+    size), raising :class:`~repro.errors.TrapError` and
+    :class:`~repro.errors.ExecutionError` where the reference tree walk
+    does.  ``memo`` is the interpreter's
+    :attr:`~repro.devices.interpreter.Interpreter.call_memo`.  With
+    ``trace`` the result carries the per-store trace.
     """
-    lowering = _Lowering(kernel, flush, cost_model)
+    lowering = _Lowering(kernel, flush, cost_model, trace)
     body = lowering.block(kernel.body)
     T = lowering.T
     bindings = [(p.name, p.type) for p in kernel.params]
@@ -758,8 +848,12 @@ def lower(kernel: Kernel, flush: FlushMode, cost_model: CostModel) -> Callable:
                 it[name] = int(value)
             else:
                 ar[name] = [T(value)] * n
-        for stmt in body:
-            stmt(fr)
+        if trace:
+            fr.trace = []
+            _run_block(fr, body, "")
+        else:
+            for stmt in body:
+                stmt(fr)
         if fr.steps > fr.max_steps:
             raise _trap(fr)
         comp = sc.get("comp")
@@ -772,7 +866,7 @@ def lower(kernel: Kernel, flush: FlushMode, cost_model: CostModel) -> Callable:
             outcome=classify_value(value),
             flags=fr.flags,
             steps=fr.steps,
-            trace=(),
+            trace=tuple(fr.trace) if trace else (),
             cost_cycles=fr.cost,
         )
 
@@ -784,61 +878,52 @@ def lower(kernel: Kernel, flush: FlushMode, cost_model: CostModel) -> Callable:
 # --------------------------------------------------------------------------
 
 
+def check_arity(kernel: Kernel, row: Sequence[Union[float, int]]) -> None:
+    """Reject an input row without one value per kernel parameter."""
+    if len(row) != len(kernel.params):
+        raise ExecutionError(
+            f"kernel {kernel.name!r} takes {len(kernel.params)} inputs, "
+            f"got {len(row)}"
+        )
+
+
 def run_batch(
     interpreter,
     kernel: Kernel,
     rows: Sequence[Sequence[Union[float, int]]],
     options: ExecOptions = ExecOptions(),
-    *,
-    vectorize: bool = True,
 ) -> List[Optional[ExecutionResult]]:
     """Run ``kernel`` once per input row; ``None`` marks a trapped row.
 
-    Bit-identical per row to calling :meth:`Interpreter.run` row by row
-    (catching :class:`TrapError` as ``None``).  ``vectorize=False``
-    forces the per-row tree walk — the reference the property tests
-    compare against, and the bench's legacy lane.
+    The kernel is lowered once, traced when ``options.trace`` asks, and
+    each row's result is what :meth:`Interpreter.run` returns for it,
+    with :class:`TrapError` caught as ``None``.
     """
     rows = [tuple(r) for r in rows]
     if not rows:
         return []
     for r in rows:
-        if len(r) != len(kernel.params):
-            raise ExecutionError(
-                f"kernel {kernel.name!r} takes {len(kernel.params)} inputs, "
-                f"got {len(r)}"
-            )
+        check_arity(kernel, r)
+    tracer = get_tracer()
+    t0 = time.perf_counter_ns() if tracer.enabled else 0
+    evaluate = lower(kernel, options.flush, interpreter.cost_model, trace=options.trace)
+    mathlib, memo = interpreter.mathlib, interpreter.memo()
     results: List[Optional[ExecutionResult]] = []
-    if vectorize and not options.trace:
-        tracer = get_tracer()
-        t0 = time.perf_counter_ns() if tracer.enabled else 0
-        evaluate = lower(kernel, options.flush, interpreter.cost_model)
-        mathlib, memo = interpreter.mathlib, interpreter.call_memo
-        if len(memo) > 200_000:
-            memo.clear()
-        with np.errstate(all="ignore"):
-            for r in rows:
-                try:
-                    results.append(evaluate(r, mathlib, memo, options))
-                except TrapError:
-                    results.append(None)
-        if tracer.enabled:
-            tracer.record(
-                "device.eval_batch",
-                t0,
-                time.perf_counter_ns(),
-                mathlib=interpreter.mathlib.name,
-                fptype=kernel.fptype.name.lower(),
-                rows=len(rows),
-            )
-        _STATS["vector_batches"] += 1
-        _STATS["vector_rows"] += len(rows)
-        return results
-    _STATS["fallback_batches"] += 1
-    _STATS["fallback_rows"] += len(rows)
-    for r in rows:
-        try:
-            results.append(interpreter.run(kernel, r, options))
-        except TrapError:
-            results.append(None)
+    with np.errstate(all="ignore"):
+        for r in rows:
+            try:
+                results.append(evaluate(r, mathlib, memo, options))
+            except TrapError:
+                results.append(None)
+    if tracer.enabled:
+        tracer.record(
+            "device.eval_batch",
+            t0,
+            time.perf_counter_ns(),
+            mathlib=mathlib.name,
+            fptype=kernel.fptype.name.lower(),
+            rows=len(rows),
+        )
+    _STATS["batches"] += 1
+    _STATS["rows"] += len(rows)
     return results

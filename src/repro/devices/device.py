@@ -2,9 +2,11 @@
 
 A :class:`Device` stands in for "a GPU node of one of the two clusters".
 The harness compiles a program with the device's matching compiler model
-and calls :meth:`Device.execute` with the compiled kernel (anything
-exposing ``kernel`` and ``exec_options`` — see
-:class:`repro.compilers.compiler.CompiledKernel`).
+and calls :meth:`Device.execute` (one input row) or
+:meth:`Device.execute_batch` (a grid of rows) with the compiled kernel
+(anything exposing ``kernel`` and ``exec_options`` — see
+:class:`repro.compilers.compiler.CompiledKernel`).  Both run the one
+evaluator, the lowered closures of :mod:`repro.devices.batch`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 from repro.devices.batch import run_batch
-from repro.devices.interpreter import ExecOptions, ExecutionResult, Interpreter
+from repro.devices.interpreter import ExecutionResult, Interpreter
 from repro.devices.mathlib.base import MathLibrary
 from repro.devices.vendor import Vendor
 
@@ -65,17 +67,13 @@ class Device:
         *,
         trace: bool = False,
     ) -> ExecutionResult:
-        """Run a compiled kernel on this device.
+        """Run a compiled kernel on this device (:meth:`Interpreter.run`).
 
         The compiled kernel must target this device's vendor — running an
         nvcc binary on an AMD GPU is exactly the mistake real clusters
         reject at load time, so we reject it too.
         """
-        if compiled.vendor is not self.vendor:
-            raise ValueError(
-                f"binary compiled for {compiled.vendor.value} cannot run on "
-                f"{self.vendor.value} device {self.spec.name!r}"
-            )
+        self._check_vendor(compiled)
         options = compiled.exec_options
         if trace and not options.trace:
             options = dataclasses.replace(options, trace=True)
@@ -85,27 +83,22 @@ class Device:
         self,
         compiled: "CompiledKernel",
         input_rows: Sequence[Sequence[Union[float, int]]],
-        *,
-        vectorize: bool = True,
     ) -> List[Optional[ExecutionResult]]:
         """Run a compiled kernel once per input row (``None`` = trapped).
 
-        Bit-identical per row to calling :meth:`execute` row by row with
+        Per row what :meth:`execute` returns, with
         :class:`~repro.errors.TrapError` caught as ``None``; the kernel is
-        lowered once into per-row closures (:mod:`repro.devices.batch`).
+        lowered once for all rows (:mod:`repro.devices.batch`).
         """
+        self._check_vendor(compiled)
+        return run_batch(self.interpreter, compiled.kernel, input_rows, compiled.exec_options)
+
+    def _check_vendor(self, compiled: "CompiledKernel") -> None:
         if compiled.vendor is not self.vendor:
             raise ValueError(
                 f"binary compiled for {compiled.vendor.value} cannot run on "
                 f"{self.vendor.value} device {self.spec.name!r}"
             )
-        return run_batch(
-            self.interpreter,
-            compiled.kernel,
-            input_rows,
-            compiled.exec_options,
-            vectorize=vectorize,
-        )
 
     def __repr__(self) -> str:
         return f"Device({self.spec.name!r}, mathlib={self.mathlib.name})"

@@ -92,19 +92,15 @@ class RunnerSpec:
     it participates in the service's dedup key, so requests for different
     pairs never collapse into each other.  ``ablation`` selects an
     equalized runner from :data:`repro.analysis.ablation.ABLATIONS`-style
-    specs (ablations are defined on the legacy nvcc/hipcc pair, vectorized
-    and without flag recording, so ``ablation`` combined with any other
-    non-default field raises ``ValueError`` instead of being ignored).
-
-    ``vectorize=False`` forces the per-row scalar interpreter path — the
-    bit-identical reference lane the benchmarks and property tests
-    compare the batched path against.
+    specs (ablations are defined on the legacy nvcc/hipcc pair without
+    flag recording, so ``ablation`` combined with any other non-default
+    field raises ``ValueError`` instead of being ignored).  Every runner
+    executes on the devices' one evaluator (:mod:`repro.devices.batch`).
     """
 
     ablation: Optional["AblationSpec"] = None
     record_flags: bool = False
     stacks: Tuple[str, str] = DEFAULT_STACK_PAIR
-    vectorize: bool = True
 
     def __post_init__(self) -> None:
         if self.ablation is None:
@@ -130,7 +126,6 @@ class RunnerSpec:
         return DifferentialRunner(
             record_flags=self.record_flags,
             stacks=self.stacks,
-            vectorize=self.vectorize,
         )
 
 

@@ -96,7 +96,7 @@ def flag_for_result(r: float, ops: Sequence[float], sn: float) -> Optional[str]:
       zero, else Overflow;
     * non-zero result below the normal range → Underflow (to subnormal).
 
-    This is the only statement of the rule: :class:`FPEnv` and the batch
+    This is the only statement of the rule: :class:`FPEnv` and the
     evaluator (:mod:`repro.devices.batch`) both call it.
     """
     if r != r:
@@ -143,8 +143,9 @@ class FPEnv:
     """Floating-point environment a kernel executes under.
 
     Combines the precision, the flush mode, and the sticky exception flags.
-    The interpreter calls :meth:`observe_result` / :meth:`observe_division`
-    after every operation so the flags describe the whole run.
+    The reference tree walk (``tests/reference_interpreter.py``) calls
+    :meth:`observe_result` / :meth:`observe_division` after every
+    operation so the flags describe the whole run.
     """
 
     fptype: FPType = FPType.FP64

@@ -112,7 +112,7 @@ def pair_discrepancies(
     return out
 
 
-def _execute_batch(device, compiled, rows, *, vectorize: bool, memo=None):
+def _execute_batch(device, compiled, rows, *, memo=None):
     """``device.execute_batch``, deduped across a sweep's opt settings.
 
     ``memo`` (a per-sweep list) dedups physical execution across opt
@@ -131,7 +131,7 @@ def _execute_batch(device, compiled, rows, *, vectorize: bool, memo=None):
                 and prev_ck.kernel == compiled.kernel
             ):
                 return prev_out
-    out = device.execute_batch(compiled, rows, vectorize=vectorize)
+    out = device.execute_batch(compiled, rows)
     if memo is not None:
         memo.append((compiled, rows, out))
     return out
@@ -151,6 +151,12 @@ class DifferentialRunner:
     ``lhs_executions`` / ``rhs_executions`` count device executions
     attempted (including ones that trapped); the campaign engine uses
     them to prove the cross-arm cache really avoided the left side.
+
+    Every execution runs the devices' one evaluator, the lowered
+    closures of :mod:`repro.devices.batch`: a sweep sends each setting's
+    input grid through :meth:`Device.execute_batch`, executing once for
+    settings whose compiled kernels came out identical, and
+    :meth:`run_single` sends one row through :meth:`Device.execute`.
     """
 
     def __init__(
@@ -158,7 +164,6 @@ class DifferentialRunner:
         record_flags: bool = False,
         *,
         stacks: Tuple[str, str] = DEFAULT_STACK_PAIR,
-        vectorize: bool = True,
     ) -> None:
         lhs_stack = get_stack(stacks[0])
         rhs_stack = get_stack(stacks[1])
@@ -168,10 +173,6 @@ class DifferentialRunner:
         self.lhs_compiler: Compiler = lhs_stack.compiler()
         self.rhs_compiler: Compiler = rhs_stack.compiler()
         self.record_flags = record_flags
-        #: route each (test, opt)'s input grid through the batched device
-        #: API (bit-identical per row; ``False`` forces the per-row
-        #: scalar reference path).
-        self.vectorize = vectorize
         self.lhs_executions = 0
         self.rhs_executions = 0
         self._artifacts: Optional["ArtifactCache"] = None
@@ -240,10 +241,9 @@ class DifferentialRunner:
         # pass pipelines produced identical kernels execute once and
         # share raw results.  Counters are charged per opt regardless —
         # they count the sweep's logical runs, byte-identical to the
-        # undeduped path.  Only the batched lane dedups; vectorize=False
-        # is the untouched per-row reference.
-        lhs_memo = [] if self.vectorize else None
-        rhs_memo = [] if self.vectorize else None
+        # undeduped path.
+        lhs_memo: list = []
+        rhs_memo: list = []
         for opt in opts:
             out[opt.label] = self._run_inputs(
                 test,
@@ -340,7 +340,6 @@ class DifferentialRunner:
                 self.lhs_device,
                 ck_lhs,
                 [vec.values for vec in test.inputs],
-                vectorize=self.vectorize,
                 memo=lhs_memo,
             )
             lhs_outcomes = [
@@ -360,7 +359,6 @@ class DifferentialRunner:
             self.rhs_device,
             ck_rhs,
             [test.inputs[idx].values for idx in live],
-            vectorize=self.vectorize,
             memo=rhs_memo,
         )
         lhs_runs: List[RunRecord] = []

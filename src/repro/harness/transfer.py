@@ -20,7 +20,7 @@ from repro.compilers.options import OptSetting, PAPER_OPT_SETTINGS
 from repro.devices.amd import amd_mi250x
 from repro.devices.device import Device
 from repro.devices.nvidia import nvidia_v100
-from repro.errors import MetadataError, TrapError
+from repro.errors import MetadataError
 from repro.fp.classify import classify_value
 from repro.harness.differential import Discrepancy, classify_pair
 from repro.harness.metadata import CampaignMetadata
@@ -45,10 +45,9 @@ def _execute_into(
     for opt in opts:
         for test in tests:
             compiled = compiler.compile(test.program, opt)
-            for idx, vec in enumerate(test.inputs):
-                try:
-                    result = device.execute(compiled, vec.values)
-                except TrapError:
+            rows = [vec.values for vec in test.inputs]
+            for idx, result in enumerate(device.execute_batch(compiled, rows)):
+                if result is None:
                     continue  # timed-out job: no result row
                 store.record_printed(opt.label, test.test_id, idx, result.printed)
 

@@ -1,11 +1,12 @@
-"""Batched-execution tests (the PR 9 acceptance criteria).
+"""Evaluator and batched-execution tests.
 
-The hard invariant under test: routing execution through
-``run_batch``/``execute_batch`` and compilation through the
-:class:`~repro.exec.artifacts.ArtifactCache` changes *nothing
+The hard invariant under test: the one evaluator (the lowered closures
+of :mod:`repro.devices.batch`, behind ``run_batch``, ``execute_batch``
+and ``Interpreter.run``) and compilation through the
+:class:`~repro.exec.artifacts.ArtifactCache` change *nothing
 observable* — every printed value, flag snapshot, outcome class, step
-count, and ledger byte is identical to the per-row scalar reference, at
-every worker count.
+count, trace entry and ledger byte is identical to the reference tree
+walk in ``reference_interpreter.py``, at every worker count.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.compilers.hipcc import HipccCompiler
 from repro.compilers.nvcc import NvccCompiler
 from repro.compilers.options import OptLevel, OptSetting, PAPER_OPT_SETTINGS
 from repro.devices.batch import batch_stats, reset_batch_stats, run_batch
-from repro.devices.interpreter import ExecOptions, Interpreter
+from repro.devices.interpreter import ExecOptions
 from repro.errors import ExecutionError, HarnessError, TrapError
 from repro.fp.env import FlushMode
 from repro.fp.types import FPType
@@ -53,6 +54,8 @@ from repro.varity.corpus import build_corpus
 from repro.varity.generator import ProgramGenerator
 from repro.varity.inputs import InputGenerator
 
+from reference_interpreter import ReferenceInterpreter, reference_batches, reference_rows
+
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 _slow = settings(
     max_examples=15,
@@ -60,7 +63,8 @@ _slow = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 #: ``HYPOTHESIS_PROFILE=deep`` (registered in conftest.py) widens the
-#: bit-equality search; tier-1 keeps the 15-example default.
+#: bit-equality and trap-boundary search; tier-1 keeps the 15-example
+#: default.
 _bit_equality = (
     settings.get_profile("deep")
     if os.environ.get("HYPOTHESIS_PROFILE") == "deep"
@@ -90,13 +94,43 @@ def _sig(result):
 
 
 def _reference(device, compiled, rows):
-    out = []
-    for row in rows:
-        try:
-            out.append(device.execute(compiled, row))
-        except TrapError:
-            out.append(None)
-    return out
+    return reference_rows(device, compiled.kernel, rows, compiled.exec_options)
+
+
+def _traced_sig(result):
+    """``_sig`` plus every trace entry, its value NaN-sign-exact and its
+    printed form."""
+    return _sig(result) + tuple(
+        (e.path, e.target, struct.pack("<d", e.value), str(e)) for e in result.trace
+    )
+
+
+def _outcome(run, kernel, row, options, sig=_sig):
+    """What one single-row run observably does: its signature, or the
+    error it raises with the step count a trap reports."""
+    try:
+        return sig(run(kernel, row, options))
+    except TrapError as err:
+        return ("trap", str(err), err.steps)
+    except ExecutionError as err:
+        return ("error", str(err))
+
+
+def _special_rows(cfg, kernel, seed, data, n=6):
+    """``n`` generated rows with float inputs swapped, as ``data``
+    draws, for NaN, ±inf, ±0 and subnormals of the kernel precision."""
+    info = np.finfo(kernel.fptype.dtype)
+    subnormals = [float(info.smallest_subnormal), float(info.tiny) / 2]
+    specials = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+    specials += subnormals + [-v for v in subnormals]
+    floats = [i for i, p in enumerate(kernel.params) if p.type is not IRType.INT]
+    rows = []
+    for row in _rows(cfg, kernel, seed, n):
+        row = list(row)
+        for i in floats:
+            row[i] = data.draw(st.sampled_from(specials + [row[i]]))
+        rows.append(tuple(row))
+    return rows
 
 
 def _rows(cfg, kernel, seed, n):
@@ -118,7 +152,6 @@ class TestBatchBitEquality:
         cfg = CONFIGS[lane]()
         program = ProgramGenerator(cfg).generate(seed)
         rows = _rows(cfg, program.kernel, seed, n)
-        reset_batch_stats()
         for name in STACK_NAMES:
             stack = get_stack(name)
             device, compiler = stack.device(), stack.compiler()
@@ -127,7 +160,6 @@ class TestBatchBitEquality:
                 batch = device.execute_batch(compiled, rows)
                 expected = _reference(device, compiled, rows)
                 assert [_sig(r) for r in batch] == [_sig(r) for r in expected]
-        assert batch_stats()["fallback_batches"] == 0
 
     @given(seed=seeds, lane=st.sampled_from(sorted(CONFIGS)), data=st.data())
     @_bit_equality
@@ -139,33 +171,42 @@ class TestBatchBitEquality:
         output flushing and input+output flushing."""
         cfg = CONFIGS[lane]()
         program = ProgramGenerator(cfg).generate(seed)
-        kernel = program.kernel
-        info = np.finfo(kernel.fptype.dtype)
-        subnormals = [float(info.smallest_subnormal), float(info.tiny) / 2]
-        specials = [math.nan, math.inf, -math.inf, 0.0, -0.0]
-        specials += subnormals + [-v for v in subnormals]
-        floats = [i for i, p in enumerate(kernel.params) if p.type is not IRType.INT]
-        rows = []
-        for row in _rows(cfg, kernel, seed, 6):
-            row = list(row)
-            for i in floats:
-                row[i] = data.draw(st.sampled_from(specials + [row[i]]))
-            rows.append(tuple(row))
+        rows = _special_rows(cfg, program.kernel, seed, data)
         stack = get_stack("nvcc")
         device, compiler = stack.device(), stack.compiler()
-        interpreter = device.interpreter
         for opt in OPTS2:
             compiled = compiler.compile(program, opt).kernel
             for flush in FlushMode:
                 options = ExecOptions(flush=flush)
-                batch = run_batch(interpreter, compiled, rows, options)
-                expected = []
-                for row in rows:
-                    try:
-                        expected.append(interpreter.run(compiled, row, options))
-                    except TrapError:
-                        expected.append(None)
+                batch = run_batch(device.interpreter, compiled, rows, options)
+                expected = reference_rows(device, compiled, rows, options)
                 assert [_sig(r) for r in batch] == [_sig(r) for r in expected]
+
+    @given(seed=seeds, lane=st.sampled_from(sorted(CONFIGS)), data=st.data())
+    @_bit_equality
+    def test_traced_single_rows_match_reference(self, seed, lane, data):
+        """``Interpreter.run`` with tracing on agrees with the tree walk
+        on every stack, under every flush mode and on special inputs:
+        value, printed, outcome, flags, steps, cycles and the whole
+        trace, each entry's printed form included."""
+        cfg = CONFIGS[lane]()
+        program = ProgramGenerator(cfg).generate(seed)
+        rows = _special_rows(cfg, program.kernel, seed, data, n=2)
+        for name in STACK_NAMES:
+            stack = get_stack(name)
+            device, compiler = stack.device(), stack.compiler()
+            walker = ReferenceInterpreter(device.mathlib, device.interpreter.cost_model)
+            for opt in OPTS2:
+                kernel = compiler.compile(program, opt).kernel
+                for flush in FlushMode:
+                    options = ExecOptions(flush=flush, trace=True)
+                    for row in rows:
+                        lowered = _outcome(
+                            device.interpreter.run, kernel, row, options, _traced_sig
+                        )
+                        assert lowered == _outcome(
+                            walker.run, kernel, row, options, _traced_sig
+                        )
 
     def test_large_lane_takes_vector_path(self):
         """A grid wider than any preset's still runs the batch evaluator
@@ -182,8 +223,7 @@ class TestBatchBitEquality:
                 compiled = compiler.compile(program, opt)
                 reset_batch_stats()
                 batch = device.execute_batch(compiled, rows)
-                stats = batch_stats()
-                assert stats["vector_batches"] == 1 and stats["vector_rows"] == n
+                assert batch_stats() == {"batches": 1, "rows": n}
                 expected = _reference(device, compiled, rows)
                 assert [_sig(r) for r in batch] == [_sig(r) for r in expected]
                 checked += 1
@@ -201,37 +241,10 @@ class TestBatchBitEquality:
         batch = run_batch(device.interpreter, compiled.kernel, rows, tiny)
         assert batch == [None, None, None]
 
-    def test_trace_options_fall_back_to_scalar(self):
-        """Trace mode cannot vectorize: the fallback loop runs and the
-        results carry traces."""
-        cfg = GeneratorConfig.fp32()
-        program = ProgramGenerator(cfg).generate(1)
-        rows = _rows(cfg, program.kernel, 1, 3)
-        device = get_stack("nvcc").device()
-        compiled = NvccCompiler().compile(program, OPTS2[0])
-        traced = dataclasses.replace(compiled.exec_options, trace=True)
-        reset_batch_stats()
-        batch = run_batch(device.interpreter, compiled.kernel, rows, traced)
-        stats = batch_stats()
-        assert stats["fallback_batches"] == 1 and stats["vector_batches"] == 0
-        assert all(r is None or r.trace for r in batch)
-
-    def test_vectorize_false_forces_reference_path(self):
-        cfg = GeneratorConfig.fp32()
-        program = ProgramGenerator(cfg).generate(2)
-        rows = _rows(cfg, program.kernel, 2, 4)
-        device = get_stack("nvcc").device()
-        compiled = NvccCompiler().compile(program, OPTS2[1])
-        reset_batch_stats()
-        forced = device.execute_batch(compiled, rows, vectorize=False)
-        assert batch_stats()["fallback_batches"] == 1
-        assert [_sig(r) for r in forced] == [
-            _sig(r) for r in _reference(device, compiled, rows)
-        ]
 
 
-class _LoopSpans(Interpreter):
-    """The reference interpreter, recording the step counts before and
+class _LoopSpans(ReferenceInterpreter):
+    """The reference tree walk, recording the step counts before and
     after every loop it executes."""
 
     def __init__(self, device) -> None:
@@ -252,7 +265,7 @@ def _with_budget(compiled, max_steps):
 
 class TestTrapBoundary:
     @given(seed=seeds, lane=st.sampled_from(sorted(CONFIGS)))
-    @_slow
+    @_bit_equality
     def test_budget_at_and_around_a_rows_step_count(self, seed, lane):
         """With ``max_steps`` one below a row's step count, equal to it,
         and in the middle of its longest loop, every row traps or
@@ -276,6 +289,30 @@ class TestTrapBoundary:
                 ]
                 assert (batch[0] is None) == (budget < steps)
 
+    @given(seed=seeds, lane=st.sampled_from(sorted(CONFIGS)))
+    @_bit_equality
+    def test_single_row_budget_parity(self, seed, lane):
+        """At a budget one below a row's step count ``s`` and at ``s``,
+        ``Interpreter.run`` traps (with ``steps == max_steps + 1``) or
+        completes exactly as the tree walk does."""
+        cfg = CONFIGS[lane]()
+        program = ProgramGenerator(cfg).generate(seed)
+        row = _rows(cfg, program.kernel, seed, 1)[0]
+        device = get_stack("nvcc").device()
+        walker = ReferenceInterpreter(device.mathlib, device.interpreter.cost_model)
+        for opt in OPTS2:
+            compiled = NvccCompiler().compile(program, opt)
+            kernel = compiled.kernel
+            steps = walker.run(kernel, row, compiled.exec_options).steps
+            for budget in (steps - 1, steps):
+                options = dataclasses.replace(compiled.exec_options, max_steps=budget)
+                lowered = _outcome(device.interpreter.run, kernel, row, options)
+                assert lowered == _outcome(walker.run, kernel, row, options)
+                if budget < steps:
+                    assert lowered[0] == "trap" and lowered[2] == budget + 1
+                else:
+                    assert lowered[4] == steps
+
     def test_trap_wins_only_before_the_failing_step(self):
         """``a[4 / (i - 2)]`` divides by zero at step 23 (For and its
         bound: 2 steps; 7 per iteration).  A budget of 22 traps on the
@@ -286,12 +323,18 @@ class TestTrapBoundary:
             [b.fparam("comp"), b.iparam("n"), b.aparam("a")],
             [b.loop("i", "n", [b.aug("comp", "+", ArrayRef("a", index))])],
         )
-        interpreter = get_stack("nvcc").device().interpreter
+        device = get_stack("nvcc").device()
+        interpreter = device.interpreter
+        walker = ReferenceInterpreter(device.mathlib, interpreter.cost_model)
         row = (0.5, 5, 1.25)
         for budget, outcome in ((22, TrapError), (23, ExecutionError), (24, ExecutionError)):
             options = ExecOptions(max_steps=budget)
-            with pytest.raises(outcome):
-                interpreter.run(kernel, row, options)
+            for run in (walker.run, interpreter.run):
+                with pytest.raises(outcome):
+                    run(kernel, row, options)
+            assert _outcome(interpreter.run, kernel, row, options) == _outcome(
+                walker.run, kernel, row, options
+            )
             if outcome is TrapError:
                 assert run_batch(interpreter, kernel, [row], options) == [None]
             else:
@@ -301,13 +344,11 @@ class TestTrapBoundary:
 
 # ---------------------------------------------------- lowering coverage
 def _lowered_matches_reference(kernel, rows):
-    interpreter = get_stack("nvcc").device().interpreter
+    device = get_stack("nvcc").device()
     options = ExecOptions()
-    reset_batch_stats()
-    batch = run_batch(interpreter, kernel, rows, options)
-    assert batch_stats()["vector_batches"] == 1
-    assert batch_stats()["fallback_batches"] == 0
-    expected = [interpreter.run(kernel, row, options) for row in rows]
+    batch = run_batch(device.interpreter, kernel, rows, options)
+    expected = reference_rows(device, kernel, rows, options)
+    assert None not in expected
     assert [_sig(r) for r in batch] == [_sig(r) for r in expected]
     return batch
 
@@ -382,6 +423,47 @@ class TestLoweringCoverage:
         assert batch[0].printed == "2.5"
 
 
+class TestTraceLowering:
+    def test_trace_matches_reference_on_every_statement_form(self):
+        """Paths under nested loops, a loop that reuses its enclosing
+        loop's variable, and a taken branch; array labels; AugAssign on
+        an element; and FP16 array stores whose value is off the binary16
+        grid (an INT parameter and an integer literal above 2048), which
+        the trace records before the cast.  A negative subscript is
+        labelled by the element it wraps to."""
+        b = IRBuilder(FPType.FP16)
+        kernel = b.kernel(
+            [b.fparam("comp"), b.iparam("n"), b.aparam("a")],
+            [
+                b.decl("t", 0.5),
+                b.assign(b.idx("a", 1), "n"),
+                b.assign(b.idx("a", 2), 4097),
+                b.assign(ArrayRef("a", BinOp("-", IntConst(0), IntConst(1))), "t"),
+                b.loop(
+                    "i",
+                    2,
+                    [
+                        b.loop("j", 2, [b.aug(b.idx("a", "j"), "+", "t")]),
+                        b.loop("i", 2, [b.aug("t", "*", 1.5)]),
+                        b.when(b.cmp(">", "t", 1.0), [b.aug("comp", "+", b.idx("a", 1))]),
+                    ],
+                ),
+                b.aug("comp", "+", "t"),
+            ],
+        )
+        device = get_stack("nvcc").device()
+        walker = ReferenceInterpreter(device.mathlib, device.interpreter.cost_model)
+        options = ExecOptions(trace=True)
+        row = (0.25, 3001, 1.0)
+        lowered = device.interpreter.run(kernel, row, options)
+        assert _traced_sig(lowered) == _traced_sig(walker.run(kernel, row, options))
+        text = [str(e) for e in lowered.trace]
+        assert "s1: a[1] = 3001.0" in text and "s2: a[2] = 4097.0" in text
+        assert "s3: a[3001] = 0.5" in text
+        assert "s4.f[i=0].s1.f[i=1].s0: t = 1.125" in text
+        assert "s4.f[i=0].s2.t.s0: comp = 3000.0" in text
+
+
 class TestNonFiniteIntegerContext:
     """A FLOAT scalar holding NaN or ±inf has no integer value: a loop
     bound or subscript that reads one is a named ExecutionError in both
@@ -396,10 +478,16 @@ class TestNonFiniteIntegerContext:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_interpreter(self, value):
-        interpreter = get_stack("nvcc").device().interpreter
+        device = get_stack("nvcc").device()
+        walker = ReferenceInterpreter(device.mathlib, device.interpreter.cost_model)
         for kernel in self._kernels():
-            with pytest.raises(ExecutionError, match="no integer value"):
-                interpreter.run(kernel, (0.0, value, 1.0))
+            for run in (device.interpreter.run, walker.run):
+                with pytest.raises(ExecutionError, match="no integer value"):
+                    run(kernel, (0.0, value, 1.0))
+            row, options = (0.0, value, 1.0), ExecOptions()
+            assert _outcome(device.interpreter.run, kernel, row, options) == _outcome(
+                walker.run, kernel, row, options
+            )
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_run_batch(self, value):
@@ -611,24 +699,26 @@ class TestLedgerEquality:
         ).read_bytes()
 
     def test_scalar_lane_matches_batched(self, tmp_path):
-        """vectorize=False (per-row scalar interpreter) produces the same
-        outcomes and the same persisted store bytes."""
+        """A lane whose every batch runs row by row on the reference tree
+        walk produces the same outcomes and the same persisted store
+        bytes."""
         corpus = build_corpus(
             GeneratorConfig.fp32(inputs_per_program=3), 4, root_seed=17
         )
 
-        def lane(label, runner):
+        def lane(label):
             shared = CachePolicy(reuse=True, scope="shared")
             chunks = [
-                [SweepRequest(test=t, opts=OPTS2, runner=runner, cache=shared)]
+                [SweepRequest(test=t, opts=OPTS2, runner=RunnerSpec(), cache=shared)]
                 for t in corpus.tests
             ]
             store_path = tmp_path / f"store-{label}.jsonl"
             service = ExecutionService(store=RunStore(path=store_path))
             return _flatten(service, chunks), store_path.read_bytes()
 
-        batched, batched_store = lane("batched", RunnerSpec())
-        scalar, scalar_store = lane("scalar", RunnerSpec(vectorize=False))
+        batched, batched_store = lane("batched")
+        with reference_batches():
+            scalar, scalar_store = lane("scalar")
         assert batched == scalar
         assert batched_store == scalar_store
 

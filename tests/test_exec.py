@@ -513,11 +513,11 @@ class TestRunnerSpec:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("stacks", ("nvcc", "cpu")), ("record_flags", True), ("vectorize", False)],
+        [("stacks", ("nvcc", "cpu")), ("record_flags", True)],
     )
     def test_ablation_rejects_fields_it_would_ignore(self, field, value):
-        """An ablated runner is always the default vectorized nvcc/hipcc
-        runner without flag recording, so a field it cannot honour is
+        """An ablated runner is always the default nvcc/hipcc runner
+        without flag recording, so a field it cannot honour is
         an error, not a silently different dedup key."""
         from repro.analysis.ablation import ABLATIONS
 

@@ -262,23 +262,33 @@ class _TrapAtOpt:
             raise TrapError("synthetic step-budget trap")
         return self._inner.execute(compiled, inputs, trace=trace)
 
-    def execute_batch(self, compiled, rows, *, vectorize: bool = True):
+    def execute_batch(self, compiled, rows):
         if self._traps(compiled):
             return [None] * len(rows)
-        return self._inner.execute_batch(compiled, rows, vectorize=vectorize)
+        return self._inner.execute_batch(compiled, rows)
 
 
-def _trapping_runner_factory(opt_label: str):
+def _trap_at(monkeypatch, opt_label: str) -> None:
+    """Build every runner with a left device that traps at ``opt_label``.
+
+    The execution service builds its runners from repro.harness.runner
+    (RunnerSpec.build), so that is where the trap wrapper hooks in.  The
+    trap keys on the opt label, not the kernel, so the sweep's cross-opt
+    execution memo, which could answer the trapping setting from an
+    identical kernel compiled at an earlier one, is bypassed.
+    """
+    import repro.harness.runner as runner_mod
+
     def factory(*args, **kwargs):
         runner = DifferentialRunner(*args, **kwargs)
         runner.lhs_device = _TrapAtOpt(runner.lhs_device, opt_label)
-        # The trap keys on the opt label, not the kernel: the batched
-        # lane's cross-opt execution memo could answer the trapping
-        # setting from an identical kernel compiled at an earlier one.
-        runner.vectorize = False
         return runner
 
-    return factory
+    def execute_batch(device, compiled, rows, *, memo=None):
+        return device.execute_batch(compiled, rows)
+
+    monkeypatch.setattr(runner_mod, "DifferentialRunner", factory)
+    monkeypatch.setattr(runner_mod, "_execute_batch", execute_batch)
 
 
 def _disc_keys(arm):
@@ -292,13 +302,7 @@ class TestCampaignEngine:
     def test_per_opt_accounting_with_uneven_traps(self, monkeypatch):
         """Regression for the runs_counted latch: a program that traps at
         -O3 -ffast-math but not -O0 must shrink only O3_FM's run total."""
-        import repro.harness.runner as runner_mod
-
-        # The execution service builds its runners from repro.harness.runner
-        # (RunnerSpec.build), so that is where the trap wrapper hooks in.
-        monkeypatch.setattr(
-            runner_mod, "DifferentialRunner", _trapping_runner_factory("O3_FM")
-        )
+        _trap_at(monkeypatch, "O3_FM")
         config = CampaignConfig(
             seed=3, n_programs_fp64=6, inputs_per_program=2,
             include_hipify=False, include_fp32=False,
@@ -314,11 +318,7 @@ class TestCampaignEngine:
 
     def test_trap_outcomes_replay_identically_across_arms(self, monkeypatch):
         """Cached nvcc traps skip the same inputs in the hipify arm."""
-        import repro.harness.runner as runner_mod
-
-        monkeypatch.setattr(
-            runner_mod, "DifferentialRunner", _trapping_runner_factory("O3_FM")
-        )
+        _trap_at(monkeypatch, "O3_FM")
         config = CampaignConfig(
             seed=3, n_programs_fp64=6, inputs_per_program=2, include_fp32=False
         )
