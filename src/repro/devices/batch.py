@@ -12,13 +12,19 @@ that the lowering was derived from is kept in
 two bit for bit.  Everything that walk decides per node is decided at
 lowering time instead:
 
-* each operator, comparison and math-library call site;
+* each operator, comparison and math-library call site.  Arithmetic is
+  fused: a binary operation, a scalar ``op=`` and an array ``op=`` are
+  each one closure that applies the operator and tests the result for
+  the normal range in place, and a one-argument call has its own
+  closure keyed ``(func, variant, bytes(a))`` in the call memo;
 * the flush code: under :attr:`FlushMode.NONE` it is left out entirely;
 * the IEEE-event rule (:func:`~repro.fp.env.flag_for_result` or
   :func:`~repro.fp.env.flag_for_division`, stated only in
   :mod:`repro.fp.env`), reached only when a result is subnormal,
   infinite or NaN — a zero or a finite normal result raises no event
-  under either rule;
+  under either rule.  That slow path (``settle``) is built once per
+  lowering and rule and hands the rule the operands as computed, NumPy
+  scalars of the kernel dtype;
 * the step and cycle sums of each statement, added once when the
   statement completes; a ``&&``/``||`` right-hand side adds its own sums
   only when it runs.
@@ -218,6 +224,8 @@ class _Lowering:
         self.flush_in = flush.flushes_inputs
         self.flush_out = flush.flushes_outputs
         self.costs = cost_model
+        self.settle_result = self._settle(flag_for_result)
+        self.settle_division = self._settle(flag_for_division)
         params = kernel.params
         self.arrays = {p.name for p in params if p.type is IRType.FLOAT_PTR}
         self.ints = {p.name for p in params if p.type is IRType.INT}
@@ -252,13 +260,14 @@ class _Lowering:
 
     def _settle(self, rule) -> Callable:
         """The slow path after an operation whose result may raise an
-        event or need flushing: ``rule`` infers the event, then the
-        output flush applies."""
+        event or need flushing: ``rule`` infers the event from the result
+        and the operands as computed, then the output flush applies.
+        Built once per lowering and rule."""
         sn, flush_out = self.sn, self.flush_out
         pz, nz = self.zeros
 
         def settle(fr: _Frame, raw, x: float, ops):
-            flag = rule(x, [float(o) for o in ops], sn)
+            flag = rule(x, ops, sn)
             if flag is not None:
                 fr.flags[flag] += 1
             if flush_out and x != 0.0 and -sn < x < sn:
@@ -272,9 +281,9 @@ class _Lowering:
     def operand(self, expr: Expr, pre: int) -> _Lowered:
         """A value operations consume: cast to the dtype, input-flushed."""
         fn, ticks, cost = self.expr(expr, pre, cast=True)
-        if not self.flush_in:
-            return fn, ticks, cost
         flush = self._input(cast=False)
+        if flush is None:
+            return fn, ticks, cost
         return (lambda fr: flush(fn(fr))), ticks, cost
 
     def expr(self, expr: Expr, pre: int, cast: bool) -> _Lowered:
@@ -366,35 +375,33 @@ class _Lowering:
 
         return load, ticks, self.costs.load_store
 
-    def arith(self, op: str, pre_fail: int) -> Tuple[Callable, int]:
-        """``apply(fr, l, r)`` for one arithmetic operator, and its cycles."""
-        fn = _ARITH.get(op)
-        if fn is None:
-            message = f"bad operator {op!r}"
-            return (lambda fr, l, r: _fail(fr, pre_fail, message)), 0
-        settle = self._settle(flag_for_division if op == "/" else flag_for_result)
-        sn = self.sn
-        nsn = -sn
-
-        def apply(fr: _Frame, l, r):
-            raw = fn(l, r)
-            x = float(raw)
-            if x == 0.0 or sn <= x < _INF or -_INF < x <= nsn:
-                return raw
-            return settle(fr, raw, x, (l, r))
-
+    def arith(self, op: str) -> Tuple[Callable, Callable, int]:
+        """``(fn, settle, cycles)`` of a known arithmetic operator: a site
+        computes ``raw = fn(l, r)`` and hands a result off the normal
+        range to ``settle``."""
         costs = self.costs
-        cost = costs.div if op == "/" else costs.mul if op == "*" else costs.add
-        return apply, cost
+        if op == "/":
+            return operator.truediv, self.settle_division, costs.div
+        return _ARITH[op], self.settle_result, costs.mul if op == "*" else costs.add
 
     def _binop(self, expr: BinOp, pre: int) -> _Lowered:
         left, lt, lc = self.operand(expr.left, pre + 1)
         right, rt, rc = self.operand(expr.right, pre + 1 + lt)
         ticks = 1 + lt + rt
-        apply, cost = self.arith(expr.op, pre + ticks)
+        if expr.op not in _ARITH:
+            return _bad_operator(expr.op, pre + ticks, left, right), ticks, lc + rc
+        fn, settle, cost = self.arith(expr.op)
+        sn = self.sn
+        nsn = -sn
 
         def binop(fr: _Frame):
-            return apply(fr, left(fr), right(fr))
+            l = left(fr)
+            r = right(fr)
+            raw = fn(l, r)
+            x = float(raw)
+            if x == 0.0 or sn <= x < _INF or -_INF < x <= nsn:
+                return raw
+            return settle(fr, raw, x, (l, r))
 
         return binop, ticks, lc + rc + cost
 
@@ -435,7 +442,7 @@ class _Lowering:
             def fused(fr: _Frame, a, b, c):
                 return _fail(fr, pre + ticks, message)
 
-        settle = self._settle(flag_for_result)
+        settle = self.settle_result
         sn = self.sn
         nsn = -sn
 
@@ -463,10 +470,27 @@ class _Lowering:
             ticks += t
             cost += c
         func, variant, fptype, T = expr.func, expr.variant, self.fptype, self.T
-        head = (func, variant)
-        settle = self._settle(flag_for_result)
+        settle = self.settle_result
         sn = self.sn
         nsn = -sn
+        if len(fns) == 1:
+            (arg,) = fns
+
+            def call1(fr: _Frame):
+                a = arg(fr)
+                key = (func, variant, bytes(a))
+                memo = fr.memo
+                result = memo.get(key)
+                if result is None:
+                    raw = fr.mathlib.call(func, [float(a)], fptype, variant)
+                    result = memo[key] = T(raw)
+                x = float(result)
+                if x == 0.0 or sn <= x < _INF or -_INF < x <= nsn:
+                    return result
+                return settle(fr, result, x, (a,))
+
+            return call1, ticks, cost
+        head = (func, variant)
 
         def call(fr: _Frame):
             args = [fn(fr) for fn in fns]
@@ -684,19 +708,34 @@ class _Lowering:
                     fr.cost += cost
 
                 return assign
-            apply, op_cost = self.arith(stmt.op, ticks)
-            cost += op_cost
-            prep = self._input(name in self.uncast)
             message = f"read of unknown scalar {name!r}"
             at = ticks
+            if stmt.op not in _ARITH:
+
+                def current(fr: _Frame):
+                    v = fr.sc.get(name)
+                    return _fail(fr, at, message) if v is None else v
+
+                return _bad_operator(stmt.op, at, value, current)
+            fn, settle, op_cost = self.arith(stmt.op)
+            cost += op_cost
+            prep = self._input(name in self.uncast)
+            sn = self.sn
+            nsn = -sn
 
             def update(fr: _Frame):
                 r = value(fr)
                 sc = fr.sc
-                current = sc.get(name)
-                if current is None:
+                l = sc.get(name)
+                if l is None:
                     return _fail(fr, at, message)
-                sc[name] = apply(fr, prep(current), r)
+                if prep is not None:
+                    l = prep(l)
+                raw = fn(l, r)
+                x = float(raw)
+                if not (x == 0.0 or sn <= x < _INF or -_INF < x <= nsn):
+                    raw = settle(fr, raw, x, (l, r))
+                sc[name] = raw
                 fr.steps += at
                 fr.cost += cost
 
@@ -730,18 +769,27 @@ class _Lowering:
         # does: once to load, once to store.
         load_index, it, _ = self.index(target.index, ticks)
         ticks += it
-        apply, op_cost = self.arith(stmt.op, ticks)
+        if stmt.op not in _ARITH:
+            return _bad_operator(stmt.op, ticks, value, load_index)
+        fn, settle, op_cost = self.arith(stmt.op)
         store_index, it, _ = self.index(target.index, ticks)
         ticks += it
         cost += op_cost + 2 * load_store
         prep = self._input(cast=False)
+        sn = self.sn
+        nsn = -sn
 
         def update_element(fr: _Frame):
             r = value(fr)
             arr = fr.ar[name]
-            current = arr[load_index(fr) % fr.n]
-            v = apply(fr, prep(current), r)
-            arr[store_index(fr) % fr.n] = v
+            l = arr[load_index(fr) % fr.n]
+            if prep is not None:
+                l = prep(l)
+            raw = fn(l, r)
+            x = float(raw)
+            if not (x == 0.0 or sn <= x < _INF or -_INF < x <= nsn):
+                raw = settle(fr, raw, x, (l, r))
+            arr[store_index(fr) % fr.n] = raw
             fr.steps += ticks
             fr.cost += cost
 
@@ -783,12 +831,13 @@ class _Lowering:
 
         return record_element
 
-    def _input(self, cast: bool) -> Callable:
+    def _input(self, cast: bool) -> Optional[Callable]:
         """The input side of an operation on a value already computed:
-        cast (when it may be uncast) and input flush, if the mode has it."""
+        cast (when it may be uncast) and input flush, if the mode has it;
+        ``None`` when there is nothing to do."""
         T = self.T
         if not self.flush_in:
-            return T if cast else _identity
+            return T if cast else None
         sn, (pz, nz) = self.sn, self.zeros
 
         def flush(v):
@@ -802,8 +851,18 @@ class _Lowering:
         return flush
 
 
-def _identity(v):
-    return v
+def _bad_operator(op: str, at: int, *operands: Callable) -> Callable:
+    """The failing closure of an unknown arithmetic operator: it
+    evaluates the operands in order, then fails ``at`` ticks into its
+    statement."""
+    message = f"bad operator {op!r}"
+
+    def apply(fr: _Frame):
+        for operand in operands:
+            operand(fr)
+        return _fail(fr, at, message)
+
+    return apply
 
 
 def lower(

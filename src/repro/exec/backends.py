@@ -169,12 +169,6 @@ class ProcessPoolBackend:
 
     name = "process-pool"
     remote = True
-    #: The service batches this many consecutive chunks into one pool
-    #: task: typical chunks are a few milliseconds of work, so per-task
-    #: pickle + IPC round trips dominate at chunk granularity.  Grouping
-    #: changes scheduling only — each chunk still executes with its own
-    #: private store, so outcomes are byte-identical at any group size.
-    group_requests = 8
 
     def __init__(self, workers: int) -> None:
         if workers < 2:

@@ -23,7 +23,7 @@ Guarantees:
   original's, rebound to the duplicate's test id, with zero execution
   counters.
 * **One task** — every remote backend (pool or bridge) runs one chunk
-  task, :func:`_execute_task`, on groups of indexed chunks with the
+  task, :func:`_execute_task`, one indexed chunk per task with the
   parent's tracing flag riding in the payload; ordered and unordered
   sweeps share one dispatch loop and differ only in ``imap`` versus
   ``imap_unordered``.  Serial backends run each chunk in-process
@@ -299,32 +299,23 @@ def _execute_requests(
     return outcomes, stats
 
 
-def _grouped(chunks: Iterable[Any], size: int) -> Iterator[List[Any]]:
-    """Batch consecutive items into lists of at most ``size``."""
-    group: List[Any] = []
-    for chunk in chunks:
-        group.append(chunk)
-        if len(group) >= size:
-            yield group
-            group = []
-    if group:
-        yield group
-
-
 def _execute_task(
     payload: Tuple[bool, Sequence[Tuple[int, Sequence[SweepRequest]]]],
 ) -> List[Tuple[int, List[SweepOutcome], Dict[str, float], List[SpanRecord]]]:
     """The one chunk task remote backends run: ``(traced, [(index,
-    requests), ...])`` in, ``[(index, outcomes, stats, spans)]`` out.
+    requests)])`` in, ``[(index, outcomes, stats, spans)]`` out.
 
-    Several chunks ride in one task (one pickle/IPC round trip); each
-    still runs through :func:`_execute_requests` with its own private
-    store, so results are byte-identical at any group size.  When
-    ``traced``, each chunk runs under a fresh local tracer (the parent's
-    is unreachable across the process boundary) and ships back its
-    spans, ending with an ``exec.chunk`` span; the parent merges them by
-    the submission-order chunk index, never arrival order, keeping
-    traces deterministic.  Untraced, the span list is empty.
+    The service sends one chunk per task, so a pool hands out work at
+    chunk granularity and the first result returns after one chunk; the
+    list shape stays because benchmark tooling indexes into it.  Each
+    chunk runs through :func:`_execute_requests` with its own private
+    store, so results do not depend on how chunks are spread over
+    tasks or workers.  When ``traced``, each chunk runs under a fresh
+    local tracer (the parent's is unreachable across the process
+    boundary) and ships back its spans, ending with an ``exec.chunk``
+    span; the parent merges them by the submission-order chunk index,
+    never arrival order, keeping traces deterministic.  Untraced, the
+    span list is empty.
     """
     traced, group = payload
     results = []
@@ -392,21 +383,20 @@ class ExecutionService:
         self, chunks: Iterable[Sequence[SweepRequest]], ordered: bool
     ) -> Iterator[Tuple[int, List[SweepOutcome]]]:
         """The one dispatch loop: local chunks run in order against the
-        shared store; remote ones travel as groups of ``group_requests``
-        (1 when the backend names none) through the one chunk task."""
+        shared store; remote ones travel one per task through the one
+        chunk task."""
         tracer = get_tracer()
         indexed = ((i, tuple(chunk)) for i, chunk in enumerate(chunks))
         if not self.backend.remote:
             for index, chunk in indexed:
                 yield index, self._run_local(index, chunk, tracer)
             return
-        size = getattr(self.backend, "group_requests", 0) or 1
         imap = self.backend.imap if ordered else self.backend.imap_unordered
         # Looked up at call time, so a hook installed on this name wraps
         # every task.
         batches = imap(
             _execute_indexed_group_task_traced,
-            ((tracer.enabled, group) for group in _grouped(indexed, size)),
+            ((tracer.enabled, [chunk]) for chunk in indexed),
         )
         for batch in batches:
             for index, outcomes, stats, records in batch:

@@ -17,10 +17,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 
 from repro.fp.types import FPType
 from repro.fp.classify import is_subnormal
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FPExceptionFlags",
@@ -84,7 +87,9 @@ class FPExceptionFlags:
 _INF = float("inf")
 
 
-def flag_for_result(r: float, ops: Sequence[float], sn: float) -> Optional[str]:
+def flag_for_result(
+    r: float, ops: Sequence[Union[float, np.floating]], sn: float
+) -> Optional[str]:
     """The IEEE event an operation's result implies, or ``None``.
 
     Without hardware status registers we infer events from values, the
@@ -97,7 +102,9 @@ def flag_for_result(r: float, ops: Sequence[float], sn: float) -> Optional[str]:
     * non-zero result below the normal range → Underflow (to subnormal).
 
     This is the only statement of the rule: :class:`FPEnv` and the
-    evaluator (:mod:`repro.devices.batch`) both call it.
+    evaluator (:mod:`repro.devices.batch`) both call it, the evaluator
+    with its operands as NumPy scalars of the kernel dtype under
+    ``np.errstate(all="ignore")`` (``inf - inf`` warns otherwise).
     """
     if r != r:
         for o in ops:
@@ -117,7 +124,9 @@ def flag_for_result(r: float, ops: Sequence[float], sn: float) -> Optional[str]:
     return None
 
 
-def flag_for_division(r: float, ops: Sequence[float], sn: float) -> Optional[str]:
+def flag_for_division(
+    r: float, ops: Sequence[Union[float, np.floating]], sn: float
+) -> Optional[str]:
     """Division's own rule over ``ops = (numerator, denominator)``.
 
     x/0 with x neither zero nor NaN (±inf included) is DivideByZero;

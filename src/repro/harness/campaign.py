@@ -205,9 +205,11 @@ class CampaignConfig:
         The paper's inputs-per-program ratios are 6.99 (FP64: 24,750 runs
         per option per compiler) and 5.55 (FP32: 15,760); with a uniform
         7 inputs per program this preset yields 694,400 runs vs the
-        paper's 652,600 — within 7%, same program counts."""
+        paper's 652,600 — within 7%, same program counts.  ``workers``
+        defaults to one per CPU: the parent of a pool run mostly waits
+        on its workers, and one CPU (or an unknown count) runs serially."""
         if workers is None:
-            workers = max(1, (os.cpu_count() or 2) - 1)
+            workers = os.cpu_count() or 1
         return cls(
             seed=seed,
             n_programs_fp64=3540,

@@ -422,6 +422,24 @@ class TestLoweringCoverage:
         batch = _lowered_matches_reference(kernel, rows)
         assert batch[0].printed == "2.5"
 
+    @pytest.mark.parametrize("site", ["binop", "scalar-aug", "array-aug"])
+    def test_unknown_operator_fails_like_the_reference(self, site):
+        """An operator outside ``+ - * /`` (the IR constructors refuse
+        one, so the test swaps it in afterwards) lowers to a failing
+        closure that evaluates its operands first, and yields to a trap
+        at the same step budgets as the tree walk."""
+        kernel = _site_kernel(FPType.FP64, site, "+")
+        node = kernel.body[0]
+        (node if site != "binop" else node.expr).op = "%"
+        row = _site_row(site, 1.5, 2.5)
+        device = get_stack("nvcc").device()
+        walker = ReferenceInterpreter(device.mathlib, device.interpreter.cost_model)
+        for max_steps in (0, 1, 2, 3, 4, 5, 100):
+            options = ExecOptions(max_steps=max_steps)
+            lowered = _outcome(device.interpreter.run, kernel, row, options)
+            assert lowered == _outcome(walker.run, kernel, row, options)
+        assert lowered == ("error", "bad operator '%'")
+
 
 class TestTraceLowering:
     def test_trace_matches_reference_on_every_statement_form(self):
@@ -495,6 +513,105 @@ class TestNonFiniteIntegerContext:
         for kernel in self._kernels():
             with pytest.raises(ExecutionError, match="no integer value"):
                 run_batch(interpreter, kernel, [(0.0, 2.0, 1.0), (0.0, value, 1.0)])
+
+
+# ----------------------------------------------------- event slow path
+_NAN, _INF = math.nan, math.inf
+
+#: ``(case, operator, x, y, events)`` for the arithmetic sites.  The
+#: division rule flags an infinite numerator over zero as well.
+_ARITH_EVENTS = [
+    ("nan operand", "+", _NAN, 1.0, {}),
+    ("nan over zero", "/", _NAN, 0.0, {}),
+    ("inf plus finite", "+", _INF, 1.0, {}),
+    ("inf minus inf", "-", _INF, _INF, {"invalid": 1}),
+    ("zero over zero", "/", 0.0, 0.0, {"invalid": 1}),
+    ("finite over +0", "/", 1.5, 0.0, {"divide_by_zero": 1}),
+    ("finite over -0", "/", -1.5, -0.0, {"divide_by_zero": 1}),
+    ("inf over +0", "/", _INF, 0.0, {"divide_by_zero": 1}),
+    ("-inf over -0", "/", -_INF, -0.0, {"divide_by_zero": 1}),
+    ("overflow by product", "*", "max", 2.0, {"overflow": 1}),
+    ("overflow by sum", "+", "max", "max", {"overflow": 1}),
+    ("subnormal product", "*", "tiny", 0.5, {"underflow": 1}),
+]
+
+#: ``(case, function, x, events)`` for a one-argument call site;
+#: ``x`` may depend on the precision.
+_CALL_EVENTS = [
+    ("nan operand", "sqrt", _NAN, {}),
+    ("inf operand", "exp", _INF, {}),
+    ("invalid", "sqrt", -1.0, {"invalid": 1}),
+    ("log of +0", "log", 0.0, {"divide_by_zero": 1}),
+    ("log of -0", "log", -0.0, {"divide_by_zero": 1}),
+    ("overflow", "exp", {"fp64": 1000.0, "fp32": 100.0, "fp16": 20.0}, {"overflow": 1}),
+    ("subnormal", "exp", {"fp64": -709.0, "fp32": -88.0, "fp16": -10.0}, {"underflow": 1}),
+]
+
+
+def _site_kernel(fptype, site, op):
+    """One operation at ``site``; the row is ``_site_row``'s."""
+    b = IRBuilder(fptype)
+    if site == "binop":
+        params, body = [b.fparam("comp"), b.fparam("x"), b.fparam("y")], [
+            b.assign("comp", BinOp(op, b.var("x"), b.var("y")))
+        ]
+    elif site == "scalar-aug":
+        params, body = [b.fparam("comp"), b.fparam("y")], [b.aug("comp", op, "y")]
+    elif site == "array-aug":
+        params = [b.fparam("comp"), b.aparam("a"), b.fparam("y")]
+        body = [b.aug(b.idx("a", 0), op, "y"), b.assign("comp", b.idx("a", 0))]
+    else:
+        params, body = [b.fparam("comp"), b.fparam("x")], [b.assign("comp", b.call(op, "x"))]
+    return b.kernel(params, body)
+
+
+def _site_row(site, x, y):
+    return (x, y) if site == "scalar-aug" else (0.0, x) if site == "call" else (0.0, x, y)
+
+
+class TestEventSlowPath:
+    """Deterministic pins of the IEEE-event slow path at every site that
+    settles a result: the flag counts equal the reference tree walk's
+    and the hard-coded ones, in each precision and flush mode.  Output
+    flushing counts an underflow of its own after the rule's."""
+
+    def _check(self, fptype, flush, site, op, row, events):
+        kernel = _site_kernel(fptype, site, op)
+        device = get_stack("nvcc").device()
+        options = ExecOptions(flush=flush)
+        (lowered,) = run_batch(device.interpreter, kernel, [row], options)
+        (reference,) = reference_rows(device, kernel, [row], options)
+        assert _sig(lowered) == _sig(reference)
+        expected = dict.fromkeys(lowered.flags, 0)
+        expected.update(events)
+        if "underflow" in events and flush.flushes_outputs:
+            expected["underflow"] += 1
+        assert lowered.flags == expected
+
+    @pytest.mark.parametrize("flush", list(FlushMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("lane", sorted(CONFIGS))
+    @pytest.mark.parametrize("site", ["binop", "scalar-aug", "array-aug"])
+    def test_arithmetic_sites(self, site, lane, flush):
+        fptype = CONFIGS[lane]().fptype
+        info = np.finfo(fptype.dtype)
+        named = {"max": float(info.max), "tiny": float(info.tiny)}
+        for case, op, x, y, events in _ARITH_EVENTS:
+            row = _site_row(site, named.get(x, x), named.get(y, y))
+            try:
+                self._check(fptype, flush, site, op, row, events)
+            except AssertionError as err:
+                raise AssertionError(f"{case}: {err}") from err
+
+    @pytest.mark.parametrize("flush", list(FlushMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("lane", sorted(CONFIGS))
+    def test_one_argument_call(self, lane, flush):
+        fptype = CONFIGS[lane]().fptype
+        for case, func, x, events in _CALL_EVENTS:
+            x = x[lane] if isinstance(x, dict) else x
+            try:
+                self._check(fptype, flush, "call", func, _site_row("call", x, None), events)
+            except AssertionError as err:
+                raise AssertionError(f"{case}: {err}") from err
 
 
 # ---------------------------------------------------------- artifact cache

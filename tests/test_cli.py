@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -48,9 +49,10 @@ class TestConfigFromArgs:
         config = _config(["--scale", "paper", "--workers", "0"])
         assert config.workers == 0
 
-    def test_paper_scale_auto_workers_without_override(self):
+    def test_paper_scale_auto_workers_without_override(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         config = _config(["--scale", "paper"])
-        assert config.workers >= 1
+        assert config.workers == 2
 
     def test_resume_requires_checkpoint(self):
         with pytest.raises(SystemExit):

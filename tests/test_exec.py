@@ -357,6 +357,28 @@ class TestRunStoreGolden:
 
 
 # ----------------------------------------------------------------- service
+class _RecordingBackend(ProcessPoolBackend):
+    """The pool backend's dispatch attributes with its tasks run
+    in-process: it records every payload and completes unordered tasks
+    in reverse submission order."""
+
+    name = "recording"
+
+    def __init__(self) -> None:
+        super().__init__(2)
+        self.payloads = []
+
+    def imap(self, fn, payloads):
+        payloads = list(payloads)
+        self.payloads.extend(payloads)
+        return map(fn, payloads)
+
+    def imap_unordered(self, fn, payloads):
+        payloads = list(payloads)
+        self.payloads.extend(payloads)
+        return reversed([fn(p) for p in payloads])
+
+
 class TestExecutionService:
     def test_identical_requests_dedupe(self, fp32_corpus):
         test = fp32_corpus.tests[0]
@@ -495,6 +517,37 @@ class TestExecutionService:
         assert batch_stats() == parent_batches
         assert pooled == serial
         assert pooled_stats == serial_stats
+
+    @pytest.mark.parametrize("method", ["run_sweeps", "run_sweeps_unordered"])
+    def test_remote_backend_gets_one_chunk_per_task(self, fp32_corpus, method):
+        """Each remote task carries exactly one indexed chunk, submitted
+        in chunk order; out-of-order completion still yields ordered
+        results (ordered sweeps) or the right indices (unordered ones),
+        and the outcomes equal the serial run's."""
+        chunks = _twin_chunks(fp32_corpus) * 2
+        backend = _RecordingBackend()
+        service = ExecutionService(backend=backend)
+        if method == "run_sweeps":
+            arrived = list(enumerate(service.run_sweeps(chunks)))
+        else:
+            arrived = list(service.run_sweeps_unordered(chunks))
+            assert [i for i, _ in arrived] == list(reversed(range(len(chunks))))
+        assert [
+            (traced, [(index, [r.tag for r in requests]) for index, requests in group])
+            for traced, group in backend.payloads
+        ] == [(False, [(i, [r.tag for r in chunk])]) for i, chunk in enumerate(chunks)]
+        by_index = dict(arrived)
+        for i, chunk in enumerate(chunks):
+            assert [o.tag for o in by_index[i]] == [r.tag for r in chunk]
+            assert [o.test_id for o in by_index[i]] == [r.test.test_id for r in chunk]
+        recorded, recorded_stats, _ = _sweep_summary(
+            ExecutionService(backend=_RecordingBackend()), chunks, method, False
+        )
+        serial, serial_stats, _ = _sweep_summary(
+            ExecutionService(backend=SerialBackend()), chunks, method, False
+        )
+        assert recorded == serial
+        assert recorded_stats == serial_stats
 
     def test_make_backend(self):
         assert make_backend(0).name == "serial"

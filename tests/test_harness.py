@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.harness.differential import (
 )
 from repro.harness.metadata import CampaignMetadata, SystemResults
 from repro.harness.outcomes import RunRecord
-from repro.exec import RunStore
+from repro.exec import RunStore, make_backend
 from repro.harness.runner import DifferentialRunner, pair_discrepancies
 from repro.harness.transfer import (
     SYSTEM1,
@@ -241,6 +242,15 @@ class TestCampaign:
         total = 2 * (2 * 3540 + 2840) * cfg.inputs_per_program * 5
         assert total == 694400
         assert abs(total - 652600) / 652600 < 0.07
+
+    @pytest.mark.parametrize("cpus, workers", [(None, 1), (1, 1), (2, 2), (8, 8)])
+    def test_paper_scale_defaults_to_one_worker_per_cpu(self, monkeypatch, cpus, workers):
+        """The parent of a pool run mostly waits, so the preset takes
+        every CPU; one CPU (or an unknown count) runs serially."""
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert CampaignConfig.paper_scale().workers == workers
+        assert CampaignConfig.paper_scale(workers=0).workers == 0
+        assert make_backend(workers).name == ("serial" if workers == 1 else "process-pool")
 
 
 # --------------------------------------------------------- campaign engine
