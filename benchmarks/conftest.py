@@ -35,7 +35,8 @@ def _bench_config() -> CampaignConfig:
         n_programs_fp64=220,
         n_programs_fp32=180,
         inputs_per_program=4,
-        workers=max(1, (os.cpu_count() or 2) - 1),
+        # A pool parent mostly waits on its workers, so take every CPU.
+        workers=os.cpu_count() or 1,
     )
 
 

@@ -29,6 +29,14 @@ lowering time instead:
   statement completes; a ``&&``/``||`` right-hand side adds its own sums
   only when it runs.
 
+Loop and branch bodies are lowered on first entry: a ``for`` or ``if``
+keeps a one-slot holder and lowers its body, with the same lowering, the
+first time a row enters it (a positive trip count, a true condition).
+Later iterations and later rows reuse those closures, and a body no row
+enters is never lowered.  Varity's loop bounds are input integers and
+its branches guard on computed values, so many bodies of a kernel run
+on a few inputs are never entered.
+
 **Tracing.**  A traced lowering (``lower(..., trace=True)``) emits one
 :class:`~repro.devices.interpreter.TraceEntry` per store, at the
 statements the tree walk traces: paths ``s0.f[i=3].s1`` and
@@ -226,6 +234,7 @@ class _Lowering:
         self.costs = cost_model
         self.settle_result = self._settle(flag_for_result)
         self.settle_division = self._settle(flag_for_division)
+        self.input, self.cast_input = self._inputs()
         params = kernel.params
         self.arrays = {p.name for p in params if p.type is IRType.FLOAT_PTR}
         self.ints = {p.name for p in params if p.type is IRType.INT}
@@ -281,7 +290,7 @@ class _Lowering:
     def operand(self, expr: Expr, pre: int) -> _Lowered:
         """A value operations consume: cast to the dtype, input-flushed."""
         fn, ticks, cost = self.expr(expr, pre, cast=True)
-        flush = self._input(cast=False)
+        flush = self.input
         if flush is None:
             return fn, ticks, cost
         return (lambda fr: flush(fn(fr))), ticks, cost
@@ -627,8 +636,8 @@ class _Lowering:
             return self._for(stmt)
         if cls is If:
             cond, ticks, cost = self.cond(stmt.cond, 1)
-            body = self.block(stmt.body)
             ticks += 1
+            stmts, slot, block = stmt.body, [None], self.block
             if self.trace:
 
                 def traced_if(fr: _Frame):
@@ -636,6 +645,9 @@ class _Lowering:
                     fr.steps += ticks
                     fr.cost += cost
                     if taken:
+                        body = slot[0]
+                        if body is None:
+                            body = slot[0] = block(stmts)
                         _run_block(fr, body, f"{fr.path}.t.")
 
                 return traced_if
@@ -645,6 +657,9 @@ class _Lowering:
                 fr.steps += ticks
                 fr.cost += cost
                 if taken:
+                    body = slot[0]
+                    if body is None:
+                        body = slot[0] = block(stmts)
                     for inner in body:
                         inner(fr)
 
@@ -653,33 +668,43 @@ class _Lowering:
 
     def _for(self, stmt: For) -> Callable:
         bound, ticks, _ = self.index(stmt.bound, 1)
-        body = self.block(stmt.body)
         var, ticks = stmt.var, ticks + 1
+        stmts, slot, block = stmt.body, [None], self.block
         if self.trace:
 
             def traced_for(fr: _Frame):
-                n = bound(fr)
+                iterations = range(bound(fr))
                 fr.steps += ticks
-                ints, limit, base = fr.it, fr.max_steps, fr.path
-                for i in range(n):
-                    if fr.steps > limit:
-                        raise _trap(fr)
-                    ints[var] = i
-                    _run_block(fr, body, f"{base}.f[{var}={i}].")
+                ints = fr.it
+                if iterations:
+                    body = slot[0]
+                    if body is None:
+                        body = slot[0] = block(stmts)
+                    limit, base = fr.max_steps, fr.path
+                    for i in iterations:
+                        if fr.steps > limit:
+                            raise _trap(fr)
+                        ints[var] = i
+                        _run_block(fr, body, f"{base}.f[{var}={i}].")
                 ints.pop(var, None)
 
             return traced_for
 
         def for_(fr: _Frame):
-            n = bound(fr)
+            iterations = range(bound(fr))
             fr.steps += ticks
-            ints, limit = fr.it, fr.max_steps
-            for i in range(n):
-                if fr.steps > limit:
-                    raise _trap(fr)
-                ints[var] = i
-                for inner in body:
-                    inner(fr)
+            ints = fr.it
+            if iterations:
+                body = slot[0]
+                if body is None:
+                    body = slot[0] = block(stmts)
+                limit = fr.max_steps
+                for i in iterations:
+                    if fr.steps > limit:
+                        raise _trap(fr)
+                    ints[var] = i
+                    for inner in body:
+                        inner(fr)
             ints.pop(var, None)
 
         return for_
@@ -719,7 +744,7 @@ class _Lowering:
                 return _bad_operator(stmt.op, at, value, current)
             fn, settle, op_cost = self.arith(stmt.op)
             cost += op_cost
-            prep = self._input(name in self.uncast)
+            prep = self.cast_input if name in self.uncast else self.input
             sn = self.sn
             nsn = -sn
 
@@ -775,7 +800,7 @@ class _Lowering:
         store_index, it, _ = self.index(target.index, ticks)
         ticks += it
         cost += op_cost + 2 * load_store
-        prep = self._input(cast=False)
+        prep = self.input
         sn = self.sn
         nsn = -sn
 
@@ -831,24 +856,26 @@ class _Lowering:
 
         return record_element
 
-    def _input(self, cast: bool) -> Optional[Callable]:
-        """The input side of an operation on a value already computed:
-        cast (when it may be uncast) and input flush, if the mode has it;
-        ``None`` when there is nothing to do."""
+    def _inputs(self) -> Tuple[Optional[Callable], Optional[Callable]]:
+        """The input side of an operation on a value already computed,
+        ``(as is, cast first)``: input flush, if the mode has it, after
+        the cast of a value that may be uncast; ``None`` when there is
+        nothing to do.  Built once per lowering."""
         T = self.T
         if not self.flush_in:
-            return T if cast else None
+            return None, T
         sn, (pz, nz) = self.sn, self.zeros
 
         def flush(v):
-            if cast:
-                v = T(v)
             x = float(v)
             if x != 0.0 and -sn < x < sn:
                 return pz if x > 0.0 else nz
             return v
 
-        return flush
+        def cast_flush(v):
+            return flush(T(v))
+
+        return flush, cast_flush
 
 
 def _bad_operator(op: str, at: int, *operands: Callable) -> Callable:

@@ -8,7 +8,7 @@ passes over thousands of programs rely on not copying unchanged subtrees).
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Sequence, TypeVar
+from typing import Callable, Dict, Iterator, List, Sequence, TypeVar
 
 from repro.ir.nodes import (
     ArrayRef,
@@ -77,14 +77,28 @@ class Transformer:
     (or the same node to keep it).  Statement hooks may also return a list
     of statements (to expand) or ``None`` (to delete the statement) when
     invoked via :meth:`transform_body`.
+
+    Hooks are class-level: each subclass builds its ``{node class: hook}``
+    table once, when it is defined, so a hook set on an instance or added
+    to the class afterwards is never called.
     """
+
+    _hooks: Dict[type, Callable] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._hooks = {}
+        for node_type in (*Expr.__subclasses__(), *Stmt.__subclasses__()):
+            hook = getattr(cls, f"visit_{node_type.__name__}", None)
+            if hook is not None:
+                cls._hooks[node_type] = hook
 
     # -- expression dispatch --------------------------------------------------
     def transform_expr(self, node: Expr) -> Expr:
         rebuilt = self._rebuild_expr(node)
-        hook = getattr(self, f"visit_{type(rebuilt).__name__}", None)
+        hook = self._hooks.get(type(rebuilt))
         if hook is not None:
-            result = hook(rebuilt)
+            result = hook(self, rebuilt)
             if result is None:
                 raise TypeError(
                     f"expression hook visit_{type(rebuilt).__name__} returned None"
@@ -137,9 +151,9 @@ class Transformer:
     def transform_stmt(self, stmt: Stmt):
         """Transform one statement; may return Stmt, list of Stmt, or None."""
         rebuilt = self._rebuild_stmt(stmt)
-        hook = getattr(self, f"visit_{type(rebuilt).__name__}", None)
+        hook = self._hooks.get(type(rebuilt))
         if hook is not None:
-            return hook(rebuilt)
+            return hook(self, rebuilt)
         return rebuilt
 
     def _rebuild_stmt(self, stmt: Stmt) -> Stmt:

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.compilers.hipcc import HipccCompiler
 from repro.compilers.nvcc import NvccCompiler
 from repro.compilers.options import OptLevel, OptSetting, PAPER_OPT_SETTINGS
-from repro.devices.batch import batch_stats, reset_batch_stats, run_batch
+from repro.devices.batch import _Lowering, batch_stats, reset_batch_stats, run_batch
 from repro.devices.interpreter import ExecOptions
 from repro.errors import ExecutionError, HarnessError, TrapError
 from repro.fp.env import FlushMode
@@ -480,6 +480,211 @@ class TestTraceLowering:
         assert "s3: a[3001] = 0.5" in text
         assert "s4.f[i=0].s1.f[i=1].s0: t = 1.125" in text
         assert "s4.f[i=0].s2.t.s0: comp = 3000.0" in text
+
+
+# ------------------------------------------------------- lazy lowering
+FPTYPES = (FPType.FP64, FPType.FP32, FPType.FP16)
+
+
+def _batch_outcome(run, sig):
+    """What one batch observably does: every row's signature (``None``
+    for a trapped row), or the error the first failing row raises."""
+    try:
+        return [None if r is None else sig(r) for r in run()]
+    except ExecutionError as err:
+        return ("error", str(err))
+
+
+def _lazy_outcomes(kernel, rows, options):
+    """``run_batch`` and the reference tree walk on ``rows``, compared
+    with the trace when ``options`` asks for one."""
+    device = get_stack("nvcc").device()
+    sig = _traced_sig if options.trace else _sig
+    lowered = _batch_outcome(lambda: run_batch(device.interpreter, kernel, rows, options), sig)
+    expected = _batch_outcome(lambda: reference_rows(device, kernel, rows, options), sig)
+    return lowered, expected
+
+
+def _guarded_kernel(fptype):
+    """Two loops and two branches that only some rows enter: ``n`` and
+    ``m`` are trip counts, ``x`` guards both branches."""
+    b = IRBuilder(fptype)
+    return b.kernel(
+        [b.fparam("comp"), b.iparam("n"), b.iparam("m"), b.fparam("x"), b.aparam("a")],
+        [
+            b.loop(
+                "i",
+                "n",
+                [
+                    b.aug("comp", "+", b.mul("x", 1.5)),
+                    b.loop("j", "m", [b.aug(b.idx("a", "j"), "*", "x")]),
+                    b.when(b.cmp(">", "x", 1.0), [b.aug("comp", "+", b.idx("a", "i"))]),
+                ],
+            ),
+            b.when(
+                b.cmp("<", "x", 0.0),
+                [b.decl("t", b.mul("x", "x")), b.aug("comp", "-", b.add("t", b.idx("a", 1)))],
+            ),
+        ],
+    )
+
+
+def _guarded_bodies(kernel):
+    """The statement lists of ``_guarded_kernel``: the kernel body, the
+    outer loop's, the inner loop's, and the two branches'."""
+    outer, tail = kernel.body
+    return {
+        "kernel": kernel.body,
+        "outer": outer.body,
+        "inner": outer.body[1].body,
+        "x > 1": outer.body[2].body,
+        "x < 0": tail.body,
+    }
+
+
+def _guarded_rows(fptype):
+    """``(comp, n, m, x, a)``: the first row enters no body; the others
+    enter some, one with a subnormal fill so the flush modes differ."""
+    tiny = float(np.finfo(fptype.dtype).smallest_subnormal)
+    return {
+        "none": (0.5, 0, 3, 0.5, 1.25),
+        "outer, x > 1": (0.5, 3, 0, 2.0, 1.25),
+        "outer, inner, x < 0": (0.5, 2, 2, -1.5, tiny * 3),
+        "none, negative bound": (0.5, -4, 5, 0.75, 2.0),
+    }
+
+
+@pytest.fixture
+def block_calls(monkeypatch):
+    """Every statement list ``_Lowering.block`` lowers, in order."""
+    calls = []
+    block = _Lowering.block
+
+    def counting(self, body):
+        calls.append(body)
+        return block(self, body)
+
+    monkeypatch.setattr(_Lowering, "block", counting)
+    return calls
+
+
+class TestLazyLowering:
+    """Loop and branch bodies are lowered when a row first enters them:
+    bit-identical to the tree walk, and each body lowered at most once per
+    lowering."""
+
+    @given(seed=seeds, lane=st.sampled_from(sorted(CONFIGS)), data=st.data())
+    @_bit_equality
+    def test_generated_kernels_with_extreme_trip_counts(self, seed, lane, data):
+        """INT inputs forced to 0, negative values and the largest trip
+        count the generator draws, row by row in one batch, under every
+        flush mode, traced and untraced."""
+        cfg = CONFIGS[lane]()
+        program = ProgramGenerator(cfg).generate(seed)
+        extremes = [0, -1, -cfg.max_loop_bound, cfg.max_loop_bound]
+        ints = [i for i, p in enumerate(program.kernel.params) if p.type is IRType.INT]
+        rows = []
+        for row in _rows(cfg, program.kernel, seed, 4):
+            row = list(row)
+            for i in ints:
+                row[i] = data.draw(st.sampled_from(extremes))
+            rows.append(tuple(row))
+        for opt in OPTS2:
+            kernel = NvccCompiler().compile(program, opt).kernel
+            for flush in FlushMode:
+                for trace in (False, True):
+                    options = ExecOptions(flush=flush, trace=trace)
+                    lowered, expected = _lazy_outcomes(kernel, rows, options)
+                    assert lowered == expected
+
+    @pytest.mark.parametrize("fptype", FPTYPES, ids=lambda t: t.name)
+    @pytest.mark.parametrize("flush", list(FlushMode), ids=lambda f: f.name)
+    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+    def test_first_row_skips_what_later_rows_enter(self, fptype, flush, trace):
+        kernel = _guarded_kernel(fptype)
+        rows = list(_guarded_rows(fptype).values())
+        options = ExecOptions(flush=flush, trace=trace)
+        lowered, expected = _lazy_outcomes(kernel, rows, options)
+        assert lowered == expected
+        assert None not in lowered
+
+    @pytest.mark.parametrize("fptype", FPTYPES, ids=lambda t: t.name)
+    @pytest.mark.parametrize("flush", list(FlushMode), ids=lambda f: f.name)
+    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+    def test_zero_trip_inner_loop_still_unbinds_the_reused_variable(
+        self, fptype, flush, trace
+    ):
+        """An inner loop over the outer loop's variable unbinds it when it
+        ends, also when its body never runs (and so is never lowered):
+        reading the variable afterwards is an unknown name."""
+        b = IRBuilder(fptype)
+        kernel = b.kernel(
+            [b.fparam("comp"), b.iparam("n"), b.iparam("m")],
+            [
+                b.loop(
+                    "i",
+                    "n",
+                    [b.loop("i", "m", [b.aug("comp", "+", 0.5)]), b.aug("comp", "+", "i")],
+                ),
+            ],
+        )
+        options = ExecOptions(flush=flush, trace=trace)
+        device = get_stack("nvcc").device()
+        walker = ReferenceInterpreter(device.mathlib, device.interpreter.cost_model)
+        sig = _traced_sig if trace else _sig
+        for row in ((1.0, 0, 0), (1.0, 2, 0), (1.0, 2, 3)):
+            lowered = _outcome(device.interpreter.run, kernel, row, options, sig)
+            assert lowered == _outcome(walker.run, kernel, row, options, sig)
+            if row[1] > 0:
+                assert lowered == ("error", "unknown name 'i'")
+        lowered, expected = _lazy_outcomes(kernel, [(1.0, 0, 0), (1.0, 2, 0)], options)
+        assert lowered == expected == ("error", "unknown name 'i'")
+
+    @pytest.mark.parametrize("fptype", FPTYPES, ids=lambda t: t.name)
+    @pytest.mark.parametrize("flush", list(FlushMode), ids=lambda f: f.name)
+    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+    def test_budget_at_a_row_that_first_enters_a_body(self, fptype, flush, trace):
+        """With ``max_steps`` at ``s - 1`` and at ``s`` for the step count
+        ``s`` of a row that enters bodies the row before it skipped, that
+        row traps or completes exactly as the reference does."""
+        kernel = _guarded_kernel(fptype)
+        rows = _guarded_rows(fptype)
+        skip, enter = rows["none"], rows["outer, inner, x < 0"]
+        device = get_stack("nvcc").device()
+        walker = ReferenceInterpreter(device.mathlib, device.interpreter.cost_model)
+        steps = walker.run(kernel, enter, ExecOptions(flush=flush)).steps
+        sig = _traced_sig if trace else _sig
+        for budget in (steps - 1, steps):
+            options = ExecOptions(flush=flush, trace=trace, max_steps=budget)
+            lowered, expected = _lazy_outcomes(kernel, [skip, enter], options)
+            assert lowered == expected
+            assert lowered[0] is not None
+            assert (lowered[1] is None) == (budget < steps)
+            single = _outcome(device.interpreter.run, kernel, enter, options, sig)
+            assert single == _outcome(walker.run, kernel, enter, options, sig)
+
+    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+    def test_each_body_lowered_once_and_only_when_entered(self, block_calls, trace):
+        kernel = _guarded_kernel(FPType.FP32)
+        bodies = _guarded_bodies(kernel)
+        rows = _guarded_rows(FPType.FP32)
+        interpreter = get_stack("nvcc").device().interpreter
+        options = ExecOptions(trace=trace)
+
+        def lowered(batch):
+            block_calls.clear()
+            run_batch(interpreter, kernel, batch, options)
+            ids = [id(body) for body in block_calls]
+            assert len(ids) == len(set(ids)), "a body was lowered twice"
+            return {name for name, body in bodies.items() if id(body) in ids}
+
+        skipping = [rows["none"], rows["none, negative bound"]]
+        assert lowered(skipping * 3) == {"kernel"}
+        assert lowered([rows["none"], rows["outer, x > 1"]]) == {"kernel", "outer", "x > 1"}
+        # Every row, three times over: each body is entered on many
+        # iterations of many rows and still lowered once.
+        assert lowered(list(rows.values()) * 3) == set(bodies)
+        assert len(block_calls) == len(bodies)
 
 
 class TestNonFiniteIntegerContext:

@@ -208,6 +208,22 @@ class TestTransformer:
         out = ConstBump().transform_stmt(loop)
         assert out.body[0].expr.value == 2.0
 
+    def test_hooks_are_inherited_and_overridden(self):
+        class Base(Transformer):
+            def visit_VarRef(self, node):
+                return VarRef("z")
+
+            def visit_Const(self, node):
+                return Const(1.0)
+
+        class Child(Base):
+            def visit_Const(self, node):
+                return Const(2.0)
+
+        e = BinOp("+", VarRef("a"), Const(0.0))
+        assert Base().transform_expr(e) == BinOp("+", VarRef("z"), Const(1.0))
+        assert Child().transform_expr(e) == BinOp("+", VarRef("z"), Const(2.0))
+
     def test_expr_hook_returning_none_rejected(self):
         class Bad(Transformer):
             def visit_Const(self, node):
