@@ -8,7 +8,7 @@ three execution configurations the redesign enables:
 * ``scalar``    — ``SerialBackend`` with the batch hot path switched OFF:
   every batch runs row by row on the reference tree walk
   (``tests/reference_interpreter.py``, under ``reference_batches()``)
-  and ``CachePolicy(artifacts=False)`` recompiles every sweep — the
+  and every sweep recompiles (under ``uncached_compiles()``) — the
   baseline the batch speedup is measured against.  The lane still
   shares one execution across opt settings whose kernels came out
   identical, as every runner does;
@@ -56,12 +56,10 @@ from repro.bridge.client import BridgeBackend
 from repro.bridge.server import start_server
 from repro.bridge.worker import run_worker
 from repro.exec import (
-    CachePolicy,
     ExecutionService,
     ProcessPoolBackend,
     RunStore,
     RunnerSpec,
-    SHARED_CACHE,
     SerialBackend,
     SweepRequest,
 )
@@ -74,7 +72,7 @@ from repro.varity.corpus import build_corpus
 from conftest import emit
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from reference_interpreter import reference_batches  # noqa: E402
+from reference_interpreter import reference_batches, uncached_compiles  # noqa: E402
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "default")
 
@@ -105,45 +103,28 @@ def _union_seconds(records, names):
     return total / 1e9
 
 
-#: The batch hot path switched off: the reference tree walk row by row
-#: (the lane runs under ``reference_batches()``) and a fresh compile per
-#: sweep.  ``batch_speedup`` in the summary JSON is the ratio of this
-#: lane to the batched serial lane.
-SCALAR_CACHE = CachePolicy(reuse=True, scope="shared", artifacts=False)
-
-
 def _workload():
-    """One chunk per program: native sweep + HIPIFY twin, fuzz-style.
-
-    Returns the batched chunks plus a scalar-lane copy of the same
-    workload (artifact cache off) for the baseline pass."""
+    """One chunk per program: native sweep + HIPIFY twin, fuzz-style."""
     n_programs = {"tiny": 12, "paper": 400}.get(SCALE, 120)
     corpus = build_corpus(
         GeneratorConfig.fp32(inputs_per_program=3), n_programs, root_seed=2024
     )
 
-    def make(cache):
-        return [
-            [
-                SweepRequest(
-                    test=t,
-                    opts=PAPER_OPT_SETTINGS,
-                    tag=("native",),
-                    cache=cache,
-                    runner=RunnerSpec(),
-                ),
-                SweepRequest(
-                    test=t.hipified(),
-                    opts=PAPER_OPT_SETTINGS,
-                    tag=("hipify",),
-                    cache=cache,
-                    runner=RunnerSpec(),
-                ),
-            ]
-            for t in corpus
+    chunks = [
+        [
+            SweepRequest(
+                test=t, opts=PAPER_OPT_SETTINGS, tag=("native",), runner=RunnerSpec()
+            ),
+            SweepRequest(
+                test=t.hipified(),
+                opts=PAPER_OPT_SETTINGS,
+                tag=("hipify",),
+                runner=RunnerSpec(),
+            ),
         ]
-
-    return n_programs, make(SHARED_CACHE), make(SCALAR_CACHE)
+        for t in corpus
+    ]
+    return n_programs, chunks
 
 
 def _run(service, chunks):
@@ -166,7 +147,7 @@ def _run(service, chunks):
 
 
 def test_exec_service_throughput(results_dir):
-    n_programs, chunks, scalar_chunks = _workload()
+    n_programs, chunks = _workload()
     store_path = results_dir / "exec_service.store.sqlite"
     scalar_store_path = results_dir / "exec_service.scalar.store.sqlite"
     for path in (store_path, scalar_store_path):
@@ -174,12 +155,15 @@ def test_exec_service_throughput(results_dir):
             path.with_name(path.name + suffix).unlink(missing_ok=True)
     workers = max(2, (os.cpu_count() or 2) - 1)
 
-    with reference_batches():
+    # The batch hot path switched off: the reference tree walk row by
+    # row and a fresh compile per sweep.  ``batch_speedup`` in the
+    # summary JSON is the ratio of this lane to the batched serial lane.
+    with reference_batches(), uncached_compiles():
         scalar_s, scalar_t, scalar_keys = _run(
             ExecutionService(
                 SerialBackend(), RunStore(path=scalar_store_path, max_entries=4096)
             ),
-            scalar_chunks,
+            chunks,
         )
     serial_s, serial_t, serial_keys = _run(
         ExecutionService(SerialBackend(), RunStore(path=store_path, max_entries=4096)),

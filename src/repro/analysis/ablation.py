@@ -232,7 +232,7 @@ def run_ablation(
     ``workers`` to parallelize this call alone.
     """
     from repro.exec import (
-        ExecutionService, NO_CACHE, RunnerSpec, SweepRequest, make_backend,
+        ExecutionService, RunnerSpec, SweepRequest, make_backend,
     )
 
     owns = service is None
@@ -254,7 +254,7 @@ def run_ablation(
                         test=t,
                         opts=opts,
                         tag=(spec.name,),
-                        cache=NO_CACHE,
+                        reuse=False,
                         runner=runner_spec,
                     )
                     for t in tests[lo : lo + _CHUNK_TESTS]

@@ -5,16 +5,18 @@ run a test across an optimization sweep on both platforms.  This package
 owns that primitive once, as data plus policy:
 
 * :mod:`~repro.exec.units` — typed work units (:class:`SweepRequest` /
-  :class:`SweepOutcome`) plus cache and runner policies;
+  :class:`SweepOutcome`) plus runner specs;
 * :mod:`~repro.exec.content` — content keying: structurally identical
   kernels with identical inputs share one identity;
-* :mod:`~repro.exec.store` — the two-tier content-keyed
-  :class:`RunStore` (memory LRU + optional on-disk JSONL);
+* :mod:`~repro.exec.store` — the content-keyed :class:`RunStore`
+  (memory LRU + optional SQLite file, :mod:`~repro.exec.disk`);
+* :mod:`~repro.exec.artifacts` — the content-keyed compiled-kernel
+  :class:`ArtifactCache` (memory LRU);
 * :mod:`~repro.exec.backends` — ordered chunk execution, serial, on a
   persistent process pool, or through a :mod:`repro.bridge` worker
   fleet, deterministic at any worker count;
 * :mod:`~repro.exec.service` — the :class:`ExecutionService` facade:
-  dedup, store routing, dispatch, metrics.
+  dedup, the one cache rule, dispatch, metrics.
 
 The campaign engine, the fuzzer, the mechanism ablation, and the
 math-function sweep all execute through it.
@@ -32,13 +34,9 @@ from repro.exec.content import content_id, content_text, content_id_for
 from repro.exec.service import ExecMetrics, ExecutionService
 from repro.exec.store import BoundRunCache, RunStore
 from repro.exec.units import (
-    CachePolicy,
-    CHUNK_CACHE,
     CorpusTestSpec,
     DerivedTestSpec,
-    NO_CACHE,
     RunnerSpec,
-    SHARED_CACHE,
     SweepOutcome,
     SweepRequest,
 )
@@ -47,20 +45,16 @@ __all__ = [
     "ArtifactCache",
     "Backend",
     "BoundRunCache",
-    "CachePolicy",
-    "CHUNK_CACHE",
     "CorpusTestSpec",
     "DerivedTestSpec",
     "ExecMetrics",
     "ExecutionService",
     "make_backend",
-    "NO_CACHE",
     "ProcessPoolBackend",
     "RunnerSpec",
     "resolve_backend",
     "RunStore",
     "SerialBackend",
-    "SHARED_CACHE",
     "SweepOutcome",
     "SweepRequest",
     "content_id",

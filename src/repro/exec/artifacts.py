@@ -21,8 +21,7 @@ canonical emitter rejects by design), qualified by:
   clang compile the twin byte-identically, so their artifacts are
   *shared* between a native test and its twin);
 * the flush mode and the pass-pipeline fingerprint (the ordered pass
-  keys, parameters included), so a pipeline change invalidates
-  persisted artifacts instead of replaying stale ones.
+  keys, parameters included), so two pipelines never share an artifact.
 
 The optimization label is *not* part of the key: a compile is a function
 of the pipeline and flush mode alone, so settings that run the same
@@ -32,23 +31,17 @@ otherwise the exact object a fresh compile would produce — the hard
 invariant is that routing compiles through the cache leaves every
 ledger, fingerprint, and printed value byte-identical.
 
-Tiers mirror :class:`~repro.exec.store.RunStore`: a bounded LRU memory
-tier, plus an optional ``path`` naming the SQLite content store
-(:class:`~repro.exec.disk.ContentDB`, which it may share with a run
-store) whose ``artifacts`` table holds one pickled kernel per key, so a
-reopened session starts with a warm compiler.  A blob that does not
-unpickle to a compiled kernel is a miss; the recompiled kernel then
-overwrites it, so the next session hits.
+The cache is one bounded LRU in memory.  The execution service gives
+each chunk its own, so a native test and its HIPIFY twin share compiles
+wherever the chunk runs; a runner's probe path keeps another.
 """
 
 from __future__ import annotations
 
-import pickle
 from collections import OrderedDict
 from dataclasses import replace
 from functools import lru_cache
-from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.codegen.base import EmitterConfig, render_kernel_body, render_signature
 from repro.compilers.compiler import CompiledKernel, Compiler
@@ -56,9 +49,6 @@ from repro.compilers.options import OptSetting
 from repro.ir.nodes import value_number
 from repro.ir.program import Kernel, Program
 from repro.utils.hashing import hash_bytes
-
-if TYPE_CHECKING:
-    from repro.exec.disk import ContentDB
 
 __all__ = ["ArtifactCache", "kernel_text"]
 
@@ -75,22 +65,12 @@ def kernel_text(kernel: Kernel) -> str:
 
 
 class ArtifactCache:
-    """Two-tier content-keyed cache of compiled kernels."""
+    """Content-keyed LRU cache of compiled kernels."""
 
-    def __init__(
-        self,
-        max_entries: int = 4096,
-        path: Optional[Union[str, Path]] = None,
-    ) -> None:
+    def __init__(self, max_entries: int = 4096) -> None:
         if max_entries < 1:
             raise ValueError("ArtifactCache needs max_entries >= 1")
         self.max_entries = max_entries
-        self.path = Path(path) if path is not None else None
-        self._disk: Optional["ContentDB"] = None
-        if self.path is not None:
-            from repro.exec.disk import ContentDB
-
-            self._disk = ContentDB(self.path)
         self._entries: "OrderedDict[str, CompiledKernel]" = OrderedDict()
         # Flush mode + pipeline fingerprints are deterministic per
         # (compiler type, ablation spec, opt, fptype); memoized so keying
@@ -98,11 +78,8 @@ class ArtifactCache:
         # The type and spec — never ``compiler.name``, which an ablated
         # subclass inherits — identify the pipeline.
         self._fingerprints: Dict[Tuple[object, ...], str] = {}
-        # disk keys whose blob did not unpickle: their recompile overwrites
-        self._corrupt: Set[str] = set()
         self.hits = 0
         self.misses = 0
-        self.disk_hits = 0
         #: settings served by another setting's compile in the same sweep
         self.shared = 0
 
@@ -136,28 +113,14 @@ class ArtifactCache:
             self._entries.move_to_end(key)
             self.hits += 1
             return hit
-        if self._disk is not None:
-            blob = self._disk.artifact(key)
-            hit = _unpickle(blob)
-            if hit is not None:
-                self.disk_hits += 1
-                self.hits += 1
-                self._remember(key, hit, persist=False)
-                return hit
-            if blob is not None:
-                self._corrupt.add(key)
         self.misses += 1
         return None
 
-    def _remember(self, key: str, compiled: CompiledKernel, persist: bool = True) -> None:
+    def _remember(self, key: str, compiled: CompiledKernel) -> None:
         self._entries[key] = compiled
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
-        if persist and self._disk is not None:
-            heal = key in self._corrupt
-            self._corrupt.discard(key)
-            self._disk.put_artifact(key, pickle.dumps(compiled), replace=heal)
 
     # ------------------------------------------------------------- compile
     def compile(
@@ -208,13 +171,8 @@ class ArtifactCache:
         return {
             "hits": self.hits + self.shared,
             "misses": self.misses,
-            "disk_hits": self.disk_hits,
             "entries": len(self._entries),
         }
-
-    def close(self) -> None:
-        if self._disk is not None:
-            self._disk.close()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -258,14 +216,3 @@ def _rebind(
     if compiled.program_id == program.program_id and compiled.opt == opt:
         return compiled
     return replace(compiled, program_id=program.program_id, opt=opt)
-
-
-def _unpickle(blob: Optional[bytes]) -> Optional[CompiledKernel]:
-    """A stored blob back to its kernel; ``None`` when absent or corrupt."""
-    if blob is None:
-        return None
-    try:
-        compiled = pickle.loads(blob)
-    except Exception:  # corrupt bytes can raise almost any type: recompile
-        return None
-    return compiled if isinstance(compiled, CompiledKernel) else None

@@ -23,8 +23,8 @@ copy of the parent: its imported modules (so it skips re-importing
 ``repro`` and NumPy before its first chunk, as a spawned worker must),
 and also every process-global cache, counter and tracer as they stood
 at fork time.  None of that can reach an output, because a worker's
-result is a pure function of its payload: the chunk task builds fresh
-stores and artifact caches per chunk, reads runner counters as deltas
+result is a pure function of its payload: the chunk task builds a
+fresh run store and artifact cache per chunk, reads runner counters as deltas
 (process-wide runners and probe memos only memoize pure results), and
 installs its own tracer per chunk; workers end through
 ``Pool.terminate`` without touching inherited connections or file
@@ -118,7 +118,7 @@ class Backend(Protocol):
     #: backend name for reports ("serial", "process-pool").
     name: str
     #: True when payloads cross a process boundary (workers cannot see
-    #: in-process state such as the service's shared run store).
+    #: in-process state such as the run store a service was given).
     remote: bool
 
     def imap(self, fn: Callable[[Any], Any], payloads: Iterable[Any]) -> Iterator[Any]:

@@ -1,13 +1,9 @@
-"""The one disk tier for content-keyed bytes: a single SQLite file.
+"""The run store's disk tier: a single SQLite file.
 
-:class:`~repro.exec.store.RunStore` and
-:class:`~repro.exec.artifacts.ArtifactCache` keep their memory tiers in
-process; when given a ``path`` both persist through a :class:`ContentDB`
-on that file.  It holds two tables:
-
-* ``runs(k, o, r)`` — one run-store entry per (content key, opt label),
-  ``r`` being the ``{"i","p","b","f"}`` runs-JSON wire form;
-* ``artifacts(k, blob)`` — one pickled compiled kernel per artifact key.
+:class:`~repro.exec.store.RunStore` keeps its memory tier in process;
+given a ``path`` it persists through a :class:`ContentDB` on that file,
+whose ``runs(k, o, r)`` table holds one entry per (content key, opt
+label), ``r`` being the ``{"i","p","b","f"}`` runs-JSON wire form.
 
 The database runs in WAL mode with a ``busy_timeout``, so any number of
 processes may open one file and write concurrently.  Every put is
@@ -15,12 +11,12 @@ processes may open one file and write concurrently.  Every put is
 and — entries being content-keyed and deterministic — whichever lands is
 byte-equivalent to the loser.  A transaction is atomic, so a killed
 writer leaves either the whole row or none of it.  The one exception is
-healing: a cache that read a row it could not decode recomputes it and
+healing: a store that read a row it could not decode recomputes it and
 writes with ``replace=True``, so the bad row is overwritten once instead
 of being recomputed on every reopen.
 
 This module is the only importer of :mod:`sqlite3` under ``repro.exec``;
-the caches import it only when a path is given, so path-less stores
+the store imports it only when a path is given, so path-less stores
 never load SQLite.
 """
 
@@ -41,10 +37,6 @@ CREATE TABLE IF NOT EXISTS runs (
     o TEXT NOT NULL,
     r TEXT NOT NULL,
     PRIMARY KEY (k, o)
-);
-CREATE TABLE IF NOT EXISTS artifacts (
-    k TEXT PRIMARY KEY,
-    blob BLOB NOT NULL
 );
 """
 
@@ -71,7 +63,7 @@ def _enable_wal(conn: sqlite3.Connection) -> None:
 
 
 class ContentDB:
-    """One SQLite content store file, shared by runs and artifacts."""
+    """One SQLite run-store file."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         path = Path(path)
@@ -111,20 +103,6 @@ class ContentDB:
         )
         self._conn.commit()
         return cur.rowcount == 1
-
-    def artifact(self, key: str) -> Optional[bytes]:
-        """The blob stored under an artifact key, or ``None``."""
-        row = self._conn.execute(
-            "SELECT blob FROM artifacts WHERE k=?", (key,)
-        ).fetchone()
-        return None if row is None else bytes(row[0])
-
-    def put_artifact(self, key: str, blob: bytes, *, replace: bool = False) -> None:
-        self._conn.execute(
-            f"INSERT OR {_CONFLICT[replace]} INTO artifacts (k, blob) VALUES (?, ?)",
-            (key, blob),
-        )
-        self._conn.commit()
 
     def close(self) -> None:
         self._conn.close()

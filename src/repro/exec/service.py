@@ -14,10 +14,12 @@ Guarantees:
   functions of the specs), and backends return chunk results in
   submission order; every caller's output is therefore identical at any
   worker count.
-* **Colocation is the pairing rule** — requests that must share cache
-  entries (a native test and its HIPIFY twin) belong in one chunk;
-  chunk-scope stores then behave identically in-process and in a
-  worker.
+* **One cache rule** — a reuse request replays through the store the
+  service was given, in process, and otherwise through a store private
+  to its chunk; every compile goes through an artifact cache private to
+  its chunk.  Requests that must share run-store entries (a native test
+  and its HIPIFY twin) therefore belong in one chunk, where they pair
+  identically in process and in a worker.
 * **Dedup** — two requests in one chunk with the same (content, hipify
   flag, opts, runner) are executed once; the duplicate's outcome is the
   original's, rebound to the duplicate's test id, with zero execution
@@ -26,8 +28,8 @@ Guarantees:
   task, :func:`_execute_task`, one indexed chunk per task with the
   parent's tracing flag riding in the payload; ordered and unordered
   sweeps share one dispatch loop and differ only in ``imap`` versus
-  ``imap_unordered``.  Serial backends run each chunk in-process
-  against the service's shared store and artifact cache.
+  ``imap_unordered``.  Serial backends run each chunk in process
+  through :meth:`ExecutionService.run_chunk`.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ class ExecMetrics:
     store_disk_hits: int = 0
     artifact_hits: int = 0
     artifact_misses: int = 0
-    artifact_disk_hits: int = 0
     elapsed_seconds: float = 0.0
     #: Always-on phase wall time (seconds), measured with bare
     #: ``perf_counter`` around the store view and the sweep body — no
@@ -112,7 +113,6 @@ class ExecMetrics:
             "artifacts": {
                 "hits": self.artifact_hits,
                 "misses": self.artifact_misses,
-                "disk_hits": self.artifact_disk_hits,
             },
             "phase_seconds": {
                 "lookup": self.lookup_seconds,
@@ -181,19 +181,20 @@ class _TimedView(BoundRunCache):
 
 def _execute_requests(
     requests: Sequence[SweepRequest],
-    shared_store: Optional[RunStore] = None,
-    shared_artifacts: Optional[ArtifactCache] = None,
+    store: Optional[RunStore] = None,
 ) -> Tuple[List[SweepOutcome], Dict[str, float]]:
     """Run one chunk serially; the core every backend executes.
 
-    ``shared_store`` is the service's own store (in-process execution
-    only); chunk-scope requests — and shared-scope ones running in a
-    worker — use a store private to this chunk.  ``shared_artifacts`` is
-    the service's compiled-artifact cache under the same scoping rule.
+    Reuse requests replay through ``store`` (the service's own, in
+    process) or, without one, through a store private to this chunk;
+    every compile goes through an artifact cache private to this chunk.
     """
     tracer = get_tracer()
-    chunk_store: Optional[RunStore] = None
-    chunk_artifacts: Optional[ArtifactCache] = None
+    # `is None`, not `or`: an empty RunStore is falsy (__len__).
+    private = store is None
+    if store is None:
+        store = RunStore()
+    artifacts = ArtifactCache()
     runners: Dict[Any, Any] = {}
     memo: Dict[object, TestCase] = {}
     seen: Dict[Tuple[object, ...], SweepOutcome] = {}
@@ -219,12 +220,7 @@ def _execute_requests(
             outcomes.append(_rebound_outcome(prev, test.test_id, req.tag))
             continue
         view: Optional[BoundRunCache] = None
-        if req.cache.reuse:
-            store = shared_store
-            if store is None or req.cache.scope == "chunk":
-                if chunk_store is None:
-                    chunk_store = RunStore()
-                store = chunk_store
+        if req.reuse:
             # The store caches the pair's *left* side.  Legacy nvcc-lhs
             # pairs keep the bare content key (pre-registry warm stores
             # stay hot, and every nvcc-lhs pair replays the same runs);
@@ -233,14 +229,6 @@ def _execute_requests(
             lhs = runner.stacks[0]
             view_key = key if lhs == "nvcc" else f"{lhs}@{key}"
             view = _TimedView(store, view_key, phases, compiler=lhs)
-        artifacts: Optional[ArtifactCache] = None
-        if req.cache.artifacts:
-            if req.cache.scope == "shared" and shared_artifacts is not None:
-                artifacts = shared_artifacts
-            else:
-                if chunk_artifacts is None:
-                    chunk_artifacts = ArtifactCache()
-                artifacts = chunk_artifacts
         nv0, hp0 = runner.lhs_executions, runner.rhs_executions
         hits0 = view.hits if view is not None else 0
         lk0, cm0 = phases["lookup"], phases["commit"]
@@ -282,17 +270,13 @@ def _execute_requests(
         )
         seen[dedup_key] = outcome
         outcomes.append(outcome)
-    stats: Dict[str, float] = (
-        dict(chunk_store.stats()) if chunk_store is not None else {}
-    )
-    if chunk_artifacts is not None:
-        # Shared-cache stats are *not* folded here (the service merges
-        # them once in stats()); only this chunk's private cache rides
-        # the stats dict back across the process boundary.
-        art = chunk_artifacts.stats()
-        stats["artifact_hits"] = art["hits"]
-        stats["artifact_misses"] = art["misses"]
-        stats["artifact_disk_hits"] = art["disk_hits"]
+    # A given store's stats are *not* folded here (the service merges
+    # them once in stats()); only this chunk's private caches ride the
+    # stats dict back across the process boundary.
+    stats: Dict[str, float] = dict(store.stats()) if private else {}
+    art = artifacts.stats()
+    stats["artifact_hits"] = art["hits"]
+    stats["artifact_misses"] = art["misses"]
     stats["lookup_seconds"] = phases["lookup"]
     stats["execute_seconds"] = execute_seconds
     stats["commit_seconds"] = phases["commit"]
@@ -345,7 +329,13 @@ def _execute_task(
 
 
 class ExecutionService:
-    """The one sweep interface every subsystem executes through."""
+    """The one sweep interface every subsystem executes through.
+
+    ``store`` is kept exactly as given: with one, every in-process
+    reuse request replays through it (cross-chunk and, on a SQLite
+    path, cross-session reuse); without one, each chunk gets a private
+    store.  Remote chunks always use private stores.
+    """
 
     def __init__(
         self,
@@ -353,11 +343,7 @@ class ExecutionService:
         store: Optional[RunStore] = None,
     ) -> None:
         self.backend = backend if backend is not None else SerialBackend()
-        # `is not None`, not `or`: an empty RunStore is falsy (__len__).
-        self.store = store if store is not None else RunStore()
-        #: shared compiled-artifact cache for in-process shared-scope
-        #: requests (workers get chunk-private caches, like the store).
-        self.artifacts = ArtifactCache()
+        self.store = store
         self.metrics = ExecMetrics()
 
     # ------------------------------------------------------------- sweeps
@@ -382,14 +368,14 @@ class ExecutionService:
     def _sweep(
         self, chunks: Iterable[Sequence[SweepRequest]], ordered: bool
     ) -> Iterator[Tuple[int, List[SweepOutcome]]]:
-        """The one dispatch loop: local chunks run in order against the
-        shared store; remote ones travel one per task through the one
-        chunk task."""
+        """The one dispatch loop: local chunks run in order through
+        :meth:`run_chunk`; remote ones travel one per task through the
+        one chunk task."""
         tracer = get_tracer()
         indexed = ((i, tuple(chunk)) for i, chunk in enumerate(chunks))
         if not self.backend.remote:
             for index, chunk in indexed:
-                yield index, self._run_local(index, chunk, tracer)
+                yield index, self.run_chunk(chunk, index)
             return
         imap = self.backend.imap if ordered else self.backend.imap_unordered
         # Looked up at call time, so a hook installed on this name wraps
@@ -404,30 +390,16 @@ class ExecutionService:
                 self._absorb(outcomes, stats)
                 yield index, outcomes
 
-    def run_chunk(self, requests: Sequence[SweepRequest]) -> List[SweepOutcome]:
-        """One chunk, synchronously, on the calling process."""
-        outcomes, stats = _execute_requests(
-            list(requests),
-            shared_store=self.store,
-            shared_artifacts=self.artifacts,
-        )
-        self._absorb(outcomes, stats)
-        return outcomes
-
-    def _run_local(
-        self,
-        index: int,
-        chunk: Sequence[SweepRequest],
-        tracer: "Tracer | NullTracer",
+    def run_chunk(
+        self, requests: Sequence[SweepRequest], index: int = 0
     ) -> List[SweepOutcome]:
-        """One chunk of a serial sweep, against the service's shared
-        store and artifact cache; an ``exec.chunk`` span when tracing."""
+        """One chunk, synchronously, on the calling process: the one
+        in-process path.  Replays through the service's store when it
+        has one; records an ``exec.chunk`` span for chunk ``index``
+        when tracing."""
+        tracer = get_tracer()
         t0 = time.perf_counter_ns()
-        outcomes, stats = _execute_requests(
-            list(chunk),
-            shared_store=self.store,
-            shared_artifacts=self.artifacts,
-        )
+        outcomes, stats = _execute_requests(list(requests), self.store)
         if tracer.enabled:
             tracer.record(
                 "exec.chunk",
@@ -478,28 +450,25 @@ class ExecutionService:
         m.store_disk_hits += stats.get("disk_hits", 0)
         m.artifact_hits += stats.get("artifact_hits", 0)
         m.artifact_misses += stats.get("artifact_misses", 0)
-        m.artifact_disk_hits += stats.get("artifact_disk_hits", 0)
         m.lookup_seconds += stats.get("lookup_seconds", 0.0)
         m.execute_seconds += stats.get("execute_seconds", 0.0)
         m.commit_seconds += stats.get("commit_seconds", 0.0)
 
     def stats(self) -> Dict[str, object]:
-        """Aggregate metrics: chunk stores plus the service's shared store."""
+        """Aggregate metrics: chunk-private stores plus the service's."""
         merged = ExecMetrics(**vars(self.metrics))
-        shared = self.store.stats()
-        merged.store_hits += shared["hits"]
-        merged.store_misses += shared["misses"]
-        merged.store_evictions += shared["evictions"]
-        merged.store_disk_hits += shared["disk_hits"]
-        art = self.artifacts.stats()
-        merged.artifact_hits += art["hits"]
-        merged.artifact_misses += art["misses"]
-        merged.artifact_disk_hits += art["disk_hits"]
+        if self.store is not None:
+            shared = self.store.stats()
+            merged.store_hits += shared["hits"]
+            merged.store_misses += shared["misses"]
+            merged.store_evictions += shared["evictions"]
+            merged.store_disk_hits += shared["disk_hits"]
         return merged.as_dict()
 
     def close(self) -> None:
         self.backend.close()
-        self.store.close()
+        if self.store is not None:
+            self.store.close()
 
     def __enter__(self) -> "ExecutionService":
         return self

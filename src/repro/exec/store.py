@@ -3,8 +3,9 @@
 :class:`RunStore` promotes the old per-program ``RunCache`` (keyed by
 ``(test_id, opt_label)``, lifetime one arm walk) to a store keyed by
 ``(content id, opt_label)``: structurally identical kernels with the same
-inputs hit the cache across arms, fuzz lineages, and — through the disk
-tier — resumed sessions.  Entries are stored *test-id-neutral* (per-input
+inputs hit the cache across a chunk's requests (a test and its HIPIFY
+twin), across chunks of a service given one store, and — through the
+disk tier — across sessions.  Entries are stored *test-id-neutral* (per-input
 printed line + IEEE-754 bit pattern, or ``None`` for a trapped input) and
 rebound to the requesting test's id on the way out, so a replayed
 :class:`~repro.harness.outcomes.RunRecord` is bit-identical to what a
@@ -16,8 +17,9 @@ Tiers:
 * **memory** — an LRU-bounded dict (``max_entries``); eviction keeps long
   fuzz sessions flat instead of leaking every sweep ever run;
 * **disk** (optional ``path``) — the ``runs`` table of one SQLite file
-  (:class:`~repro.exec.disk.ContentDB`), shared with the artifact cache
-  and safe with concurrent writers (the first writer of a key wins).  A
+  (:class:`~repro.exec.disk.ContentDB`), safe with concurrent writers
+  (the first writer of a key wins).  No CLI opens one; a caller hands
+  such a store to :class:`~repro.exec.service.ExecutionService`.  A
   memory miss reads one row and promotes the entry; evicted entries
   therefore stay servable, and a store reopened on the same path starts
   warm.  A row whose runs-JSON does not decode is a miss, so its sweep

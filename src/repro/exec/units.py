@@ -2,11 +2,11 @@
 
 A :class:`SweepRequest` is the system's one schedulable primitive: *run
 one test across an optimization sweep on both platforms*.  Making it data
-— a test (or a regenerable spec of one), the opt settings, a cache
-policy, a runner spec, and opaque caller metadata — is what lets the
-campaign engine, the fuzzer, and the analysis harnesses share one
-scheduler, one cache, and one set of counters instead of four private
-loops.
+— a test (or a regenerable spec of one), the opt settings, whether to
+reuse stored runs, a runner spec, and opaque caller metadata — is what
+lets the campaign engine, the fuzzer, and the analysis harnesses share
+one scheduler, one cache rule, and one set of counters instead of four
+private loops.
 
 Requests must be picklable: the process-pool backend ships whole chunks
 to pool workers.  Campaign requests therefore carry a
@@ -32,53 +32,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (ablation uses exec)
     from repro.harness.runner import DifferentialRunner
 
 __all__ = [
-    "CachePolicy",
-    "NO_CACHE",
-    "CHUNK_CACHE",
-    "SHARED_CACHE",
     "RunnerSpec",
     "CorpusTestSpec",
     "DerivedTestSpec",
     "SweepRequest",
     "SweepOutcome",
 ]
-
-
-@dataclass(frozen=True)
-class CachePolicy:
-    """How a request interacts with the content-keyed nvcc run store.
-
-    ``reuse=False`` executes everything (the standalone-arm semantics);
-    with ``reuse=True`` the request both consults and populates a store.
-    ``scope`` picks which one: ``"chunk"`` is a store private to the
-    request's chunk — the old per-program ``RunCache`` discipline, exact
-    and worker-count-invariant by construction — while ``"shared"`` is
-    the service's own two-tier store (cross-chunk and, with a disk tier,
-    cross-session reuse).  Process-pool workers cannot see the service
-    store, so ``"shared"`` degrades to chunk scope remotely; callers that
-    need identical counters at every worker count colocate the requests
-    that must pair (native test + HIPIFY twin) in one chunk.
-
-    ``artifacts`` routes the request's compiles through a content-keyed
-    :class:`~repro.exec.artifacts.ArtifactCache` (scoped like the run
-    store: chunk-private, or the service's shared cache for
-    ``scope="shared"`` in-process requests).  Compilation is pure, so
-    this never changes a ledger byte — ``False`` exists for A/B
-    benchmarking, not correctness.
-    """
-
-    reuse: bool = True
-    scope: str = "chunk"  # "chunk" | "shared"
-    artifacts: bool = True
-
-    def __post_init__(self) -> None:
-        if self.scope not in ("chunk", "shared"):
-            raise ValueError(f"unknown cache scope {self.scope!r}")
-
-
-NO_CACHE = CachePolicy(reuse=False)
-CHUNK_CACHE = CachePolicy(reuse=True, scope="chunk")
-SHARED_CACHE = CachePolicy(reuse=True, scope="shared")
 
 
 @dataclass(frozen=True)
@@ -192,7 +151,10 @@ class SweepRequest:
     opts: Tuple[OptSetting, ...]
     #: opaque caller metadata echoed on the outcome (arm name, index, ...).
     tag: Tuple[object, ...] = ()
-    cache: CachePolicy = CHUNK_CACHE
+    #: replay the pair's left side from the run store and store what it
+    #: executes (``False`` executes everything: the standalone-arm
+    #: semantics).  The service picks the store, not the request.
+    reuse: bool = True
     runner: RunnerSpec = DEFAULT_RUNNER
 
     def resolve_test(self, memo: Optional[Dict[object, TestCase]] = None) -> TestCase:

@@ -61,7 +61,6 @@ from repro.codegen.cuda import render_cuda
 from repro.compilers.options import OptSetting, PAPER_OPT_SETTINGS
 from repro.errors import GrammarError, HarnessError, ReproError
 from repro.exec import (
-    CHUNK_CACHE,
     DerivedTestSpec,
     ExecutionService,
     SweepOutcome,
@@ -443,8 +442,8 @@ class _Evaluator:
         native sweep's CUDA half from the same chunk store.  The store
         lives one chunk: content dedup already prevents identical mutants
         from re-running, so entries could only ever be hit by the test's
-        own twin/pair probes, and chunk scope keeps the counters
-        identical at every worker count."""
+        own twin/pair probes, and a chunk-private store keeps the
+        counters identical at every worker count."""
         requests = []
         for pair in self.pairs:
             if pair == DEFAULT_STACK_PAIR:
@@ -453,7 +452,6 @@ class _Evaluator:
                         test=test,
                         opts=self.config.opts,
                         tag=("native",),
-                        cache=CHUNK_CACHE,
                     )
                 )
                 if self.config.include_hipify:
@@ -465,7 +463,6 @@ class _Evaluator:
                             test=DerivedTestSpec(base=test),
                             opts=self.config.opts,
                             tag=("hipify",),
-                            cache=CHUNK_CACHE,
                         )
                     )
             else:
@@ -474,7 +471,6 @@ class _Evaluator:
                         test=test,
                         opts=self.config.opts,
                         tag=(pair_name(pair),),
-                        cache=CHUNK_CACHE,
                         runner=RunnerSpec(stacks=pair),
                     )
                 )

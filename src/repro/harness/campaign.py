@@ -77,10 +77,8 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING, Union
 from repro.compilers.options import OptSetting, PAPER_OPT_SETTINGS
 from repro.errors import HarnessError
 from repro.exec import (
-    CachePolicy,
     CorpusTestSpec,
     ExecutionService,
-    NO_CACHE,
     SweepOutcome,
     SweepRequest,
     resolve_backend,
@@ -635,7 +633,6 @@ def _step_requests(config: CampaignConfig, step: PlanStep) -> List[SweepRequest]
     gen = config.generator_config(config.arm_fptype(step.arms[0]))
     root_seed = config.arm_seed(step.arms[0])
     fused = len(step.arms) > 1
-    policy = CachePolicy(reuse=True, scope="chunk") if fused else NO_CACHE
     requests: List[SweepRequest] = []
     for index in range(step.start, step.stop):
         for arm in step.arms:
@@ -650,7 +647,7 @@ def _step_requests(config: CampaignConfig, step: PlanStep) -> List[SweepRequest]
                     test=spec,
                     opts=config.opts,
                     tag=(arm,),
-                    cache=policy,
+                    reuse=fused,
                     runner=RunnerSpec(stacks=_arm_pair(arm)),
                 )
             )

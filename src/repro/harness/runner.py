@@ -185,7 +185,8 @@ class DifferentialRunner:
     # ------------------------------------------------------------------ api
     @property
     def artifacts(self) -> "ArtifactCache":
-        """The probe path's compiled-artifact cache (built on first use)."""
+        """The runner's compiled-artifact cache (built on first use): the
+        probe path's, and a sweep's when it is given none."""
         if self._artifacts is None:
             from repro.exec.artifacts import ArtifactCache
 
@@ -216,26 +217,21 @@ class DifferentialRunner:
         """One test across every optimization setting, keyed by opt label.
 
         Each compiler's front end runs once for the whole sweep (see
-        :meth:`Compiler.compile_sweep`); with ``artifacts`` (an
-        :class:`~repro.exec.artifacts.ArtifactCache`) both compiles are
-        served content-keyed, so an identical kernel compiled earlier —
-        the HIPIFY twin's CUDA side, a replayed fuzz ancestor — never
-        re-enters the pass pipeline.  When ``lhs_cache`` (a
+        :meth:`Compiler.compile_sweep`), and both compiles are served
+        content-keyed from ``artifacts`` (an
+        :class:`~repro.exec.artifacts.ArtifactCache`; the runner's own
+        :attr:`artifacts` when omitted), so an identical kernel compiled
+        earlier — the HIPIFY twin's CUDA side, a replayed fuzz ancestor —
+        never re-enters the pass pipeline.  When ``lhs_cache`` (a
         content-keyed store view) holds this test's entry at an opt
         setting, the left side is replayed from the cached outcomes
         instead of executing; either way the sweep's left-stack outcomes
         are then stored in it for a later request to reuse.
         """
-        if artifacts is not None:
-            lhs_kernels = artifacts.compile_sweep(
-                self.lhs_compiler, test.program, opts
-            )
-            rhs_kernels = artifacts.compile_sweep(
-                self.rhs_compiler, test.program, opts
-            )
-        else:
-            lhs_kernels = self.lhs_compiler.compile_sweep(test.program, opts)
-            rhs_kernels = self.rhs_compiler.compile_sweep(test.program, opts)
+        if artifacts is None:
+            artifacts = self.artifacts
+        lhs_kernels = artifacts.compile_sweep(self.lhs_compiler, test.program, opts)
+        rhs_kernels = artifacts.compile_sweep(self.rhs_compiler, test.program, opts)
         out: Dict[str, PairResult] = {}
         # Per-sweep execution memos (one per side): opt settings whose
         # pass pipelines produced identical kernels execute once and

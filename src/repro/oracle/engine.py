@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.compilers.options import OptSetting, PAPER_OPT_SETTINGS
 from repro.errors import HarnessError
 from repro.exec import (
-    CHUNK_CACHE,
     ExecutionService,
     SweepOutcome,
     SweepRequest,
@@ -278,7 +277,6 @@ def build_relation_requests(
                     test=test,
                     opts=opts,
                     tag=(tag_head, rel.name, "base"),
-                    cache=CHUNK_CACHE,
                     runner=runner,
                 )
             )
@@ -288,7 +286,6 @@ def build_relation_requests(
                     test=variant,
                     opts=opts,
                     tag=(tag_head, rel.name, label),
-                    cache=CHUNK_CACHE,
                     runner=runner,
                 )
             )

@@ -18,6 +18,8 @@ takes the step count past ``max_steps``.
 :func:`reference_batches` routes :meth:`Device.execute_batch` through
 this walk row by row, so a whole execution-service lane can run on the
 reference (the exec bench's scalar lane and its ledger-equality test).
+:func:`uncached_compiles` is its compile-side twin: every sweep compiles
+afresh instead of hitting the artifact cache.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.devices.device import Device
+from repro.exec.artifacts import ArtifactCache
 from repro.devices.interpreter import (
     CostModel,
     ExecOptions,
@@ -64,7 +67,7 @@ from repro.ir.nodes import (
 from repro.ir.program import Kernel
 from repro.ir.types import IRType
 
-__all__ = ["ReferenceInterpreter", "reference_rows", "reference_batches"]
+__all__ = ["ReferenceInterpreter", "reference_rows", "reference_batches", "uncached_compiles"]
 
 
 class _Frame:
@@ -427,3 +430,19 @@ def reference_batches() -> Iterator[None]:
         yield
     finally:
         Device.execute_batch = original
+
+
+@contextlib.contextmanager
+def uncached_compiles() -> Iterator[None]:
+    """Make :meth:`ArtifactCache.compile_sweep` compile every sweep
+    afresh (no hits, no misses) for the duration of the block."""
+    original = ArtifactCache.compile_sweep
+
+    def compile_sweep(self, compiler, program, opts):
+        return compiler.compile_sweep(program, opts)
+
+    ArtifactCache.compile_sweep = compile_sweep
+    try:
+        yield
+    finally:
+        ArtifactCache.compile_sweep = original

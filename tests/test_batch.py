@@ -11,10 +11,10 @@ walk in ``reference_interpreter.py``, at every worker count.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import os
-import pickle
 import struct
 
 import numpy as np
@@ -28,7 +28,7 @@ from repro.compilers.nvcc import NvccCompiler
 from repro.compilers.options import OptLevel, OptSetting, PAPER_OPT_SETTINGS
 from repro.devices.batch import _Lowering, batch_stats, reset_batch_stats, run_batch
 from repro.devices.interpreter import ExecOptions
-from repro.errors import ExecutionError, HarnessError, TrapError
+from repro.errors import ExecutionError, TrapError
 from repro.fp.env import FlushMode
 from repro.fp.types import FPType
 from repro.ir.builder import IRBuilder
@@ -36,7 +36,6 @@ from repro.ir.nodes import ArrayRef, BinOp, For, IntConst, VarRef
 from repro.ir.types import IRType
 from repro.exec import (
     ArtifactCache,
-    CachePolicy,
     DerivedTestSpec,
     ExecutionService,
     ProcessPoolBackend,
@@ -44,7 +43,6 @@ from repro.exec import (
     SerialBackend,
     SweepRequest,
 )
-from repro.exec.disk import ContentDB
 from repro.exec.units import RunnerSpec
 from repro.fuzz.engine import FuzzConfig, run_fuzz
 from repro.harness.runner import DifferentialRunner
@@ -54,7 +52,12 @@ from repro.varity.corpus import build_corpus
 from repro.varity.generator import ProgramGenerator
 from repro.varity.inputs import InputGenerator
 
-from reference_interpreter import ReferenceInterpreter, reference_batches, reference_rows
+from reference_interpreter import (
+    ReferenceInterpreter,
+    reference_batches,
+    reference_rows,
+    uncached_compiles,
+)
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 _slow = settings(
@@ -860,61 +863,6 @@ class TestArtifactCache:
         assert hit.program_id == "prog-clone"
         assert hit.kernel == cache.compile(NvccCompiler(), program, opt).kernel
 
-    def test_persistent_tier_round_trip(self, tmp_path):
-        cfg = GeneratorConfig.fp32()
-        program = ProgramGenerator(cfg).generate(8)
-        opt = PAPER_OPT_SETTINGS[2]
-        first = ArtifactCache(path=tmp_path / "store.sqlite")
-        fresh = first.compile(NvccCompiler(), program, opt)
-        first.close()
-        reopened = ArtifactCache(path=tmp_path / "store.sqlite")
-        warm = reopened.compile(NvccCompiler(), program, opt)
-        assert reopened.disk_hits == 1 and reopened.misses == 0
-        assert warm == fresh
-        reopened.close()
-
-    def test_torn_artifact_recompiles(self, tmp_path):
-        """A torn (truncated) blob in the artifacts table is a miss and
-        is recompiled, never replayed."""
-        cfg = GeneratorConfig.fp32()
-        program = ProgramGenerator(cfg).generate(9)
-        opt = PAPER_OPT_SETTINGS[0]
-        path = tmp_path / "store.sqlite"
-        fresh = NvccCompiler().compile(program, opt)
-        cache = ArtifactCache(path=path)
-        key = cache.key(NvccCompiler(), program, opt)
-        db = ContentDB(path)
-        db.put_artifact(key, pickle.dumps(fresh)[:40])
-        db.close()
-        compiled = cache.compile(NvccCompiler(), program, opt)
-        assert cache.misses == 1 and cache.disk_hits == 0
-        assert compiled == fresh
-        cache.close()
-
-    def test_corrupt_artifact_is_healed_on_recompile(self, tmp_path):
-        """The recompile of a blob that did not unpickle overwrites it:
-        the next session hits on disk with a fresh compile's bytes."""
-        cfg = GeneratorConfig.fp32()
-        program = ProgramGenerator(cfg).generate(10)
-        opt = PAPER_OPT_SETTINGS[1]
-        path = tmp_path / "store.sqlite"
-        fresh = NvccCompiler().compile(program, opt)
-        key = ArtifactCache().key(NvccCompiler(), program, opt)
-        db = ContentDB(path)
-        db.put_artifact(key, b"not a pickle")
-        db.close()
-        first = ArtifactCache(path=path)
-        assert first.compile(NvccCompiler(), program, opt) == fresh
-        assert first.misses == 1 and first.disk_hits == 0
-        first.close()
-        second = ArtifactCache(path=path)
-        assert second.compile(NvccCompiler(), program, opt) == fresh
-        assert second.disk_hits == 1 and second.misses == 0
-        second.close()
-        db = ContentDB(path)
-        assert db.artifact(key) == pickle.dumps(fresh)
-        db.close()
-
     def test_plain_and_ablated_compilers_never_collide(self):
         """Regression: ablated compilers inherit ``name`` ("nvcc"/
         "hipcc"), and hipcc's FMA pass shares nvcc's name, so keying
@@ -943,12 +891,6 @@ class TestArtifactCache:
                 differs |= plain.compile(program, opt) != ablated.compile(program, opt)
             assert differs  # the pair really compiles differently somewhere
 
-    def test_jsonl_file_is_a_named_error(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        path.write_text('{"kind": "header", "format": "repro-runstore-v1"}\n')
-        with pytest.raises(HarnessError, match="repro-bridge migrate"):
-            ArtifactCache(path=path)
-
 
 # --------------------------------------------------- ledger byte equality
 def _flatten(service, chunks):
@@ -974,16 +916,11 @@ def _flatten(service, chunks):
 
 
 class TestLedgerEquality:
-    def _chunks(self, corpus, cache):
+    def _chunks(self, corpus):
         return [
             [
-                SweepRequest(test=t, opts=OPTS2, tag=("native",), cache=cache),
-                SweepRequest(
-                    test=DerivedTestSpec(base=t),
-                    opts=OPTS2,
-                    tag=("hipify",),
-                    cache=cache,
-                ),
+                SweepRequest(test=t, opts=OPTS2, tag=("native",)),
+                SweepRequest(test=DerivedTestSpec(base=t), opts=OPTS2, tag=("hipify",)),
             ]
             for t in corpus.tests
         ]
@@ -1005,14 +942,14 @@ class TestLedgerEquality:
             ("on-w4", True, ProcessPoolBackend(4)),
         ]
         for label, artifacts, backend in lanes:
-            cache = CachePolicy(reuse=True, scope="shared", artifacts=artifacts)
             store_path = tmp_path / f"store-{label}.jsonl"
             service = ExecutionService(
                 backend=backend, store=RunStore(path=store_path)
             )
-            results[label] = _flatten(service, self._chunks(corpus, cache))
+            with contextlib.nullcontext() if artifacts else uncached_compiles():
+                results[label] = _flatten(service, self._chunks(corpus))
             if label == "on-w0":
-                assert service.artifacts.hits > 0
+                assert service.stats()["artifacts"]["hits"] > 0
         baseline = results["on-w0"]
         for label, _, _ in lanes[1:]:
             assert results[label] == baseline, label
@@ -1029,9 +966,8 @@ class TestLedgerEquality:
         )
 
         def lane(label):
-            shared = CachePolicy(reuse=True, scope="shared")
             chunks = [
-                [SweepRequest(test=t, opts=OPTS2, runner=RunnerSpec(), cache=shared)]
+                [SweepRequest(test=t, opts=OPTS2, runner=RunnerSpec())]
                 for t in corpus.tests
             ]
             store_path = tmp_path / f"store-{label}.jsonl"

@@ -24,14 +24,11 @@ import pytest
 from repro.compilers.options import OptLevel, OptSetting, PAPER_OPT_SETTINGS
 from repro.errors import HarnessError
 from repro.exec import (
-    CHUNK_CACHE,
     CorpusTestSpec,
     ExecutionService,
-    NO_CACHE,
     ProcessPoolBackend,
     RunStore,
     RunnerSpec,
-    SHARED_CACHE,
     SerialBackend,
     SweepRequest,
     content_id,
@@ -89,10 +86,8 @@ def _twin_chunks(corpus):
     """One chunk per test: the native sweep plus its HIPIFY twin."""
     return [
         [
-            SweepRequest(test=t, opts=OPTS2, tag=("native",), cache=CHUNK_CACHE),
-            SweepRequest(
-                test=t.hipified(), opts=OPTS2, tag=("hipify",), cache=CHUNK_CACHE
-            ),
+            SweepRequest(test=t, opts=OPTS2, tag=("native",)),
+            SweepRequest(test=t.hipified(), opts=OPTS2, tag=("hipify",)),
         ]
         for t in corpus.tests[:4]
     ]
@@ -254,7 +249,7 @@ class TestRunStore:
     def test_corrupt_row_is_a_miss_and_re_executes(self, tmp_path, fp32_corpus):
         test = fp32_corpus.tests[0]
         path = tmp_path / "store.sqlite"
-        request = SweepRequest(test=test, opts=OPTS2, cache=SHARED_CACHE)
+        request = SweepRequest(test=test, opts=OPTS2)
         with ExecutionService(store=RunStore(path=path)) as warm:
             (fresh,) = warm.run_chunk([request])
         with sqlite3.connect(str(path)) as conn:
@@ -403,16 +398,41 @@ class TestExecutionService:
         service = ExecutionService()
         native, twin = service.run_chunk(
             [
-                SweepRequest(test=test, opts=OPTS2, tag=("native",), cache=CHUNK_CACHE),
-                SweepRequest(
-                    test=test.hipified(), opts=OPTS2, tag=("hipify",), cache=CHUNK_CACHE
-                ),
+                SweepRequest(test=test, opts=OPTS2, tag=("native",)),
+                SweepRequest(test=test.hipified(), opts=OPTS2, tag=("hipify",)),
             ]
         )
         assert not twin.deduped  # different HIP compilation: real work
         assert twin.nvcc_executions == 0  # ... but the CUDA half replayed
         assert twin.nvcc_cache_hits == len(OPTS2) * len(test.inputs)
         assert native.nvcc_executions > 0 and native.nvcc_cache_hits == 0
+
+    def test_given_store_replays_across_chunks(self):
+        """A service given a store replays every in-process reuse request
+        through it, so the second chunk's left side is served from the
+        first chunk's runs; without one, and in pool workers, each chunk
+        has a private store and executes both sides."""
+        test = build_corpus(
+            GeneratorConfig.fp32(inputs_per_program=3), 1, root_seed=1
+        ).tests[0]
+        chunks = [[SweepRequest(test=test, opts=OPTS2)] for _ in range(2)]
+        services = {
+            "given store": (ExecutionService(store=RunStore()), [(6, 0), (0, 6)]),
+            "serial": (ExecutionService(), [(6, 0), (6, 0)]),
+            "pool": (ExecutionService(ProcessPoolBackend(2)), [(6, 0), (6, 0)]),
+        }
+        found = {}
+        for label, (service, expected) in services.items():
+            with service:
+                outcomes = [o for chunk in service.run_sweeps(chunks) for o in chunk]
+            counts = [(o.nvcc_executions, o.nvcc_cache_hits) for o in outcomes]
+            assert counts == expected, label
+            found[label] = [
+                [(d.input_index, d.opt_label, d.dclass.value) for d in o.iter_discrepancies()]
+                for o in outcomes
+            ]
+        assert found["serial"][0]  # the test has discrepancies to compare
+        assert found["given store"] == found["serial"] == found["pool"]
 
     def test_corpus_spec_resolves_like_the_corpus(self, fp32_corpus):
         spec = CorpusTestSpec(

@@ -23,7 +23,6 @@ from repro.exec import (
     ExecutionService,
     RunnerSpec,
     RunStore,
-    SHARED_CACHE,
     SweepRequest,
 )
 from repro.fp.classify import OutcomeClass
@@ -363,7 +362,7 @@ class TestBackCompat:
         store_path = tmp_path / "store.jsonl"
         warm = ExecutionService(store=RunStore(path=store_path))
         (legacy,) = warm.run_chunk(
-            [SweepRequest(test=test, opts=OPTS2, tag=("warm",), cache=SHARED_CACHE)]
+            [SweepRequest(test=test, opts=OPTS2, tag=("warm",))]
         )
         assert legacy.nvcc_executions > 0
         warm.close()
@@ -372,11 +371,11 @@ class TestBackCompat:
         nvcc_cpu, hipcc_cpu = service.run_chunk(
             [
                 SweepRequest(
-                    test=test, opts=OPTS2, tag=("a",), cache=SHARED_CACHE,
+                    test=test, opts=OPTS2, tag=("a",),
                     runner=RunnerSpec(stacks=("nvcc", "cpu")),
                 ),
                 SweepRequest(
-                    test=test, opts=OPTS2, tag=("b",), cache=SHARED_CACHE,
+                    test=test, opts=OPTS2, tag=("b",),
                     runner=RunnerSpec(stacks=("hipcc", "cpu")),
                 ),
             ]
