@@ -891,6 +891,53 @@ class TestArtifactCache:
                 differs |= plain.compile(program, opt) != ablated.compile(program, opt)
             assert differs  # the pair really compiles differently somewhere
 
+    def test_each_chunk_compiles_through_its_own_cache(self):
+        """A chunk's twin hits the native test's nvcc compiles, but no
+        compile carries over to the next chunk: two identical chunks
+        count twice one chunk's hits and misses, in process and in a
+        pool."""
+        test = build_corpus(GeneratorConfig.fp32(), 1, root_seed=11).tests[0]
+        chunk = [
+            SweepRequest(test=test, opts=OPTS2, tag=("native",)),
+            SweepRequest(test=DerivedTestSpec(base=test), opts=OPTS2, tag=("hipify",)),
+        ]
+        counts = {}
+        for label, backend, chunks in [
+            ("one", SerialBackend(), [chunk]),
+            ("serial", SerialBackend(), [chunk, chunk]),
+            ("pool", ProcessPoolBackend(2), [chunk, chunk]),
+        ]:
+            with ExecutionService(backend=backend) as service:
+                for _ in service.run_sweeps(chunks):
+                    pass
+                counts[label] = service.stats()["artifacts"]
+        one = counts["one"]
+        assert one["hits"] > 0 and one["misses"] > 0
+        doubled = {name: 2 * n for name, n in one.items()}
+        assert counts["serial"] == counts["pool"] == doubled
+
+    def test_runner_sweep_without_a_cache_uses_the_runners_own(self):
+        test = build_corpus(GeneratorConfig.fp32(), 1, root_seed=12).tests[0]
+        runner = DifferentialRunner()
+        first = runner.run_sweep(test, OPTS2)
+        misses = runner.artifacts.misses
+        assert misses > 0 and runner.artifacts.hits == 0
+        again = runner.run_sweep(test, OPTS2)
+        assert runner.artifacts.misses == misses
+        assert runner.artifacts.hits == misses
+        given = ArtifactCache()
+        cached = DifferentialRunner().run_sweep(test, OPTS2, artifacts=given)
+        assert given.misses == misses
+
+        def printed(pairs):
+            return [
+                (label, r.compiler, r.input_index, r.printed, r.flags)
+                for label, pair in pairs.items()
+                for r in (*pair.lhs_runs, *pair.rhs_runs)
+            ]
+
+        assert printed(again) == printed(cached) == printed(first)
+
 
 # --------------------------------------------------- ledger byte equality
 def _flatten(service, chunks):

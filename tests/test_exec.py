@@ -262,6 +262,30 @@ class TestRunStore:
         assert replayed.nvcc_executions == fresh.nvcc_executions > 0
         assert _outcome_lines(replayed) == _outcome_lines(fresh)
 
+    def test_file_with_the_former_artifacts_table_still_replays(
+        self, tmp_path, fp32_corpus
+    ):
+        """Store files written while compiled kernels were persisted
+        carry an ``artifacts`` table next to ``runs``; the run store
+        ignores it and replays the runs."""
+        test = fp32_corpus.tests[1]
+        path = tmp_path / "store.sqlite"
+        request = SweepRequest(test=test, opts=OPTS2)
+        with ExecutionService(store=RunStore(path=path)) as warm:
+            (fresh,) = warm.run_chunk([request])
+        with sqlite3.connect(str(path)) as conn:
+            conn.execute(
+                "CREATE TABLE artifacts (k TEXT PRIMARY KEY, blob BLOB NOT NULL)"
+            )
+            conn.execute("INSERT INTO artifacts VALUES ('k0', x'80')")
+        conn.close()
+        with ExecutionService(store=RunStore(path=path)) as service:
+            (replayed,) = service.run_chunk([request])
+            assert service.store.disk_hits == len(OPTS2)
+        assert fresh.nvcc_executions > 0 and replayed.nvcc_executions == 0
+        assert replayed.nvcc_cache_hits == len(OPTS2) * len(test.inputs)
+        assert _outcome_lines(replayed) == _outcome_lines(fresh)
+
     def test_view_pairs_native_with_twin(self, fp32_corpus):
         """The store view replays a twin's CUDA half bit-identically —
         the fused-arm invariant, now by content instead of test id."""
@@ -433,6 +457,31 @@ class TestExecutionService:
             ]
         assert found["serial"][0]  # the test has discrepancies to compare
         assert found["given store"] == found["serial"] == found["pool"]
+
+    def test_no_reuse_request_bypasses_the_given_store(self, fp32_corpus):
+        """``reuse=False`` executes both sides in every chunk and leaves
+        the service's store untouched, with the outcomes of a reuse
+        request."""
+        test = fp32_corpus.tests[2]
+        store = RunStore()
+        with ExecutionService(store=store) as service:
+            plain = [
+                o
+                for chunk in service.run_sweeps(
+                    [[SweepRequest(test=test, opts=OPTS2, reuse=False)]] * 2
+                )
+                for o in chunk
+            ]
+            executions = len(OPTS2) * len(test.inputs)
+            assert [(o.nvcc_executions, o.nvcc_cache_hits) for o in plain] == [
+                (executions, 0)
+            ] * 2
+            assert len(store) == 0 and store.hits == store.misses == 0
+            (reused,) = service.run_chunk([SweepRequest(test=test, opts=OPTS2)])
+            assert len(store) == len(OPTS2)
+        assert reused.nvcc_executions == executions
+        assert _outcome_lines(plain[0]) == _outcome_lines(plain[1])
+        assert _outcome_lines(plain[0]) == _outcome_lines(reused)
 
     def test_corpus_spec_resolves_like_the_corpus(self, fp32_corpus):
         spec = CorpusTestSpec(
