@@ -1,7 +1,7 @@
 """Ablation bench — attribution of discrepancies to modeled mechanisms.
 
 Not a paper table: this is the reproduction's own design-choice ablation
-(DESIGN.md §5).  Equalizing a mechanism between the two stacks and watching
+(the five mechanisms of :mod:`repro.analysis.ablation`).  Equalizing a mechanism between the two stacks and watching
 the counts drop is the in-model analogue of the paper's Q3 root-cause
 analysis — and the ``all-equalized`` row doubles as a soundness self-check
 (zero residual discrepancies ⇒ no unmodeled asymmetry).

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import sys
 
-from repro.fuzz import FuzzConfig, run_fuzz, run_random_session, signature_histogram
+from repro.fuzz.engine import FuzzConfig, run_fuzz, run_random_session
+from repro.fuzz.signature import signature_histogram
 
 
 def main() -> int:

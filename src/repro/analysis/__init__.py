@@ -1,47 +1,1 @@
 """Result analysis: the paper's tables and case-study tooling."""
-
-from repro.analysis.summary import summary_table, summary_dict
-from repro.analysis.per_opt import per_opt_table, per_opt_counts
-from repro.analysis.adjacency import adjacency_counts, adjacency_table
-from repro.analysis.case_studies import (
-    CaseStudyReport,
-    isolate_divergence,
-    select_case_studies,
-)
-from repro.analysis.report import render_campaign_report
-from repro.analysis.ablation import (
-    ABLATIONS,
-    AblationSpec,
-    ablation_table,
-    build_ablated_runner,
-    run_ablation,
-)
-from repro.analysis.triage import TriageVerdict, triage_discrepancy, triage_table
-from repro.analysis.reduce import ReductionResult, reduce_testcase
-from repro.analysis.function_sweep import sweep_all, sweep_function, sweep_table
-
-__all__ = [
-    "ABLATIONS",
-    "AblationSpec",
-    "ablation_table",
-    "build_ablated_runner",
-    "run_ablation",
-    "TriageVerdict",
-    "triage_discrepancy",
-    "triage_table",
-    "ReductionResult",
-    "reduce_testcase",
-    "sweep_all",
-    "sweep_function",
-    "sweep_table",
-    "summary_table",
-    "summary_dict",
-    "per_opt_table",
-    "per_opt_counts",
-    "adjacency_counts",
-    "adjacency_table",
-    "CaseStudyReport",
-    "isolate_divergence",
-    "select_case_studies",
-    "render_campaign_report",
-]

@@ -1,10 +1,18 @@
 """Mechanism ablation: which modeled difference causes how much divergence.
 
-DESIGN.md §5 lists five divergence mechanisms.  This harness re-runs a
-corpus with individual mechanisms *equalized* between the two stacks and
-measures how many discrepancies disappear — the in-model analogue of the
-paper's root-cause attribution (Q3), and the ablation study for the
-reproduction's own design choices.
+The model has five divergence mechanisms between the stacks:
+
+1. vendor math-library algorithms and ULP placement (libdevice vs OCML);
+2. FMA-contraction pattern coverage;
+3. fast-math value-unsafe rewrites (reassociation, reciprocal division,
+   finite-math algebra);
+4. FP32 approximate intrinsics and the flush-to-zero asymmetry;
+5. the HIPIFY compatibility wrapper's extra rounding.
+
+This harness re-runs a corpus with individual mechanisms *equalized*
+between the two stacks and measures how many discrepancies disappear —
+the in-model analogue of the paper's root-cause attribution (Q3), and
+the ablation study for the reproduction's own design choices.
 
 Ablations:
 

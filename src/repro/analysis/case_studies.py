@@ -14,15 +14,17 @@ the generated assembly.  Our in-model analogue:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.codegen.base import EmitterConfig, render_kernel_body, render_signature
 from repro.codegen.cuda import render_cuda
 from repro.compilers.options import OptSetting
-from repro.harness.campaign import ArmResult
 from repro.harness.differential import Discrepancy, DiscrepancyClass
 from repro.harness.runner import DifferentialRunner
 from repro.varity.testcase import TestCase
+
+if TYPE_CHECKING:
+    from repro.harness.campaign import ArmResult
 
 __all__ = ["DivergencePoint", "CaseStudyReport", "isolate_divergence", "select_case_studies"]
 

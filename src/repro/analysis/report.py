@@ -1,8 +1,7 @@
 """Whole-campaign report rendering.
 
 Combines Table IV, the per-optimization tables, and the adjacency matrices
-into one text report — the artifact a campaign prints at the end, and the
-source of the measured columns in EXPERIMENTS.md.
+into one text report — the artifact a campaign prints at the end.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from repro.harness.campaign import CampaignResult
 from repro.analysis.summary import summary_table
 from repro.analysis.per_opt import per_opt_table
 from repro.analysis.adjacency import adjacency_tables
-from repro.oracle.engine import oracle_violation_table
 
 __all__ = ["render_campaign_report"]
 
@@ -81,6 +79,8 @@ def render_campaign_report(
     if oracle_arm is not None:
         # Per-relation violation accounting — the oracle arm's analogue of
         # the per-optimization discrepancy tables.
+        from repro.oracle.engine import oracle_violation_table
+
         blocks.append(
             oracle_violation_table(
                 oracle_arm.oracle_checked,

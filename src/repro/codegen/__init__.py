@@ -8,16 +8,3 @@ parses inputs from ``argv``, allocates/initializes arrays, launches the
 kernel, and synchronizes.  The C renderer emits the host-side reference
 used by the Table I mini-app.
 """
-
-from repro.codegen.base import EmitterConfig, render_kernel_body
-from repro.codegen.cuda import render_cuda
-from repro.codegen.hip import render_hip
-from repro.codegen.c import render_c
-
-__all__ = [
-    "EmitterConfig",
-    "render_kernel_body",
-    "render_cuda",
-    "render_hip",
-    "render_c",
-]

@@ -1,6 +1,6 @@
 """The hipcc compiler model.
 
-Pipelines (DESIGN.md §5):
+Pipelines (divergence mechanisms 1–4, listed in :mod:`repro.analysis.ablation`):
 
 * ``-O0``: no IR transformation.
 * ``-O1`` .. ``-O3``: identical pipelines: arithmetic-only constant

@@ -1,6 +1,6 @@
 """The nvcc compiler model.
 
-Pipelines (DESIGN.md §5):
+Pipelines (divergence mechanisms 1–4, listed in :mod:`repro.analysis.ablation`):
 
 * ``-O0``: no IR transformation — divergence at O0 comes purely from the
   device math library (mechanism 1).

@@ -1,6 +1,6 @@
 """FP32 approximate-intrinsic substitution under fast math.
 
-Mechanism 4 of DESIGN.md §5 — the source of the paper's Table IX
+Divergence mechanism 4 (FP32 approximate intrinsics) — the source of the paper's Table IX
 explosion (13,877 discrepancies at O3_FM vs 45 at O0):
 
 * the nvcc model (``-use_fast_math``) rewrites FP32 math calls to their

@@ -1,6 +1,6 @@
 """FMA contraction with per-compiler pattern coverage.
 
-Mechanism 2 of DESIGN.md §5: both real compilers contract
+Divergence mechanism 2 (FMA-contraction coverage): both real compilers contract
 multiply-add into fused operations (one rounding instead of two) at
 ``-O1`` and above, but the *set of shapes* they recognise differs.  Where
 both contract, results agree (our FMA evaluation is shared); where only

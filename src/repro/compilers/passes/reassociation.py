@@ -6,7 +6,8 @@ or more ``+`` (or ``*``) terms into a balanced tree — the association a
 GPU backend favours for instruction-level parallelism — while the hipcc
 model (``-DHIP_FAST_MATH``) leaves source association alone.  Different
 association ⇒ different intermediate roundings ⇒ divergence on a
-value-dependent subset: mechanism 3 of DESIGN.md §5 and the reason the
+value-dependent subset: divergence mechanism 3 (fast-math value-unsafe
+rewrites) and the reason the
 paper's O3_FM rows exceed O3.
 """
 

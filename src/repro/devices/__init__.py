@@ -2,8 +2,9 @@
 
 Substitute for the paper's Lassen (NVIDIA V100) and Tioga (AMD MI250X)
 clusters: each device couples an IEEE-754 IR interpreter with a vendor
-math-library model.  See DESIGN.md §2 for the substitution argument and §5
-for the divergence mechanisms.
+math-library model.  README, "Package architecture", describes the
+substitution; :mod:`repro.analysis.ablation` lists the divergence
+mechanisms.
 
 There is one evaluator: :mod:`repro.devices.batch` lowers a kernel into
 per-row closures, and every execution — single rows, batches, traced

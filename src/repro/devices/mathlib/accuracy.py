@@ -87,8 +87,8 @@ _PER_FUNCTION_OVERRIDES: Dict[Tuple[str, FPType, str], ErrorProfile] = {
     ("sinh", FPType.FP64, "default"): ErrorProfile(max_ulps=2, rate_num=2),
 }
 
-#: Extra rounding applied by the HIPIFY compatibility wrapper (mechanism 5
-#: in DESIGN.md): single-ULP deviations on top of the library result for a
+#: Extra rounding applied by the HIPIFY compatibility wrapper (divergence
+#: mechanism 5): single-ULP deviations on top of the library result for a
 #: fifth of operands of the wrapped functions.  Calibrated so converted
 #: FP64 campaigns measure at or above native HIP (the paper's Table VII vs
 #: Table V: 2,716 vs 2,426, +12%).  Note the asymmetry that makes a high

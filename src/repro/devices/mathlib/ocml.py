@@ -12,7 +12,7 @@ Composition of:
 * ``approx`` variants used under ``-DHIP_FAST_MATH`` (native OCML fast
   paths, with their own — different — large-ULP profile);
 * the ``hipify`` variant: the library result passed through the modeled
-  HIPIFY compatibility wrapper's extra rounding (DESIGN.md mechanism 5).
+  HIPIFY compatibility wrapper's extra rounding (divergence mechanism 5).
 """
 
 from __future__ import annotations

@@ -23,21 +23,3 @@ Layers:
   via :mod:`repro.analysis.reduce`;
 * :mod:`repro.fuzz.cli`       — the ``repro-fuzz`` console entry point.
 """
-
-from repro.fuzz.engine import FuzzConfig, FuzzResult, run_fuzz, run_random_session
-from repro.fuzz.ledger import Finding, FindingsLedger
-from repro.fuzz.mutators import MUTATION_NAMES, apply_mutation
-from repro.fuzz.signature import DiscrepancySignature, signature_histogram
-
-__all__ = [
-    "FuzzConfig",
-    "FuzzResult",
-    "run_fuzz",
-    "run_random_session",
-    "Finding",
-    "FindingsLedger",
-    "MUTATION_NAMES",
-    "apply_mutation",
-    "DiscrepancySignature",
-    "signature_histogram",
-]

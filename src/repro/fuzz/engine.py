@@ -81,7 +81,6 @@ from repro.fuzz.search import (
 from repro.fuzz.signature import DiscrepancySignature
 from repro.harness.differential import Discrepancy, classify_pair
 from repro.harness.runner import DifferentialRunner
-from repro.oracle.engine import build_relation_requests, check_relation_outcomes
 from repro.oracle.relations import Relation, RelationViolation, resolve_relations
 from repro.stacks import DEFAULT_STACK_PAIR, pair_name, resolve_stacks, stack_pairs
 from repro.telemetry.spans import get_tracer
@@ -485,6 +484,10 @@ class _Evaluator:
         identical variants.  Construction and applicability policy are
         the oracle engine's own (:func:`build_relation_requests`).
         """
+        if not self.relations:
+            return []
+        from repro.oracle.engine import build_relation_requests
+
         requests, _ = build_relation_requests(
             test, "oracle", self.config.seed, test.test_id, self.relations,
             self.config.opts,
@@ -530,10 +533,14 @@ class _Evaluator:
         # The chunk's first outcome is the native sweep, whose test_id is
         # the evaluated program's own id — violations normalize to it.
         canonical = outcomes[0].test_id if outcomes else None
-        violations = check_relation_outcomes(
-            oracle_outcomes, self.relations, self.config.fptype,
-            self.config.oracle_ulp_bound, canonical,
-        )
+        violations: List[RelationViolation] = []
+        if self.relations:
+            from repro.oracle.engine import check_relation_outcomes
+
+            violations = check_relation_outcomes(
+                oracle_outcomes, self.relations, self.config.fptype,
+                self.config.oracle_ulp_bound, canonical,
+            )
         return found, violations
 
     def oracle_entries(

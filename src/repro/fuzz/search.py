@@ -110,7 +110,6 @@ from typing import (
 from repro.errors import HarnessError
 from repro.exec import content_id, content_text
 from repro.fp.types import FPType
-from repro.fuzz.coverage import CoverageTracker, kernel_features
 from repro.fuzz.ledger import LedgerState, LineageStep, Promotion, SearchTrace
 from repro.fuzz.mutators import MUTATORS, apply_mutation
 from repro.ir.program import Kernel, Program
@@ -536,6 +535,8 @@ class MctsSearch(SearchStrategy):
     """The ``search="mcts"`` strategy: UCB1 tree search (module docstring)."""
 
     def __init__(self, config, corpus, hot_indices: Sequence[int]) -> None:
+        from repro.fuzz.coverage import CoverageTracker
+
         self.config = config
         self.corpus = corpus
         self.coverage = CoverageTracker()
@@ -567,12 +568,19 @@ class MctsSearch(SearchStrategy):
                 reward_sum=1.0 if index in hot else 0.0,
             )
             self.children.append(node)
-            self.coverage.observe(kernel_features(test.program.kernel))
+            self._observe(test)
             self.root_visits += 1
 
     @classmethod
     def fingerprint_keys(cls) -> Dict[str, object]:
         return {"format": 5, "search": "mcts"}
+
+    def _observe(self, test: TestCase) -> int:
+        """Fold one program's grammar features into the coverage map;
+        returns how many were new."""
+        from repro.fuzz.coverage import kernel_features
+
+        return self.coverage.observe(kernel_features(test.program.kernel))
 
     # ------------------------------------------------------------ selection
     def _ucb(self, mean: float, visits: int, parent_visits: int) -> float:
@@ -869,9 +877,7 @@ class MctsSearch(SearchStrategy):
         returns the blended reward (nonzero ⇒ later speculation is stale)."""
         rec = self._pop(prep)
         assert rec.test is not None
-        new_features = self.coverage.observe(
-            kernel_features(rec.test.program.kernel)
-        )
+        new_features = self._observe(rec.test)
         reward = blend_reward(novel, violations, new_features)
         self._absorb(rec, reward, diverged, prep.iteration)
         return reward
@@ -911,7 +917,7 @@ class MctsSearch(SearchStrategy):
             # the recorded reward, with coverage re-observed
             outstanding = self._pop(p)
             assert outstanding.test is not None
-            self.coverage.observe(kernel_features(outstanding.test.program.kernel))
+            self._observe(outstanding.test)
             self._absorb(outstanding, rec.reward, rec.diverged, i)
 
     def take_batch_records(self) -> Dict[str, Any]:

@@ -10,8 +10,8 @@ Two cooperating pieces, mirroring how the paper uses AMD's tool:
   calls through a compatibility wrapper with one extra modeled rounding —
   producing the slightly-elevated discrepancy counts of Tables VII/VIII
   relative to native-HIP FP64 (the paper measures the effect but leaves
-  its root cause to future work; DESIGN.md documents our stand-in
-  mechanism).
+  its root cause to future work; the extra rounding is our stand-in,
+  calibrated in :mod:`repro.devices.mathlib.accuracy`).
 """
 
 from repro.hipify.rules import HIPIFY_RULES, HipifyRule

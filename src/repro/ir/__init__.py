@@ -34,9 +34,7 @@ from repro.ir.nodes import (
 )
 from repro.ir.program import Param, Kernel, Program
 from repro.ir.visitor import Visitor, Transformer, walk, collect
-from repro.ir.builder import IRBuilder
 from repro.ir.validate import validate_kernel, ValidationIssue
-from repro.ir.metrics import ProgramMetrics, compute_metrics
 
 __all__ = [
     "IRType",
@@ -66,9 +64,6 @@ __all__ = [
     "Transformer",
     "walk",
     "collect",
-    "IRBuilder",
     "validate_kernel",
     "ValidationIssue",
-    "ProgramMetrics",
-    "compute_metrics",
 ]

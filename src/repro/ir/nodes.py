@@ -222,8 +222,9 @@ class FMA(Expr):
     """Fused multiply-add ``fma(a, b, c) = round(a*b + c)``.
 
     Never produced by the generator — only by the FMA-contraction compiler
-    pass (§V of DESIGN.md, mechanism 2).  ``negate_product`` encodes the
-    ``c - a*b`` contraction (fused multiply-subtract-reverse).
+    pass (divergence mechanism 2: the two compilers contract different
+    multiply-add shapes).  ``negate_product`` encodes the ``c - a*b``
+    contraction (fused multiply-subtract-reverse).
     """
 
     a: Expr
@@ -250,7 +251,7 @@ class Call(Expr):
     * ``"approx"`` — fast-math approximate intrinsic (``__cosf``-class),
       substituted by the fast-math compiler pass for FP32;
     * ``"hipify"`` — resolved through the HIPIFY compatibility wrapper
-      (one extra modeled rounding; DESIGN.md mechanism 5).
+      (one extra modeled rounding; divergence mechanism 5).
     """
 
     func: str

@@ -28,19 +28,15 @@ Compatibility invariants the registry preserves:
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple, Union
 
 from repro.errors import HarnessError
-from repro.codegen.c import render_c
-from repro.codegen.cuda import render_cuda
-from repro.codegen.hip import render_hip
-from repro.compilers.clang import ClangCompiler
 from repro.compilers.compiler import Compiler
 from repro.compilers.hipcc import HipccCompiler
 from repro.compilers.nvcc import NvccCompiler
 from repro.devices.amd import amd_mi250x
-from repro.devices.cpu import cpu_host
 from repro.devices.device import Device
 from repro.devices.nvidia import nvidia_v100
 from repro.devices.vendor import Vendor
@@ -83,6 +79,17 @@ class Stack:
         return self.name
 
 
+def _deferred(module: str, name: str) -> Callable[..., Any]:
+    """Calls ``module.name``, importing the module on first call: the
+    default pair's compilers and devices are imported eagerly, while the
+    renderers and the cpu stack's models load only when a run uses them."""
+
+    def call(*args: Any) -> Any:
+        return getattr(importlib.import_module(module), name)(*args)
+
+    return call
+
+
 #: Registry, in canonical order (decides pair ordering everywhere).
 STACKS: Dict[str, Stack] = {
     "nvcc": Stack(
@@ -91,7 +98,7 @@ STACKS: Dict[str, Stack] = {
         dialect="cuda",
         source_extension=".cu",
         mathlib_name="libdevice",
-        render=render_cuda,
+        render=_deferred("repro.codegen.cuda", "render_cuda"),
         compiler_factory=NvccCompiler,
         device_factory=nvidia_v100,
     ),
@@ -101,7 +108,7 @@ STACKS: Dict[str, Stack] = {
         dialect="hip",
         source_extension=".hip",
         mathlib_name="ocml",
-        render=render_hip,
+        render=_deferred("repro.codegen.hip", "render_hip"),
         compiler_factory=HipccCompiler,
         device_factory=amd_mi250x,
     ),
@@ -111,9 +118,9 @@ STACKS: Dict[str, Stack] = {
         dialect="c",
         source_extension=".c",
         mathlib_name="libm",
-        render=render_c,
-        compiler_factory=ClangCompiler,
-        device_factory=cpu_host,
+        render=_deferred("repro.codegen.c", "render_c"),
+        compiler_factory=_deferred("repro.compilers.clang", "ClangCompiler"),
+        device_factory=_deferred("repro.devices.cpu", "cpu_host"),
     ),
 }
 

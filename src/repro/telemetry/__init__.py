@@ -20,25 +20,3 @@ Layout:
   two snapshots with per-phase deltas (the ``repro-report`` entry
   point).
 """
-
-from repro.telemetry.metrics import (
-    DEFAULT_TIME_EDGES,
-    MetricsRegistry,
-)
-from repro.telemetry.spans import (
-    NullTracer,
-    SpanRecord,
-    Tracer,
-    get_tracer,
-    set_tracer,
-)
-
-__all__ = [
-    "DEFAULT_TIME_EDGES",
-    "MetricsRegistry",
-    "NullTracer",
-    "SpanRecord",
-    "Tracer",
-    "get_tracer",
-    "set_tracer",
-]

@@ -21,13 +21,6 @@ import sys
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.telemetry.export import (
-    fold_exec_metrics,
-    fold_spans,
-    write_metrics_snapshot,
-    write_trace,
-)
-from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import Tracer, set_tracer
 
 __all__ = ["add_telemetry_args", "TelemetrySession"]
@@ -81,6 +74,14 @@ class TelemetrySession:
         """Write the requested outputs (call after the run succeeds)."""
         if self.tracer is None:
             return
+        from repro.telemetry.export import (
+            fold_exec_metrics,
+            fold_spans,
+            write_metrics_snapshot,
+            write_trace,
+        )
+        from repro.telemetry.metrics import MetricsRegistry
+
         records = self.tracer.records()
         if self.trace_out:
             write_trace(records, Path(self.trace_out))
