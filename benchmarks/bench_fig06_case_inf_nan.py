@@ -7,7 +7,7 @@ by a math function.
 
 Our model runs (a) the paper's verbatim kernel (whose published O0
 behaviour is not IEEE-derivable — pure IEEE evaluation of the shown input
-produces NaN on both platforms; see EXPERIMENTS.md) and (b) an engineered
+produces NaN on both platforms; see ``repro.apps.paper_kernels``) and (b) an engineered
 companion exhibiting the same phenomenon through modeled FMA-contraction
 asymmetry: agreement at -O0, Inf (nvcc) vs NaN (hipcc) at -O1.
 """

@@ -67,7 +67,7 @@ def main() -> int:
         print(f"verbatim Fig. 6 kernel @ {opt.label}: nvcc={rn.printed}  hipcc={ra.printed}"
               "   (paper: -inf / -inf at O0; -inf / -nan at O1)")
     print("note: pure IEEE evaluation of the published input yields NaN on both")
-    print("platforms (see EXPERIMENTS.md); the engineered companion below shows")
+    print("platforms (see repro.apps.paper_kernels); the engineered companion below shows")
     print("the same optimization-induced phenomenon end to end:")
     print()
     engineered = case3_engineered_testcase()

@@ -173,30 +173,22 @@ class _AblatedNvcc(NvccCompiler):
         return passes
 
 
-#: one equalized runner per spec per process (see build_ablated_runner)
-_RUNNERS: Dict[AblationSpec, DifferentialRunner] = {}
-
-
 def build_ablated_runner(spec: AblationSpec) -> DifferentialRunner:
     """A differential runner with the spec's asymmetries equalized.
 
     Public because the triage engine (:mod:`repro.analysis.triage`) re-runs
     individual discrepancies under targeted ablations to attribute causes.
-    Runners hold no result-determining state, so each spec gets one per
-    process: its probe caches then persist across discrepancies.
+    It is this thread's one runner for ``RunnerSpec(ablation=spec)``
+    (:meth:`repro.exec.units.RunnerSpec.build`), so its probe caches
+    persist across discrepancies and its sweeps share them.
     """
-    runner = _RUNNERS.get(spec)
-    if runner is None:
-        runner = _RUNNERS[spec] = _build_runner(spec)
-    return runner
+    from repro.exec.units import RunnerSpec
 
-
-def ablated_runners() -> Tuple[DifferentialRunner, ...]:
-    """Every runner :func:`build_ablated_runner` has built in this process."""
-    return tuple(_RUNNERS.values())
+    return RunnerSpec(ablation=spec).build()
 
 
 def _build_runner(spec: AblationSpec) -> DifferentialRunner:
+    """A new equalized runner (the registry's constructor for ablations)."""
     runner = DifferentialRunner()
     if spec.same_mathlib:
         runner.rhs_device = Device(TIOGA_SPEC, LibdeviceMath())
@@ -218,7 +210,7 @@ class AblationResult:
 
 
 #: tests per execution-service chunk: small enough to parallelize a
-#: modest corpus, big enough to amortize per-chunk runner construction.
+#: modest corpus, big enough to amortize per-chunk dispatch.
 _CHUNK_TESTS = 8
 
 
@@ -233,9 +225,10 @@ def run_ablation(
     """Run the corpus under each ablation spec.
 
     Every (spec, test) sweep goes through the execution service — each
-    spec's equalized runner is reconstructed per chunk from its
-    :class:`~repro.exec.units.RunnerSpec`, so chunks are deterministic
-    wherever they run and the counts are identical at any worker count.
+    spec's equalized runner is built from its
+    :class:`~repro.exec.units.RunnerSpec` wherever the chunk runs, so
+    chunks are deterministic and the counts are identical at any worker
+    count.
     Pass a ``service`` to share one (and its backend) across studies, or
     ``workers`` to parallelize this call alone.
     """

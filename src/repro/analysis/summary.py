@@ -36,7 +36,7 @@ def _arm_title(name: str) -> str:
 
 
 def summary_dict(result: CampaignResult) -> Dict[str, Dict[str, object]]:
-    """Machine-readable Table IV (used by tests and EXPERIMENTS.md)."""
+    """Machine-readable Table IV: the rows :func:`summary_table` renders."""
     out: Dict[str, Dict[str, object]] = {}
     for arm_name, arm in result.arms.items():
         out[arm_name] = {

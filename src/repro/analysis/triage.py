@@ -123,21 +123,27 @@ def triage_discrepancy(
     input_index: int,
     *,
     o0_values: Optional[Tuple[float, float]] = None,
+    passes: Optional[Tuple[Tuple[str, ...], Tuple[str, ...]]] = None,
 ) -> TriageVerdict:
     """Attribute one discrepancy to a modeled mechanism.
 
     ``o0_values`` answers the O0 probe without running it: the (lhs,
     rhs) values of this input in an O0 sweep the caller already ran on
-    the same runner configuration.
+    the same runner configuration.  ``passes`` likewise answers the
+    compile: the (lhs, rhs) ``passes_applied`` of that sweep at ``opt``
+    (:class:`~repro.harness.runner.PairResult`), so a verdict the sweep
+    answers compiles nothing.
     """
-    ck_lhs, ck_rhs = runner.compile_pair(test, opt)
+    if passes is None:
+        ck_lhs, ck_rhs = runner.compile_pair(test, opt)
+        passes = (ck_lhs.passes_applied, ck_rhs.passes_applied)
     verdict = TriageVerdict(
         test_id=test.test_id,
         input_index=input_index,
         opt_label=opt.label,
         cause=Cause.UNKNOWN,
-        nvcc_passes=ck_lhs.passes_applied,
-        hipcc_passes=ck_rhs.passes_applied,
+        nvcc_passes=passes[0],
+        hipcc_passes=passes[1],
     )
     fp32_fast = opt.fast_math and test.fptype is FPType.FP32
 

@@ -14,7 +14,7 @@ so the case-study benches run the *same tests* the authors shipped.
   ``-O1`` — through our modeled FMA-contraction asymmetry.  (The verbatim
   kernel's published O0 behaviour is not IEEE-derivable — pure IEEE
   evaluation of the shown input yields NaN on both platforms, which our
-  model faithfully produces; see EXPERIMENTS.md.)
+  model faithfully produces; ``tests/test_apps.py`` pins it.)
 """
 
 from __future__ import annotations

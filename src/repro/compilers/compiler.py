@@ -11,6 +11,13 @@ keeps the memo sound by making its output a function of its ``key``,
 the fptype and one top-level statement: expression hooks only, or
 statement hooks that never read neighbouring statements.
 
+The front end validates each preprocessed kernel structure once per
+process: the verdict is memoized by :meth:`Kernel.structure_key
+<repro.ir.program.Kernel.structure_key>` (at most ``VALIDATED_MAX``
+entries), so a fuzz mutant the mutator already validated, or a kernel
+compiled again by triage, skips the walk.  A malformed kernel still
+raises the same :class:`~repro.errors.CompileError` on every compile.
+
 Telemetry: when the active tracer is enabled the base driver records a
 ``compile.front_end`` span per preprocess+validate, a ``compile`` span
 per (program, opt) specialization, and a ``compile.pass`` span per
@@ -38,6 +45,11 @@ from repro.compilers.passes.base import Pass
 from repro.telemetry.spans import get_tracer
 
 __all__ = ["CompiledKernel", "Compiler"]
+
+#: Front-end verdicts kept before the memo starts over.
+VALIDATED_MAX = 4096
+#: structure key -> the first validation issues, joined ("" when valid).
+_validated: Dict[tuple, str] = {}
 
 
 @dataclass(frozen=True)
@@ -96,7 +108,14 @@ class Compiler(abc.ABC):
         tracer = get_tracer()
         t0 = time.perf_counter_ns() if tracer.enabled else 0
         kernel = self.preprocess(program)
-        issues = validate_kernel(kernel)
+        key = kernel.structure_key()
+        issues = _validated.get(key)
+        if issues is None:
+            if len(_validated) >= VALIDATED_MAX:
+                _validated.clear()
+            issues = _validated[key] = "; ".join(
+                str(i) for i in validate_kernel(kernel)[:5]
+            )
         if tracer.enabled:
             tracer.record(
                 "compile.front_end",
@@ -107,7 +126,7 @@ class Compiler(abc.ABC):
         if issues:
             raise CompileError(
                 f"{self.name}: program {program.program_id!r} is malformed: "
-                + "; ".join(str(i) for i in issues[:5])
+                + issues
             )
         return kernel
 

@@ -186,6 +186,10 @@ def int_of_scalar(name: str, value: float) -> int:
     return int(value)
 
 
+#: Math-library results an interpreter keeps before its memo starts over.
+CALL_MEMO_MAX = 8192
+
+
 class Interpreter:
     """Executes kernels under one vendor math library."""
 
@@ -233,8 +237,11 @@ class Interpreter:
         return result
 
     def memo(self) -> Dict[object, object]:
-        """:attr:`call_memo`, emptied first once it holds 200,000 entries."""
-        if len(self.call_memo) > 200_000:
+        """:attr:`call_memo`, emptied first once it holds more than
+        :data:`CALL_MEMO_MAX` entries: the memo lives as long as its
+        thread's runner (:meth:`repro.exec.units.RunnerSpec.build`),
+        across chunks and sessions, so the bound keeps memory flat."""
+        if len(self.call_memo) > CALL_MEMO_MAX:
             self.call_memo.clear()
         return self.call_memo
 

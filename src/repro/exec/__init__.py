@@ -5,12 +5,12 @@ run a test across an optimization sweep on both platforms.  This package
 owns that primitive once, as data plus policy:
 
 * :mod:`~repro.exec.units` — typed work units (:class:`SweepRequest` /
-  :class:`SweepOutcome`) plus runner specs;
+  :class:`SweepOutcome`) plus runner specs and each thread's runners;
 * :mod:`~repro.exec.content` — content keying: structurally identical
   kernels with identical inputs share one identity;
 * :mod:`~repro.exec.store` — the content-keyed :class:`RunStore`
   (memory LRU + optional SQLite file, :mod:`~repro.exec.disk`);
-* :mod:`~repro.exec.artifacts` — the content-keyed compiled-kernel
+* :mod:`~repro.exec.artifacts` — the structure-keyed compiled-kernel
   :class:`ArtifactCache` (memory LRU);
 * :mod:`~repro.exec.backends` — ordered chunk execution, serial, on a
   persistent process pool, or through a :mod:`repro.bridge` worker
@@ -22,7 +22,7 @@ The campaign engine, the fuzzer, the mechanism ablation, and the
 math-function sweep all execute through it.
 """
 
-from repro.exec.artifacts import ArtifactCache, kernel_text
+from repro.exec.artifacts import ArtifactCache
 from repro.exec.backends import (
     Backend,
     ProcessPoolBackend,
@@ -60,5 +60,4 @@ __all__ = [
     "content_id",
     "content_text",
     "content_id_for",
-    "kernel_text",
 ]

@@ -1,4 +1,4 @@
-"""The content-keyed compiled-artifact cache.
+"""The structure-keyed compiled-artifact cache.
 
 Compilation in this model is a pure function of *(source kernel text,
 compiler, optimization setting, pass pipeline)* — the front end
@@ -7,21 +7,31 @@ transforms.  The campaign and fuzz engines recompile the same handful of
 kernels constantly: a test's HIPIFY twin is byte-identical CUDA source,
 fuzz mutants share ancestors, and every (test, opt) pair re-enters the
 pipeline once per sweep.  :class:`ArtifactCache` memoizes the finished
-:class:`~repro.compilers.compiler.CompiledKernel` under a content key so
-identical kernels never re-enter preprocess/validate/pass pipelines.
+:class:`~repro.compilers.compiler.CompiledKernel` under a structural key
+so identical kernels never re-enter preprocess/validate/pass pipelines.
 
-The key is built from the **source** kernel's canonical rendering (the
-post-pass kernel may contain folded literals — e.g. ``inf`` — that the
-canonical emitter rejects by design), qualified by:
+The key is a tuple of atoms describing the **source** kernel — its
+name, fp type, parameters (names and type values) and the value numbers
+of its statements (:func:`repro.ir.nodes.value_number`, which tell
+``-0.0`` from ``+0.0``, NaN payloads and ``Const.text`` spellings
+apart) — qualified by:
 
-* the compiler's registry name and the kernel's fp type;
+* the compiler's registry name;
 * ``program.via_hipify`` — only when the compiler declares itself
   :attr:`~repro.compilers.compiler.Compiler.hipify_sensitive` (hipcc's
   preprocess resolves HIPIFY-converted programs differently; nvcc and
   clang compile the twin byte-identically, so their artifacts are
   *shared* between a native test and its twin);
-* the flush mode and the pass-pipeline fingerprint (the ordered pass
-  keys, parameters included), so two pipelines never share an artifact.
+* the pipeline fingerprint: the flush mode, the ordered pass keys
+  (parameters included) and, for an ablated compiler, its ablation
+  spec, so two pipelines — or a plain and an ablated compiler — never
+  share an artifact.
+
+Nothing is rendered or hashed: keying is one tuple build.  A value
+number is never reissued, so a key cannot outlive the structure it
+names — a kernel rebuilt after the value table starts over gets new
+numbers and misses.  Keys are process-local, which suits a cache that
+lives only in memory.
 
 The optimization label is *not* part of the key: a compile is a function
 of the pipeline and flush mode alone, so settings that run the same
@@ -40,38 +50,23 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import replace
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.codegen.base import EmitterConfig, render_kernel_body, render_signature
 from repro.compilers.compiler import CompiledKernel, Compiler
 from repro.compilers.options import OptSetting
-from repro.ir.nodes import value_number
 from repro.ir.program import Kernel, Program
-from repro.utils.hashing import hash_bytes
 
-__all__ = ["ArtifactCache", "kernel_text"]
-
-
-def kernel_text(kernel: Kernel) -> str:
-    """Canonical source rendering of a kernel (no inputs).
-
-    The kernel-only half of :func:`repro.exec.content.content_text`:
-    artifact identity must not depend on input vectors, and must render
-    the *source* kernel (pre-pass IR is always emittable).
-    """
-    cfg = EmitterConfig(fptype=kernel.fptype)
-    return "\n".join((render_signature(kernel, cfg), render_kernel_body(kernel, cfg)))
+__all__ = ["ArtifactCache"]
 
 
 class ArtifactCache:
-    """Content-keyed LRU cache of compiled kernels."""
+    """Structure-keyed LRU cache of compiled kernels."""
 
     def __init__(self, max_entries: int = 4096) -> None:
         if max_entries < 1:
             raise ValueError("ArtifactCache needs max_entries >= 1")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[str, CompiledKernel]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, CompiledKernel]" = OrderedDict()
         # Flush mode + pipeline fingerprints are deterministic per
         # (compiler type, ablation spec, opt, fptype); memoized so keying
         # costs one dict probe, not a pipeline construction, per compile.
@@ -91,23 +86,24 @@ class ArtifactCache:
         if fingerprint is None:
             passes = "+".join(p.key for p in compiler.pipeline(opt, fptype))
             flush = compiler.flush_mode(opt, fptype).value
-            fingerprint = self._fingerprints[fp_key] = f"{flush}\n{passes}"
+            fingerprint = f"{flush}\n{passes}"
+            if fp_key[1] is not None:
+                fingerprint += f"\n{fp_key[1]!r}"
+            self._fingerprints[fp_key] = fingerprint
         return fingerprint
 
-    def key(self, compiler: Compiler, program: Program, opt: OptSetting) -> str:
-        """Content key of one (program, compiler, opt) compile."""
+    def key(self, compiler: Compiler, program: Program, opt: OptSetting) -> tuple:
+        """Structural key of one (program, compiler, opt) compile."""
         kernel = program.kernel
-        hipify = program.via_hipify if compiler.hipify_sensitive else False
-        return _artifact_key(
+        return (
             compiler.name,
-            kernel.fptype.value,
-            "hipify" if hipify else "native",
+            program.via_hipify and compiler.hipify_sensitive,
             self._fingerprint(compiler, opt, kernel),
-            _text_digest(kernel),
+            *kernel.structure_key(),
         )
 
     # -------------------------------------------------------------- lookup
-    def _get(self, key: str) -> Optional[CompiledKernel]:
+    def _get(self, key: tuple) -> Optional[CompiledKernel]:
         hit = self._entries.get(key)
         if hit is not None:
             self._entries.move_to_end(key)
@@ -116,7 +112,7 @@ class ArtifactCache:
         self.misses += 1
         return None
 
-    def _remember(self, key: str, compiled: CompiledKernel) -> None:
+    def _remember(self, key: tuple, compiled: CompiledKernel) -> None:
         self._entries[key] = compiled
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
@@ -141,7 +137,7 @@ class ArtifactCache:
         byte-identical to a fresh compile.
         """
         out: Dict[str, CompiledKernel] = {}
-        missing: Dict[str, List[OptSetting]] = {}
+        missing: Dict[tuple, List[OptSetting]] = {}
         for opt in opts:
             key = self.key(compiler, program, opt)
             group = missing.get(key)
@@ -176,37 +172,6 @@ class ArtifactCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-
-#: Kernel-text digests memoized by structure: a sweep keys one kernel
-#: once per (compiler, opt), a reduction's candidates and triage's
-#: replays rebuild kernels an earlier request rendered, and the
-#: canonical render dominates keying cost.
-TEXT_MEMO_MAX = 4096
-_text_digests: "OrderedDict[tuple, str]" = OrderedDict()
-
-
-def _text_digest(kernel: Kernel) -> str:
-    """Digest of :func:`kernel_text`, keyed on the statements' value numbers."""
-    shape = (kernel.name, kernel.fptype, kernel.params, tuple(value_number(s) for s in kernel.body))
-    digest = _text_digests.get(shape)
-    if digest is None:
-        digest = _text_digests[shape] = f"{hash_bytes(kernel_text(kernel).encode('utf-8')):016x}"
-        if len(_text_digests) > TEXT_MEMO_MAX:
-            _text_digests.popitem(last=False)
-    return digest
-
-
-#: Memoized artifact keys; a sweep keys one kernel once per setting, and
-#: O1-O3 (same pipeline) and fuzz re-requests repeat the same five parts.
-KEY_MEMO_MAX = 4096
-
-
-@lru_cache(maxsize=KEY_MEMO_MAX)
-def _artifact_key(*parts: str) -> str:
-    """The ``art-…`` hash of a key's five parts."""
-    text = "\n".join(parts)
-    return f"art-{hash_bytes(text.encode('utf-8')):016x}"
 
 
 def _rebind(

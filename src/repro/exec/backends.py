@@ -25,7 +25,7 @@ and also every process-global cache, counter and tracer as they stood
 at fork time.  None of that can reach an output, because a worker's
 result is a pure function of its payload: the chunk task builds a
 fresh run store and artifact cache per chunk, reads runner counters as deltas
-(process-wide runners and probe memos only memoize pure results), and
+(the thread's warm runners and probe memos only memoize pure results), and
 installs its own tracer per chunk; workers end through
 ``Pool.terminate`` without touching inherited connections or file
 buffers.

@@ -2,7 +2,7 @@
 
 One object owns what the campaign engine, the fuzzer, and the analysis
 harnesses used to hand-roll separately: resolving work units to concrete
-tests, building runners, routing the nvcc side through the content-keyed
+tests, picking runners, routing the nvcc side through the content-keyed
 :class:`~repro.exec.store.RunStore`, deduping identical work, dispatching
 chunks to a :mod:`~repro.exec.backends` backend, and aggregating
 hit/miss/execution metrics.
@@ -10,10 +10,10 @@ hit/miss/execution metrics.
 Guarantees:
 
 * **Determinism** — a chunk's outcomes depend only on its requests
-  (runner construction, generation, and device execution are all pure
-  functions of the specs), and backends return chunk results in
-  submission order; every caller's output is therefore identical at any
-  worker count.
+  (generation and device execution are pure functions of the specs,
+  and a runner's warm caches are pure memos), and backends return
+  chunk results in submission order; every caller's output is
+  therefore identical at any worker count.
 * **One cache rule** — a reuse request replays through the store the
   service was given, in process, and otherwise through a store private
   to its chunk; every compile goes through an artifact cache private to
@@ -138,6 +138,8 @@ def _rebound_outcome(
                 ],
                 skipped_inputs=list(pair.skipped_inputs),
                 stacks=pair.stacks,
+                lhs_passes=pair.lhs_passes,
+                rhs_passes=pair.rhs_passes,
             )
             for label, pair in prev.pairs.items()
         }
@@ -188,6 +190,9 @@ def _execute_requests(
     Reuse requests replay through ``store`` (the service's own, in
     process) or, without one, through a store private to this chunk;
     every compile goes through an artifact cache private to this chunk.
+    Runners are the thread's own
+    (:meth:`~repro.exec.units.RunnerSpec.build`), warm from earlier
+    chunks, so execution counters are read as deltas.
     """
     tracer = get_tracer()
     # `is None`, not `or`: an empty RunStore is falsy (__len__).
@@ -195,16 +200,13 @@ def _execute_requests(
     if store is None:
         store = RunStore()
     artifacts = ArtifactCache()
-    runners: Dict[Any, Any] = {}
     memo: Dict[object, TestCase] = {}
     seen: Dict[Tuple[object, ...], SweepOutcome] = {}
     outcomes: List[SweepOutcome] = []
     phases = {"lookup": 0.0, "commit": 0.0}
     execute_seconds = 0.0
     for req in requests:
-        runner = runners.get(req.runner)
-        if runner is None:
-            runner = runners[req.runner] = req.runner.build()
+        runner = req.runner.build()
         test = req.resolve_test(memo)
         key = content_id(
             test.fptype, content_text(test.program.kernel, test.inputs)

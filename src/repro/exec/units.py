@@ -18,6 +18,7 @@ regenerated from a generator seed, ship their small concrete
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Tuple, TYPE_CHECKING, Union
 
@@ -33,6 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (ablation uses exec)
 
 __all__ = [
     "RunnerSpec",
+    "built_runners",
+    "clear_runners",
     "CorpusTestSpec",
     "DerivedTestSpec",
     "SweepRequest",
@@ -46,9 +49,12 @@ class RunnerSpec:
 
     A *spec* rather than a runner instance so requests stay picklable and
     every backend — in-process or pool worker — constructs an identical,
-    deterministic runner.  ``stacks`` selects the (lhs, rhs) stack pair
-    from the :mod:`repro.stacks` registry; being a field of a frozen spec
-    it participates in the service's dedup key, so requests for different
+    deterministic runner.  :meth:`build` returns the calling thread's one
+    runner for the spec, built on first use, so its devices, call memos
+    and probe caches stay warm across chunks, sessions and triage.
+    ``stacks`` selects the (lhs, rhs) stack pair from the
+    :mod:`repro.stacks` registry; being a field of a frozen spec it
+    participates in the service's dedup key, so requests for different
     pairs never collapse into each other.  ``ablation`` selects an
     equalized runner from :data:`repro.analysis.ablation.ABLATIONS`-style
     specs (ablations are defined on the legacy nvcc/hipcc pair without
@@ -76,16 +82,51 @@ class RunnerSpec:
             )
 
     def build(self) -> "DifferentialRunner":
-        if self.ablation is not None:
-            from repro.analysis.ablation import build_ablated_runner
+        """This thread's runner for the spec, built on first use.
 
-            return build_ablated_runner(self.ablation)
+        Sharing is sound because a runner's caches are pure memos: what
+        it returns never depends on what it ran before.  Callers that
+        count work read a runner's execution counters as deltas.  The
+        registry is per thread, so bridge workers running as threads
+        never share counters.
+        """
+        runners = _thread_runners()
+        runner = runners.get(self)
+        if runner is None:
+            runner = runners[self] = self._construct()
+        return runner
+
+    def _construct(self) -> "DifferentialRunner":
+        if self.ablation is not None:
+            from repro.analysis.ablation import _build_runner
+
+            return _build_runner(self.ablation)
         from repro.harness.runner import DifferentialRunner
 
         return DifferentialRunner(
             record_flags=self.record_flags,
             stacks=self.stacks,
         )
+
+
+_REGISTRY = threading.local()
+
+
+def _thread_runners() -> Dict[RunnerSpec, "DifferentialRunner"]:
+    runners = getattr(_REGISTRY, "runners", None)
+    if runners is None:
+        runners = _REGISTRY.runners = {}
+    return runners
+
+
+def built_runners() -> Tuple["DifferentialRunner", ...]:
+    """Every runner :meth:`RunnerSpec.build` has built on this thread."""
+    return tuple(_thread_runners().values())
+
+
+def clear_runners() -> None:
+    """Forget this thread's runners; the next build of each spec starts cold."""
+    _thread_runners().clear()
 
 
 DEFAULT_RUNNER = RunnerSpec()

@@ -29,7 +29,6 @@ from repro.fuzz.engine import FuzzConfig, run_fuzz
 from repro.fuzz.mutators import MUTATION_NAMES
 from repro.fuzz.search import STRATEGIES
 from repro.fuzz.signature import signature_histogram
-from repro.oracle.relations import RELATION_NAMES
 from repro.stacks import DEFAULT_STACK_PAIR, STACK_NAMES, resolve_stacks
 from repro.utils.tables import Table
 
@@ -85,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--oracle-relations", default=None,
         help="comma-separated relation subset (implies --oracle; "
-        f"default with --oracle: {','.join(RELATION_NAMES)})",
+        "default with --oracle: all relations)",
     )
     parser.add_argument(
         "--stacks",
@@ -164,12 +163,16 @@ def _config_from_args(
             parser, "--mutations", args.mutations, MUTATION_NAMES, "mutation"
         )
     oracle_relations: tuple = ()
-    if args.oracle_relations is not None:
-        oracle_relations = parse_names(
-            parser, "--oracle-relations", args.oracle_relations, RELATION_NAMES, "relation"
-        )
-    elif args.oracle:
+    if args.oracle or args.oracle_relations is not None:
+        # The relation catalogue loads only for sessions that check it.
+        from repro.oracle.relations import RELATION_NAMES
+
         oracle_relations = RELATION_NAMES
+        if args.oracle_relations is not None:
+            oracle_relations = parse_names(
+                parser, "--oracle-relations", args.oracle_relations,
+                RELATION_NAMES, "relation",
+            )
     stacks = DEFAULT_STACK_PAIR
     if args.stacks is not None:
         try:

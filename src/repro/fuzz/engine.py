@@ -52,9 +52,10 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union,
+)
 
-from repro.analysis.ablation import ablated_runners
 from repro.analysis.reduce import kernel_size, reduce_testcase
 from repro.analysis.triage import Cause, TriageVerdict, triage_discrepancy
 from repro.codegen.cuda import render_cuda
@@ -67,7 +68,7 @@ from repro.exec import (
     SweepRequest,
     resolve_backend,
 )
-from repro.exec.units import RunnerSpec
+from repro.exec.units import RunnerSpec, built_runners
 from repro.fp.classify import OutcomeClass
 from repro.fp.types import FPType
 from repro.fuzz.ledger import Finding, FindingsLedger, LedgerState
@@ -81,13 +82,15 @@ from repro.fuzz.search import (
 from repro.fuzz.signature import DiscrepancySignature
 from repro.harness.differential import Discrepancy, classify_pair
 from repro.harness.runner import DifferentialRunner
-from repro.oracle.relations import Relation, RelationViolation, resolve_relations
 from repro.stacks import DEFAULT_STACK_PAIR, pair_name, resolve_stacks, stack_pairs
 from repro.telemetry.spans import get_tracer
 from repro.utils.rng import derive_seed
 from repro.varity.config import GeneratorConfig
 from repro.varity.corpus import build_corpus, build_corpus_slice
 from repro.varity.testcase import TestCase
+
+if TYPE_CHECKING:  # pragma: no cover - imported only with relations on
+    from repro.oracle.relations import Relation, RelationViolation
 
 __all__ = [
     "FuzzConfig",
@@ -168,10 +171,13 @@ class FuzzConfig:
         unknown = [m for m in self.mutations if m not in MUTATORS]
         if unknown:
             raise HarnessError(f"unknown mutations: {', '.join(unknown)}")
-        try:
-            resolve_relations(self.oracle_relations)
-        except ValueError as exc:
-            raise HarnessError(str(exc)) from None
+        if self.oracle_relations:
+            from repro.oracle.relations import resolve_relations
+
+            try:
+                resolve_relations(self.oracle_relations)
+            except ValueError as exc:
+                raise HarnessError(str(exc)) from None
         if not self.opts:
             raise HarnessError("opts must name at least one optimization setting")
         if self.oracle_ulp_bound < 0:
@@ -348,40 +354,40 @@ class RandomSessionResult:
 # ---------------------------------------------------------------------------
 
 
-#: one triage runner per stack pair per worker process, so its probe
-#: caches survive across tasks.
-_TASK_RUNNERS: Dict[Tuple[str, str], DifferentialRunner] = {}
+#: the (lhs, rhs) ``passes_applied`` of one sweep setting.
+_Passes = Tuple[Tuple[str, ...], Tuple[str, ...]]
 
 
 def _triage_verdict_task(
-    payload: Tuple[TestCase, str, int, Tuple[str, str], Optional[Tuple[float, float]]],
+    payload: Tuple[
+        TestCase, str, int, Tuple[str, str], Optional[Tuple[float, float]], _Passes
+    ],
 ) -> TriageVerdict:
     """Triage one discrepancy in a pool worker.
 
-    Runner construction and triage probes are pure functions of the
-    payload (including the discrepancy's stack pair and its sweep-answered
-    O0 values), so a worker's verdict is identical to the serial path's.
+    Triage probes are pure functions of the payload (including the
+    discrepancy's stack pair and its sweep-answered O0 values and pass
+    lists), so a worker's verdict is identical to the serial path's.
     The isolation report (execution traces) is stripped before pickling
     back — nothing downstream of signature construction reads it.
     """
-    test, opt_label, input_index, stacks, o0_values = payload
-    runner = _TASK_RUNNERS.get(stacks)
-    if runner is None:
-        runner = _TASK_RUNNERS[stacks] = DifferentialRunner(stacks=stacks)
+    test, opt_label, input_index, stacks, o0_values, passes = payload
     verdict = triage_discrepancy(
-        runner,
+        RunnerSpec(stacks=stacks).build(),
         test,
         OptSetting.from_label(opt_label),
         input_index,
         o0_values=o0_values,
+        passes=passes,
     )
     verdict.isolation = None
     return verdict
 
 
 #: (evaluation arm, discrepancy, the input's O0 values in the same
-#: sweep or None) triples, and (arm, discrepancy, signature) entries.
-_Found = List[Tuple[str, Discrepancy, Optional[Tuple[float, float]]]]
+#: sweep or None, the sweep's pass lists at the discrepancy's setting)
+#: entries, and (arm, discrepancy, signature) entries.
+_Found = List[Tuple[str, Discrepancy, Optional[Tuple[float, float]], _Passes]]
 _Entries = List[Tuple[str, Discrepancy, DiscrepancySignature]]
 
 
@@ -392,23 +398,17 @@ class _Evaluator:
     def __init__(self, config: FuzzConfig, service: ExecutionService) -> None:
         self.config = config
         self.service = service
-        #: main-process runner for triage and minimization probes only
-        #: (their device runs are bookkept by their own tools, not here).
-        self.runner = DifferentialRunner()
-        self.relations: List[Relation] = (
-            resolve_relations(config.oracle_relations)
-            if config.oracle_relations
-            else []
-        )
+        self.relations: List[Relation] = []
+        if config.oracle_relations:
+            from repro.oracle.relations import resolve_relations
+
+            self.relations = resolve_relations(config.oracle_relations)
         #: the stack pairs each evaluation sweeps, in registry order.
         self.pairs: List[Tuple[str, str]] = list(
             stack_pairs(resolve_stacks(config.stacks))
         )
         self._pair_by_arm: Dict[str, Tuple[str, str]] = {
             pair_name(p): p for p in self.pairs if p != DEFAULT_STACK_PAIR
-        }
-        self._runners: Dict[Tuple[str, str], DifferentialRunner] = {
-            DEFAULT_STACK_PAIR: self.runner
         }
         self.pair_runs = 0
         self.cache_hits = 0
@@ -422,12 +422,10 @@ class _Evaluator:
         return self._pair_by_arm.get(arm, DEFAULT_STACK_PAIR)
 
     def runner_for(self, arm: str) -> DifferentialRunner:
-        """A triage/minimization runner on the arm's own stack pair."""
-        pair = self.pair_for_arm(arm)
-        runner = self._runners.get(pair)
-        if runner is None:
-            runner = self._runners[pair] = DifferentialRunner(stacks=pair)
-        return runner
+        """The triage/minimization runner on the arm's own stack pair:
+        the thread's one runner for that pair, which its sweeps use too
+        (probe device runs are bookkept by their own tools, not here)."""
+        return RunnerSpec(stacks=self.pair_for_arm(arm)).build()
 
     def chunk_for(self, test: TestCase) -> List[SweepRequest]:
         """One evaluation as one chunk: the native sweep, then the HIPIFY
@@ -527,8 +525,10 @@ class _Evaluator:
                 }
             )
             for pair in outcome.pairs.values():
+                passes = (pair.lhs_passes, pair.rhs_passes)
                 found.extend(
-                    (arm, d, o0_values.get(d.input_index)) for d in pair.discrepancies
+                    (arm, d, o0_values.get(d.input_index), passes)
+                    for d in pair.discrepancies
                 )
         # The chunk's first outcome is the native sweep, whose test_id is
         # the evaluated program's own id — violations normalize to it.
@@ -650,7 +650,7 @@ class _Evaluator:
         """
         out: _Entries = []
         local_seen: Set[str] = set()
-        for (arm, d, _), verdict in zip(found, self._verdicts(test, found)):
+        for (arm, d, _, _), verdict in zip(found, self._verdicts(test, found)):
             sig = DiscrepancySignature.from_verdict(verdict, d, test.fptype)
             if sig.key not in local_seen:
                 local_seen.add(sig.key)
@@ -659,18 +659,18 @@ class _Evaluator:
 
     def _verdicts(self, test: TestCase, found: _Found) -> List[TriageVerdict]:
         targets = [
-            (test.hipified() if arm == "hipify" else test, arm, d, o0)
-            for arm, d, o0 in found
+            (test.hipified() if arm == "hipify" else test, arm, d, o0, passes)
+            for arm, d, o0, passes in found
         ]
         self.o0_from_sweep += sum(
-            1 for _, _, d, o0 in targets if o0 is not None and d.opt_label != "O0"
+            1 for _, _, d, o0, _ in targets if o0 is not None and d.opt_label != "O0"
         )
         if self.service.backend.remote and len(found) > 1:
             return self.service.map(
                 _triage_verdict_task,
                 [
-                    (t, d.opt_label, d.input_index, self.pair_for_arm(arm), o0)
-                    for t, arm, d, o0 in targets
+                    (t, d.opt_label, d.input_index, self.pair_for_arm(arm), o0, passes)
+                    for t, arm, d, o0, passes in targets
                 ],
             )
         return [
@@ -680,14 +680,15 @@ class _Evaluator:
                 OptSetting.from_label(d.opt_label),
                 d.input_index,
                 o0_values=o0,
+                passes=passes,
             )
-            for t, arm, d, o0 in targets
+            for t, arm, d, o0, passes in targets
         ]
 
     def _probe_totals(self) -> Counter:
-        """Probe-path counters summed over this process's probe runners."""
+        """Probe-path counters summed over this thread's runners."""
         totals: Counter = Counter()
-        for runner in (*self._runners.values(), *ablated_runners()):
+        for runner in built_runners():
             totals.update(runner.probe_stats())
         return totals
 

@@ -57,7 +57,9 @@ PROBE_MEMO_ENTRIES = 256
 class PairResult:
     """Both stacks' runs for one (test, opt) across all inputs.
 
-    ``stacks`` names the (lhs, rhs) pair the runs came from.
+    ``stacks`` names the (lhs, rhs) pair the runs came from;
+    ``lhs_passes``/``rhs_passes`` are the ``passes_applied`` of the two
+    kernels that ran, which triage reads instead of recompiling.
     """
 
     lhs_runs: List[RunRecord]
@@ -65,6 +67,8 @@ class PairResult:
     discrepancies: List[Discrepancy]
     skipped_inputs: List[int]
     stacks: Tuple[str, str] = DEFAULT_STACK_PAIR
+    lhs_passes: Tuple[str, ...] = ()
+    rhs_passes: Tuple[str, ...] = ()
 
 
 def pair_discrepancies(
@@ -218,7 +222,7 @@ class DifferentialRunner:
 
         Each compiler's front end runs once for the whole sweep (see
         :meth:`Compiler.compile_sweep`), and both compiles are served
-        content-keyed from ``artifacts`` (an
+        structure-keyed from ``artifacts`` (an
         :class:`~repro.exec.artifacts.ArtifactCache`; the runner's own
         :attr:`artifacts` when omitted), so an identical kernel compiled
         earlier — the HIPIFY twin's CUDA side, a replayed fuzz ancestor —
@@ -374,6 +378,8 @@ class DifferentialRunner:
             pair_discrepancies(lhs_runs, rhs_runs, stacks=self.stacks),
             skipped,
             stacks=self.stacks,
+            lhs_passes=ck_lhs.passes_applied,
+            rhs_passes=ck_rhs.passes_applied,
         )
 
     def _record(

@@ -12,9 +12,11 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.fp.types import FPType
 from repro.ir.types import IRType
-from repro.ir.nodes import Stmt
+from repro.ir.nodes import Stmt, value_number
 
 __all__ = ["Param", "Kernel", "Program"]
+
+_KEY_ATTR = "_structure_key"
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,31 @@ class Kernel:
     @property
     def int_params(self) -> List[Param]:
         return [p for p in self.params if p.type is IRType.INT]
+
+    def structure_key(self) -> Tuple[object, ...]:
+        """The kernel as a tuple of atoms: name, fp type, parameter names
+        and type values, and the statements' value numbers
+        (:func:`repro.ir.nodes.value_number`).  Equal keys mean equal
+        kernels within one process.  Cached on the kernel, which is
+        never mutated after construction, like a node's number."""
+        key = self.__dict__.get(_KEY_ATTR)
+        if key is None:
+            key = self.__dict__[_KEY_ATTR] = (
+                self.name,
+                self.fptype.value,
+                tuple((p.name, p.type.value) for p in self.params),
+                tuple(value_number(s) for s in self.body),
+            )
+        return key
+
+    def __getstate__(self) -> dict:
+        # The cached key holds process-local value numbers: pickles and
+        # copies go without it, byte-identical to an unkeyed kernel's.
+        state = self.__dict__
+        if _KEY_ATTR in state:
+            state = dict(state)
+            del state[_KEY_ATTR]
+        return state
 
     def with_body(self, body: Sequence[Stmt]) -> "Kernel":
         """A new kernel sharing signature/precision with a different body."""

@@ -12,6 +12,7 @@ from repro.compilers.nvcc import NvccCompiler
 from repro.compilers.options import OptLevel, OptSetting
 from repro.devices.amd import amd_mi250x
 from repro.devices.nvidia import nvidia_v100
+from repro.exec.units import clear_runners
 from repro.fp.types import FPType
 from repro.harness.runner import DifferentialRunner
 from repro.ir.builder import IRBuilder
@@ -28,6 +29,16 @@ settings.register_profile(
 )
 if os.environ.get("HYPOTHESIS_PROFILE"):
     settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
+
+
+@pytest.fixture(autouse=True)
+def cold_runners():
+    """Each test starts with an empty runner registry
+    (:meth:`repro.exec.units.RunnerSpec.build`), so a runner a test
+    patched or warmed never serves the next test."""
+    clear_runners()
+    yield
+    clear_runners()
 
 
 @pytest.fixture(scope="session")

@@ -109,8 +109,8 @@ class TestFig6CaseStudy:
 
     def test_verbatim_kernel_consistent_within_model(self, runner):
         """Pure IEEE evaluation of the Fig. 6 input yields NaN on both
-        platforms at every level (see EXPERIMENTS.md for the discussion of
-        the paper's published -inf)."""
+        platforms at every level (the ``repro.apps.paper_kernels``
+        docstring discusses the paper's published -inf)."""
         for opt in (O0, O1):
             rn, ra, _, _ = runner.run_single(fig6_testcase(), opt, 0)
             assert classify_value(rn.value) is OutcomeClass.NAN

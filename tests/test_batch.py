@@ -32,7 +32,7 @@ from repro.errors import ExecutionError, TrapError
 from repro.fp.env import FlushMode
 from repro.fp.types import FPType
 from repro.ir.builder import IRBuilder
-from repro.ir.nodes import ArrayRef, BinOp, For, IntConst, VarRef
+from repro.ir.nodes import ArrayRef, BinOp, Const, For, IntConst, VarRef
 from repro.ir.types import IRType
 from repro.exec import (
     ArtifactCache,
@@ -890,6 +890,95 @@ class TestArtifactCache:
                     ), (type(compiler).__name__, opt.label)
                 differs |= plain.compile(program, opt) != ablated.compile(program, opt)
             assert differs  # the pair really compiles differently somewhere
+
+    @staticmethod
+    def _const_program(lit):
+        """``comp = var_2 * <lit>``: kernels that differ in one literal."""
+        b = IRBuilder(FPType.FP32)
+        kernel = b.kernel(
+            [b.fparam("comp"), b.fparam("var_2")],
+            [b.assign("comp", b.mul(b.var("var_2"), lit(b)))],
+        )
+        return b.program(kernel, program_id="lit")
+
+    def test_structural_key_shares_equal_structures(self):
+        """Distinct objects of equal structure share one artifact."""
+        cfg = GeneratorConfig.fp32()
+        program = ProgramGenerator(cfg).generate(8)
+        rebuilt = ProgramGenerator(cfg).generate(8)
+        assert rebuilt.kernel is not program.kernel
+        assert rebuilt.kernel.body[0] is not program.kernel.body[0]
+        cache = ArtifactCache()
+        opt = PAPER_OPT_SETTINGS[0]
+        assert cache.key(NvccCompiler(), rebuilt, opt) == cache.key(
+            NvccCompiler(), program, opt
+        )
+        cache.compile(NvccCompiler(), program, opt)
+        assert cache.compile(NvccCompiler(), rebuilt, opt).kernel == (
+            NvccCompiler().compile(rebuilt, opt).kernel
+        )
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "lit_a, lit_b",
+        [
+            (lambda b: b.raw_lit("1.5", 1.5), lambda b: b.raw_lit("+1.5E0", 1.5)),
+            (lambda b: b.lit(0.0), lambda b: b.lit(-0.0)),
+            (
+                lambda b: Const(struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000))[0]),
+                lambda b: Const(struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]),
+            ),
+        ],
+        ids=["const-text", "signed-zero", "nan-payload"],
+    )
+    def test_structural_key_separates_literals(self, lit_a, lit_b):
+        """Kernels that differ only in a literal's spelling, the sign of
+        a zero or a NaN payload never share an artifact."""
+        cache = ArtifactCache()
+        a, b = self._const_program(lit_a), self._const_program(lit_b)
+        for compiler in (NvccCompiler(), HipccCompiler()):
+            for opt in PAPER_OPT_SETTINGS:
+                assert cache.key(compiler, a, opt) != cache.key(compiler, b, opt)
+
+    def test_structural_key_separates_hipify_on_hipcc_only(self):
+        program = self._const_program(lambda b: b.lit(1.5))
+        twin = dataclasses.replace(program, via_hipify=True)
+        cache = ArtifactCache()
+        for opt in PAPER_OPT_SETTINGS:
+            assert cache.key(HipccCompiler(), program, opt) != cache.key(
+                HipccCompiler(), twin, opt
+            )
+            assert cache.key(NvccCompiler(), program, opt) == cache.key(
+                NvccCompiler(), twin, opt
+            )
+
+    def test_structural_key_separates_plain_and_ablated_compilers(self):
+        """An ablation that leaves nvcc's pipeline and flush mode as they
+        are still keys apart from plain nvcc."""
+        from repro.analysis.ablation import AblationSpec, _AblatedNvcc
+
+        program = ProgramGenerator(GeneratorConfig.fp32()).generate(4)
+        plain = NvccCompiler()
+        ablated = _AblatedNvcc(AblationSpec("ftz", "", same_ftz=True))
+        cache = ArtifactCache()
+        for opt in PAPER_OPT_SETTINGS:
+            assert [p.key for p in plain.pipeline(opt, FPType.FP32)] == [
+                p.key for p in ablated.pipeline(opt, FPType.FP32)
+            ]
+            assert cache.key(plain, program, opt) != cache.key(ablated, program, opt)
+
+    def test_kernel_rebuilt_after_value_table_clear_misses(self, monkeypatch):
+        """A value number is never reissued: once the intern table starts
+        over, an equal kernel built from new nodes gets a new key."""
+        import repro.ir.nodes as nodes
+
+        cache = ArtifactCache()
+        opt = PAPER_OPT_SETTINGS[0]
+        lit = lambda b: b.lit(1.5)  # noqa: E731
+        before = cache.key(NvccCompiler(), self._const_program(lit), opt)
+        assert cache.key(NvccCompiler(), self._const_program(lit), opt) == before
+        monkeypatch.setattr(nodes, "_vn_table", {})
+        assert cache.key(NvccCompiler(), self._const_program(lit), opt) != before
 
     def test_each_chunk_compiles_through_its_own_cache(self):
         """A chunk's twin hits the native test's nvcc compiles, but no

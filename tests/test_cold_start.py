@@ -76,7 +76,12 @@ def _hits(modules: List[str], forbidden: List[str]) -> List[str]:
         ("repro.oracle.cli", ["repro.fuzz", "repro.harness.campaign", "repro.bridge"]),
         (
             "repro.fuzz.cli",
-            ["repro.harness.campaign", "repro.bridge", "repro.telemetry.export"],
+            [
+                "repro.harness.campaign",
+                "repro.bridge",
+                "repro.telemetry.export",
+                "repro.oracle.relations",
+            ],
         ),
     ],
 )

@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro.errors import HarnessError
-from repro.exec.artifacts import kernel_text
+from repro.exec.content import content_text
 from repro.fuzz.engine import FuzzConfig, run_fuzz, run_random_session
 from repro.fuzz.ledger import FindingsLedger, LineageStep
 from repro.fuzz.mutators import MUTATION_NAMES, apply_mutation
@@ -64,7 +64,7 @@ class TestMutators:
             if a is None:
                 assert b is None
                 continue
-            assert kernel_text(a) == kernel_text(b)
+            assert content_text(a, ()) == content_text(b, ())
 
     @pytest.mark.parametrize("mutation", MUTATION_NAMES)
     def test_seed_changes_mutant(self, fuzz_corpus, mutation):
@@ -75,7 +75,7 @@ class TestMutators:
             kernel = test.program.kernel
             a = apply_mutation(kernel, mutation, seed=1, donor=donor)
             b = apply_mutation(kernel, mutation, seed=2, donor=donor)
-            if a is not None and b is not None and kernel_text(a) != kernel_text(b):
+            if a is not None and b is not None and content_text(a, ()) != content_text(b, ()):
                 differs = True
                 break
         assert differs, f"{mutation} ignored its seed on every test"

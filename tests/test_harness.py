@@ -282,7 +282,9 @@ def _trap_at(monkeypatch, opt_label: str) -> None:
     """Build every runner with a left device that traps at ``opt_label``.
 
     The execution service builds its runners from repro.harness.runner
-    (RunnerSpec.build), so that is where the trap wrapper hooks in.  The
+    (RunnerSpec.build), so that is where the trap wrapper hooks in; it
+    takes effect because each test starts with an empty runner registry
+    (the autouse fixture in conftest.py), so no warm runner is reused.  The
     trap keys on the opt label, not the kernel, so the sweep's cross-opt
     execution memo, which could answer the trapping setting from an
     identical kernel compiled at an earlier one, is bypassed.

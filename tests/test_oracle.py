@@ -31,6 +31,7 @@ from repro.codegen.hip import render_hip
 from repro.compilers.options import PAPER_OPT_SETTINGS
 from repro.errors import HarnessError
 from repro.exec import ExecutionService
+from repro.exec.units import clear_runners
 from repro.fp.types import FPType
 from repro.fp.ulp import nextafter_n
 from repro.harness.campaign import ArmResult, CampaignConfig, run_campaign
@@ -62,7 +63,10 @@ def _fp32_test(body_builder, texts, program_id):
 
 
 def _check_fixture(test, relation_names, seed=1, ulp_bound=4):
-    """Run one fixture through the engine's chunk + check machinery."""
+    """Run one fixture through the engine's chunk + check machinery,
+    on fresh runners: a warm call memo would answer a math function a
+    fixture has since patched."""
+    clear_runners()
     relations = resolve_relations(relation_names)
     plan = oracle_requests_for(test, 0, seed, relations, PAPER_OPT_SETTINGS)
     with ExecutionService() as service:

@@ -91,11 +91,16 @@ class TestValueNumber:
         before_high = pickle.dumps(program.kernel, protocol=pickle.HIGHEST_PROTOCOL)
         for stmt in program.kernel.body:
             value_number(stmt)
+        program.kernel.structure_key()
         assert pickle.dumps(program.kernel) == before
         assert pickle.dumps(program.kernel, protocol=pickle.HIGHEST_PROTOCOL) == before_high
         clone = pickle.loads(before)
         assert not any(_numbered(n) for s in clone.body for n in walk(s))
         assert not any(_numbered(n) for s in copy.deepcopy(program.kernel).body for n in walk(s))
+        # The kernel's cached structure key stays behind too.
+        assert vars(clone).keys() == vars(copy.deepcopy(program.kernel)).keys() == {
+            "name", "params", "body", "fptype"
+        }
 
 
 # -------------------------------------------------------------------------

@@ -324,6 +324,51 @@ class TestProbePath:
             probed = triage_discrepancy(probe_runner, test, opt, idx)
             assert (answered.cause, answered.functions) == (probed.cause, probed.functions)
 
+    def test_sweep_passes_answer_triage_like_a_compile(self, tmp_path, monkeypatch):
+        """Every discrepancy a minimizing fuzz session triages — native
+        and HIPIFY arms and the nvcc-cpu pair, in this process and in
+        pool workers — gets the compiling path's verdict from the
+        sweep's pass lists."""
+        import dataclasses
+        import threading
+
+        import repro.fuzz.engine as engine
+        from repro.fp.types import FPType
+        from repro.fuzz.engine import FuzzConfig, run_fuzz
+
+        original = engine.triage_discrepancy
+        seen = []
+
+        def fields(v):
+            return (v.cause, v.functions, v.nvcc_passes, v.hipcc_passes)
+
+        def checked(runner, test, opt, input_index, *, o0_values=None, passes=None):
+            assert passes is not None
+            answered = original(
+                runner, test, opt, input_index, o0_values=o0_values, passes=passes
+            )
+            compiled = original(runner, test, opt, input_index, o0_values=o0_values)
+            assert fields(answered) == fields(compiled)
+            seen.append((runner.stacks, test.program.via_hipify))
+            return answered
+
+        monkeypatch.setattr(engine, "triage_discrepancy", checked)
+        # Pool workers fork from this process and so run the check too;
+        # a failed check there fails the session.
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+        config = FuzzConfig(
+            seed=3, fptype=FPType.FP32, n_seed_programs=4, inputs_per_program=2,
+            max_mutants=8, batch_size=4, stacks=("nvcc", "hipcc", "cpu"),
+        )
+        run_fuzz(config, ledger=tmp_path / "w0.jsonl")
+        serial = list(seen)
+        assert {("nvcc", "hipcc"), ("nvcc", "cpu")} <= {s for s, _ in serial}
+        assert (("nvcc", "hipcc"), True) in serial
+        seen.clear()
+        run_fuzz(dataclasses.replace(config, workers=2), ledger=tmp_path / "w2.jsonl")
+        assert len(seen) < len(serial)  # the rest ran in pool workers
+        assert (tmp_path / "w2.jsonl").read_bytes() == (tmp_path / "w0.jsonl").read_bytes()
+
     def test_traced_memo_hit_serves_untraced_call(self):
         from repro.harness.runner import DifferentialRunner
 
