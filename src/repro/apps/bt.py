@@ -180,7 +180,7 @@ def _bt_inputs(steps: int) -> List[float]:
 
 def _reference_value(program: Program, inputs: Sequence[float]) -> float:
     interp = Interpreter(ReferenceMath())
-    result = interp.run(program.kernel, inputs, ExecOptions())
+    result = interp.run(program.kernel, inputs, ExecOptions(events=False))
     return result.value
 
 
@@ -209,7 +209,7 @@ def run_bt_experiment(steps: int = 40, repeats: int = 3) -> List[BTRow]:
         result = None
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()
-            result = device.execute(compiled, inputs)
+            result = device.execute(compiled, inputs, events=False)
             best = min(best, time.perf_counter() - t0)
         assert result is not None
         rel_error = abs(result.value - reference) / abs(reference)

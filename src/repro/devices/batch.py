@@ -14,9 +14,10 @@ lowering time instead:
 
 * each operator, comparison and math-library call site.  Arithmetic is
   fused: a binary operation, a scalar ``op=`` and an array ``op=`` are
-  each one closure that applies the operator and tests the result for
-  the normal range in place, and a one-argument call has its own
-  closure keyed ``(func, variant, bytes(a))`` in the call memo;
+  each one closure that applies the operator and, when events are on,
+  tests the result for the normal range in place, and a one-argument
+  call has its own closure keyed ``(func, variant, bytes(a))`` in the
+  call memo;
 * the flush code: under :attr:`FlushMode.NONE` it is left out entirely;
 * the IEEE-event rule (:func:`~repro.fp.env.flag_for_result` or
   :func:`~repro.fp.env.flag_for_division`, stated only in
@@ -25,6 +26,13 @@ lowering time instead:
   under either rule.  That slow path (``settle``) is built once per
   lowering and rule and hands the rule the operands as computed, NumPy
   scalars of the kernel dtype;
+* whether events are inferred at all.  An event-free lowering
+  (``lower(..., events=False)``, what every caller that does not record
+  flags asks for) builds no ``settle``: an arithmetic site, an FMA and a
+  call return the operator's or the memo's result as is, and under a
+  flush mode that flushes outputs the result's only test is the output
+  flush itself.  Its rows' ``flags`` is ``None``; everything else is
+  what the events-on lowering gives;
 * the step and cycle sums of each statement, added once when the
   statement completes; a ``&&``/``||`` right-hand side adds its own sums
   only when it runs.
@@ -153,7 +161,8 @@ _Lowered = Tuple[Callable, int, int]
 
 class _Frame:
     """One row's mutable state: bindings, step and cycle sums, event
-    counts, and in a traced run the current statement path and trace."""
+    counts (``None`` in an event-free lowering), and in a traced run the
+    current statement path and trace."""
 
     __slots__ = (
         "sc", "it", "ar", "n", "steps", "cost", "flags", "max_steps", "mathlib", "memo",
@@ -165,7 +174,7 @@ class _Frame:
     n: int
     steps: int
     cost: int
-    flags: Dict[str, int]
+    flags: Optional[Dict[str, int]]
     max_steps: int
     mathlib: MathLibrary
     memo: Dict[object, object]
@@ -219,22 +228,32 @@ def _scalar_stores(body: Sequence[Stmt]):
 
 class _Lowering:
     """Builds the closures of one kernel under one flush mode, traced or
-    not."""
+    not, inferring IEEE events or not."""
 
     def __init__(
-        self, kernel: Kernel, flush: FlushMode, cost_model: CostModel, trace: bool
+        self,
+        kernel: Kernel,
+        flush: FlushMode,
+        cost_model: CostModel,
+        trace: bool,
+        events: bool,
     ) -> None:
         self.trace = trace
         self.fptype = kernel.fptype
-        self.T = kernel.fptype.dtype.type
+        T = self.T = kernel.fptype.dtype.type
         self.sn = kernel.fptype.smallest_normal
-        self.zeros = (self.T(0.0), self.T(-0.0))
-        self.flush_in = flush.flushes_inputs
+        self.zeros = (T(0.0), T(-0.0))
         self.flush_out = flush.flushes_outputs
         self.costs = cost_model
-        self.settle_result = self._settle(flag_for_result)
-        self.settle_division = self._settle(flag_for_division)
-        self.input, self.cast_input = self._inputs()
+        # Events on: ``settle`` infers the event and applies the output
+        # flush.  Events off: nothing settles, and the output flush (if
+        # the mode has one) is the only test a result gets.
+        self.settle_result = self._settle(flag_for_result) if events else None
+        self.settle_division = self._settle(flag_for_division) if events else None
+        flush_value = self._flush_value() if flush is not FlushMode.NONE else None
+        self.input = flush_value if flush.flushes_inputs else None
+        self.cast_input = T if self.input is None else (lambda v: flush_value(T(v)))
+        self.output = None if events else flush_value
         params = kernel.params
         self.arrays = {p.name for p in params if p.type is IRType.FLOAT_PTR}
         self.ints = {p.name for p in params if p.type is IRType.INT}
@@ -285,6 +304,27 @@ class _Lowering:
             return raw
 
         return settle
+
+    def _flush_value(self) -> Callable:
+        """Subnormal ``v`` to a zero of its sign, anything else as is:
+        the input flush, and an event-free lowering's output flush."""
+        sn, (pz, nz) = self.sn, self.zeros
+
+        def flush(v):
+            x = float(v)
+            if x != 0.0 and -sn < x < sn:
+                return pz if x > 0.0 else nz
+            return v
+
+        return flush
+
+    def _flushed(self, fn: Callable) -> Callable:
+        """An event-free site's closure, its result output-flushed when
+        the mode flushes outputs."""
+        out = self.output
+        if out is None:
+            return fn
+        return lambda fr: out(fn(fr))
 
     # -------------------------------------------------------- expressions
     def operand(self, expr: Expr, pre: int) -> _Lowered:
@@ -384,10 +424,10 @@ class _Lowering:
 
         return load, ticks, self.costs.load_store
 
-    def arith(self, op: str) -> Tuple[Callable, Callable, int]:
+    def arith(self, op: str) -> Tuple[Callable, Optional[Callable], int]:
         """``(fn, settle, cycles)`` of a known arithmetic operator: a site
         computes ``raw = fn(l, r)`` and hands a result off the normal
-        range to ``settle``."""
+        range to ``settle``, which is ``None`` when events are off."""
         costs = self.costs
         if op == "/":
             return operator.truediv, self.settle_division, costs.div
@@ -400,6 +440,9 @@ class _Lowering:
         if expr.op not in _ARITH:
             return _bad_operator(expr.op, pre + ticks, left, right), ticks, lc + rc
         fn, settle, cost = self.arith(expr.op)
+        cost += lc + rc
+        if settle is None:
+            return self._flushed(lambda fr: fn(left(fr), right(fr))), ticks, cost
         sn = self.sn
         nsn = -sn
 
@@ -412,7 +455,7 @@ class _Lowering:
                 return raw
             return settle(fr, raw, x, (l, r))
 
-        return binop, ticks, lc + rc + cost
+        return binop, ticks, cost
 
     def _fma(self, expr: FMA, pre: int) -> _Lowered:
         a_fn, at, ac = self.operand(expr.a, pre + 1)
@@ -452,6 +495,14 @@ class _Lowering:
                 return _fail(fr, pre + ticks, message)
 
         settle = self.settle_result
+        if settle is None:
+
+            def plain_fma(fr: _Frame):
+                a = a_fn(fr)
+                b = b_fn(fr)
+                return fused(fr, -a if negate else a, b, c_fn(fr))
+
+            return self._flushed(plain_fma), ticks, cost
         sn = self.sn
         nsn = -sn
 
@@ -480,25 +531,10 @@ class _Lowering:
             cost += c
         func, variant, fptype, T = expr.func, expr.variant, self.fptype, self.T
         settle = self.settle_result
+        if settle is None:
+            return self._flushed(self._plain_call(fns, func, variant)), ticks, cost
         sn = self.sn
         nsn = -sn
-        if len(fns) == 1:
-            (arg,) = fns
-
-            def call1(fr: _Frame):
-                a = arg(fr)
-                key = (func, variant, bytes(a))
-                memo = fr.memo
-                result = memo.get(key)
-                if result is None:
-                    raw = fr.mathlib.call(func, [float(a)], fptype, variant)
-                    result = memo[key] = T(raw)
-                x = float(result)
-                if x == 0.0 or sn <= x < _INF or -_INF < x <= nsn:
-                    return result
-                return settle(fr, result, x, (a,))
-
-            return call1, ticks, cost
         head = (func, variant)
 
         def call(fr: _Frame):
@@ -515,6 +551,39 @@ class _Lowering:
             return settle(fr, result, x, args)
 
         return call, ticks, cost
+
+    def _plain_call(self, fns: List[Callable], func: str, variant: str) -> Callable:
+        """An event-free call site: the memoized result, as is.  A
+        one-argument call, the common case, has its own closure; the
+        memo key is the same either way."""
+        fptype, T = self.fptype, self.T
+        if len(fns) == 1:
+            (arg,) = fns
+
+            def call1(fr: _Frame):
+                a = arg(fr)
+                key = (func, variant, bytes(a))
+                memo = fr.memo
+                result = memo.get(key)
+                if result is None:
+                    raw = fr.mathlib.call(func, [float(a)], fptype, variant)
+                    result = memo[key] = T(raw)
+                return result
+
+            return call1
+        head = (func, variant)
+
+        def call(fr: _Frame):
+            args = [fn(fr) for fn in fns]
+            key = head + tuple(bytes(a) for a in args)
+            memo = fr.memo
+            result = memo.get(key)
+            if result is None:
+                raw = fr.mathlib.call(func, [float(a) for a in args], fptype, variant)
+                result = memo[key] = T(raw)
+            return result
+
+        return call
 
     # ------------------------------------------------ boolean and integer
     def cond(self, expr: Expr, pre: int) -> _Lowered:
@@ -745,6 +814,7 @@ class _Lowering:
             fn, settle, op_cost = self.arith(stmt.op)
             cost += op_cost
             prep = self.cast_input if name in self.uncast else self.input
+            out = self.output
             sn = self.sn
             nsn = -sn
 
@@ -757,9 +827,12 @@ class _Lowering:
                 if prep is not None:
                     l = prep(l)
                 raw = fn(l, r)
-                x = float(raw)
-                if not (x == 0.0 or sn <= x < _INF or -_INF < x <= nsn):
-                    raw = settle(fr, raw, x, (l, r))
+                if settle is not None:
+                    x = float(raw)
+                    if not (x == 0.0 or sn <= x < _INF or -_INF < x <= nsn):
+                        raw = settle(fr, raw, x, (l, r))
+                elif out is not None:
+                    raw = out(raw)
                 sc[name] = raw
                 fr.steps += at
                 fr.cost += cost
@@ -800,7 +873,7 @@ class _Lowering:
         store_index, it, _ = self.index(target.index, ticks)
         ticks += it
         cost += op_cost + 2 * load_store
-        prep = self.input
+        prep, out = self.input, self.output
         sn = self.sn
         nsn = -sn
 
@@ -811,9 +884,12 @@ class _Lowering:
             if prep is not None:
                 l = prep(l)
             raw = fn(l, r)
-            x = float(raw)
-            if not (x == 0.0 or sn <= x < _INF or -_INF < x <= nsn):
-                raw = settle(fr, raw, x, (l, r))
+            if settle is not None:
+                x = float(raw)
+                if not (x == 0.0 or sn <= x < _INF or -_INF < x <= nsn):
+                    raw = settle(fr, raw, x, (l, r))
+            elif out is not None:
+                raw = out(raw)
             arr[store_index(fr) % fr.n] = raw
             fr.steps += ticks
             fr.cost += cost
@@ -856,27 +932,6 @@ class _Lowering:
 
         return record_element
 
-    def _inputs(self) -> Tuple[Optional[Callable], Optional[Callable]]:
-        """The input side of an operation on a value already computed,
-        ``(as is, cast first)``: input flush, if the mode has it, after
-        the cast of a value that may be uncast; ``None`` when there is
-        nothing to do.  Built once per lowering."""
-        T = self.T
-        if not self.flush_in:
-            return None, T
-        sn, (pz, nz) = self.sn, self.zeros
-
-        def flush(v):
-            x = float(v)
-            if x != 0.0 and -sn < x < sn:
-                return pz if x > 0.0 else nz
-            return v
-
-        def cast_flush(v):
-            return flush(T(v))
-
-        return flush, cast_flush
-
 
 def _bad_operator(op: str, at: int, *operands: Callable) -> Callable:
     """The failing closure of an unknown arithmetic operator: it
@@ -893,7 +948,12 @@ def _bad_operator(op: str, at: int, *operands: Callable) -> Callable:
 
 
 def lower(
-    kernel: Kernel, flush: FlushMode, cost_model: CostModel, *, trace: bool = False
+    kernel: Kernel,
+    flush: FlushMode,
+    cost_model: CostModel,
+    *,
+    trace: bool = False,
+    events: bool = True,
 ) -> Callable:
     """Lower ``kernel`` once; the result evaluates one input row.
 
@@ -903,19 +963,21 @@ def lower(
     :class:`~repro.errors.ExecutionError` where the reference tree walk
     does.  ``memo`` is the interpreter's
     :attr:`~repro.devices.interpreter.Interpreter.call_memo`.  With
-    ``trace`` the result carries the per-store trace.
+    ``trace`` the result carries the per-store trace.  With ``events``
+    off nothing infers IEEE events and the result's ``flags`` is
+    ``None``; every other field is what an events-on lowering gives.
     """
-    lowering = _Lowering(kernel, flush, cost_model, trace)
+    lowering = _Lowering(kernel, flush, cost_model, trace, events)
     body = lowering.block(kernel.body)
     T = lowering.T
     bindings = [(p.name, p.type) for p in kernel.params]
-    events = FPExceptionFlags.EVENTS
+    names = FPExceptionFlags.EVENTS if events else None
 
     def evaluate(row, mathlib, memo, options: ExecOptions) -> ExecutionResult:
         fr = _Frame()
         fr.sc, fr.it, fr.ar = sc, it, ar = {}, {}, {}
         fr.steps = fr.cost = 0
-        fr.flags = dict.fromkeys(events, 0)
+        fr.flags = None if names is None else dict.fromkeys(names, 0)
         fr.max_steps = options.max_steps
         fr.mathlib, fr.memo = mathlib, memo
         # Array extent: large enough for every loop bound in the input.
@@ -981,8 +1043,9 @@ def run_batch(
 ) -> List[Optional[ExecutionResult]]:
     """Run ``kernel`` once per input row; ``None`` marks a trapped row.
 
-    The kernel is lowered once, traced when ``options.trace`` asks, and
-    each row's result is what :meth:`Interpreter.run` returns for it,
+    The kernel is lowered once, traced when ``options.trace`` asks and
+    inferring IEEE events when ``options.events`` does, and each row's
+    result is what :meth:`Interpreter.run` returns for it,
     with :class:`TrapError` caught as ``None``.
     """
     rows = [tuple(r) for r in rows]
@@ -992,7 +1055,13 @@ def run_batch(
         check_arity(kernel, r)
     tracer = get_tracer()
     t0 = time.perf_counter_ns() if tracer.enabled else 0
-    evaluate = lower(kernel, options.flush, interpreter.cost_model, trace=options.trace)
+    evaluate = lower(
+        kernel,
+        options.flush,
+        interpreter.cost_model,
+        trace=options.trace,
+        events=options.events,
+    )
     mathlib, memo = interpreter.mathlib, interpreter.memo()
     results: List[Optional[ExecutionResult]] = []
     with np.errstate(all="ignore"):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 from repro.devices.batch import run_batch
-from repro.devices.interpreter import ExecutionResult, Interpreter
+from repro.devices.interpreter import ExecOptions, ExecutionResult, Interpreter
 from repro.devices.mathlib.base import MathLibrary
 from repro.devices.vendor import Vendor
 
@@ -66,32 +66,39 @@ class Device:
         inputs: Sequence[Union[float, int]],
         *,
         trace: bool = False,
+        events: bool = True,
     ) -> ExecutionResult:
         """Run a compiled kernel on this device (:meth:`Interpreter.run`).
 
+        ``trace`` records the per-store trace; ``events=False`` skips
+        IEEE event inference, leaving the result's ``flags`` ``None``.
         The compiled kernel must target this device's vendor — running an
         nvcc binary on an AMD GPU is exactly the mistake real clusters
         reject at load time, so we reject it too.
         """
         self._check_vendor(compiled)
-        options = compiled.exec_options
-        if trace and not options.trace:
-            options = dataclasses.replace(options, trace=True)
+        options = _options(compiled, trace, events)
         return self.interpreter.run(compiled.kernel, inputs, options)
 
     def execute_batch(
         self,
         compiled: "CompiledKernel",
         input_rows: Sequence[Sequence[Union[float, int]]],
+        *,
+        events: bool = True,
     ) -> List[Optional[ExecutionResult]]:
         """Run a compiled kernel once per input row (``None`` = trapped).
 
         Per row what :meth:`execute` returns, with
         :class:`~repro.errors.TrapError` caught as ``None``; the kernel is
-        lowered once for all rows (:mod:`repro.devices.batch`).
+        lowered once for all rows (:mod:`repro.devices.batch`).  With
+        ``events=False`` the lowering infers no IEEE events and every
+        result's ``flags`` is ``None``; values, steps, cycles and traps
+        are unchanged.
         """
         self._check_vendor(compiled)
-        return run_batch(self.interpreter, compiled.kernel, input_rows, compiled.exec_options)
+        options = _options(compiled, False, events)
+        return run_batch(self.interpreter, compiled.kernel, input_rows, options)
 
     def _check_vendor(self, compiled: "CompiledKernel") -> None:
         if compiled.vendor is not self.vendor:
@@ -102,3 +109,14 @@ class Device:
 
     def __repr__(self) -> str:
         return f"Device({self.spec.name!r}, mathlib={self.mathlib.name})"
+
+
+def _options(compiled: "CompiledKernel", trace: bool, events: bool) -> ExecOptions:
+    """The compiled kernel's options, traced if ``trace`` asks and
+    event-free if ``events`` is off."""
+    options = compiled.exec_options
+    if trace and not options.trace:
+        options = dataclasses.replace(options, trace=True)
+    if options.events and not events:
+        options = dataclasses.replace(options, events=False)
+    return options

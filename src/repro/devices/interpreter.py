@@ -121,6 +121,9 @@ class ExecOptions:
     trace: bool = False
     max_steps: int = 5_000_000
     min_array_size: int = 32
+    #: infer the IEEE events of Table II; off, ``ExecutionResult.flags``
+    #: is ``None`` and the run is otherwise identical
+    events: bool = True
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,9 @@ class ExecutionResult:
     value: float
     printed: str
     outcome: OutcomeClass
-    flags: Dict[str, int]
+    #: count per IEEE event (:attr:`repro.fp.env.FPExceptionFlags.EVENTS`),
+    #: or ``None`` when the run did not infer events (``ExecOptions.events``)
+    flags: Optional[Dict[str, int]]
     steps: int
     trace: Tuple[TraceEntry, ...] = ()
     #: modeled device cycles (see CostModel)
@@ -223,7 +228,13 @@ class Interpreter:
         check_arity(kernel, inputs)
         tracer = get_tracer()
         t0 = time.perf_counter_ns() if tracer.enabled else 0
-        evaluate = lower(kernel, options.flush, self.cost_model, trace=options.trace)
+        evaluate = lower(
+            kernel,
+            options.flush,
+            self.cost_model,
+            trace=options.trace,
+            events=options.events,
+        )
         with np.errstate(all="ignore"):
             result = evaluate(inputs, self.mathlib, self.memo(), options)
         if tracer.enabled:

@@ -201,6 +201,9 @@ def _execute_requests(
         store = RunStore()
     artifacts = ArtifactCache()
     memo: Dict[object, TestCase] = {}
+    # One render and hash per distinct (kernel structure, input lines): a
+    # HIPIFY twin or an oracle base request reuses its original's id.
+    content_ids: Dict[Tuple[object, ...], str] = {}
     seen: Dict[Tuple[object, ...], SweepOutcome] = {}
     outcomes: List[SweepOutcome] = []
     phases = {"lookup": 0.0, "commit": 0.0}
@@ -208,9 +211,13 @@ def _execute_requests(
     for req in requests:
         runner = req.runner.build()
         test = req.resolve_test(memo)
-        key = content_id(
-            test.fptype, content_text(test.program.kernel, test.inputs)
-        )
+        kernel = test.program.kernel
+        ident = (kernel.structure_key(), tuple(vec.line for vec in test.inputs))
+        key = content_ids.get(ident)
+        if key is None:
+            key = content_ids[ident] = content_id(
+                test.fptype, content_text(kernel, test.inputs)
+            )
         dedup_key = (
             key,
             test.program.via_hipify,
@@ -227,9 +234,13 @@ def _execute_requests(
             # pairs keep the bare content key (pre-registry warm stores
             # stay hot, and every nvcc-lhs pair replays the same runs);
             # other left stacks qualify the key so a (hipcc, cpu) pair
-            # can never replay nvcc outcomes as its own.
+            # can never replay nvcc outcomes as its own.  A flag-recording
+            # runner's entries carry flags, which flag-less ones lack, so
+            # its key is qualified too.
             lhs = runner.stacks[0]
             view_key = key if lhs == "nvcc" else f"{lhs}@{key}"
+            if runner.record_flags:
+                view_key = f"flags@{view_key}"
             view = _TimedView(store, view_key, phases, compiler=lhs)
         nv0, hp0 = runner.lhs_executions, runner.rhs_executions
         hits0 = view.hits if view is not None else 0

@@ -116,7 +116,7 @@ def pair_discrepancies(
     return out
 
 
-def _execute_batch(device, compiled, rows, *, memo=None):
+def _execute_batch(device, compiled, rows, *, memo=None, events=True):
     """``device.execute_batch``, deduped across a sweep's opt settings.
 
     ``memo`` (a per-sweep list) dedups physical execution across opt
@@ -135,7 +135,7 @@ def _execute_batch(device, compiled, rows, *, memo=None):
                 and prev_ck.kernel == compiled.kernel
             ):
                 return prev_out
-    out = device.execute_batch(compiled, rows)
+    out = device.execute_batch(compiled, rows, events=events)
     if memo is not None:
         memo.append((compiled, rows, out))
     return out
@@ -150,7 +150,9 @@ class DifferentialRunner:
     ``lhs_compiler``/``rhs_compiler`` after construction.
 
     ``record_flags=True`` attaches the IEEE exception snapshot to each run
-    record (slower; used by the analysis examples, not by campaigns).
+    record (used by the analysis examples, not by campaigns).  It is also
+    the one switch for event inference: every execution, sweep and probe
+    alike, infers IEEE events only when the runner records them.
 
     ``lhs_executions`` / ``rhs_executions`` count device executions
     attempted (including ones that trapped); the campaign engine uses
@@ -264,8 +266,10 @@ class DifferentialRunner:
         The probe path of triage, reduction and the case-study tooling
         (which needs traces).  Results are memoized per (lhs artifact,
         rhs artifact, input-row bits); a traced result also answers an
-        untraced call.  A :class:`~repro.errors.TrapError` is never
-        memoized — it is raised again on every call.
+        untraced call, and one with flags a call without.  A
+        :class:`~repro.errors.TrapError` is never memoized — it is raised
+        again on every call.  Results carry ``flags`` only when the
+        runner records them (``record_flags``).
         """
         self.probes += 1
         ck_lhs, ck_rhs = self.compile_pair(test, opt)
@@ -276,14 +280,15 @@ class DifferentialRunner:
             self.artifacts.key(self.rhs_compiler, test.program, opt),
             tuple(float_to_bits(v) if isinstance(v, float) else v for v in values),
         )
+        events = self.record_flags
         hit = memo.get(key)
-        if hit is not None and (hit[2] or not trace):
+        if hit is not None and (hit[2] or not trace) and (hit[3] or not events):
             memo.move_to_end(key)
             self.probe_memo_hits += 1
             return hit[0], hit[1], ck_lhs, ck_rhs
-        rl = self.lhs_device.execute(ck_lhs, values, trace=trace)
-        rr = self.rhs_device.execute(ck_rhs, values, trace=trace)
-        memo[key] = (rl, rr, trace)
+        rl = self.lhs_device.execute(ck_lhs, values, trace=trace, events=events)
+        rr = self.rhs_device.execute(ck_rhs, values, trace=trace, events=events)
+        memo[key] = (rl, rr, trace, events)
         memo.move_to_end(key)
         while len(memo) > PROBE_MEMO_ENTRIES:
             memo.popitem(last=False)
@@ -341,6 +346,7 @@ class DifferentialRunner:
                 ck_lhs,
                 [vec.values for vec in test.inputs],
                 memo=lhs_memo,
+                events=self.record_flags,
             )
             lhs_outcomes = [
                 None
@@ -360,6 +366,7 @@ class DifferentialRunner:
             ck_rhs,
             [test.inputs[idx].values for idx in live],
             memo=rhs_memo,
+            events=self.record_flags,
         )
         lhs_runs: List[RunRecord] = []
         rhs_runs: List[RunRecord] = []

@@ -46,7 +46,8 @@ def _execute_into(
         for test in tests:
             compiled = compiler.compile(test.program, opt)
             rows = [vec.values for vec in test.inputs]
-            for idx, result in enumerate(device.execute_batch(compiled, rows)):
+            results = device.execute_batch(compiled, rows, events=False)
+            for idx, result in enumerate(results):
                 if result is None:
                     continue  # timed-out job: no result row
                 store.record_printed(opt.label, test.test_id, idx, result.printed)

@@ -25,6 +25,7 @@ afresh instead of hitting the artifact cache.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
@@ -418,12 +419,16 @@ def reference_rows(
 @contextlib.contextmanager
 def reference_batches() -> Iterator[None]:
     """Route every in-process :meth:`Device.execute_batch` through the
-    tree walk, row by row, for the duration of the block."""
+    tree walk, row by row, for the duration of the block; an event-free
+    call gets the walk's results with ``flags`` ``None``."""
     original = Device.execute_batch
 
-    def execute_batch(self, compiled, input_rows):
+    def execute_batch(self, compiled, input_rows, *, events=True):
         self._check_vendor(compiled)
-        return reference_rows(self, compiled.kernel, input_rows, compiled.exec_options)
+        out = reference_rows(self, compiled.kernel, input_rows, compiled.exec_options)
+        if events:
+            return out
+        return [None if r is None else dataclasses.replace(r, flags=None) for r in out]
 
     Device.execute_batch = execute_batch
     try:

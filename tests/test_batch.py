@@ -32,7 +32,7 @@ from repro.errors import ExecutionError, TrapError
 from repro.fp.env import FlushMode
 from repro.fp.types import FPType
 from repro.ir.builder import IRBuilder
-from repro.ir.nodes import ArrayRef, BinOp, Const, For, IntConst, VarRef
+from repro.ir.nodes import FMA, ArrayRef, BinOp, Const, For, IntConst, VarRef
 from repro.ir.types import IRType
 from repro.exec import (
     ArtifactCache,
@@ -768,6 +768,9 @@ def _site_kernel(fptype, site, op):
     elif site == "array-aug":
         params = [b.fparam("comp"), b.aparam("a"), b.fparam("y")]
         body = [b.aug(b.idx("a", 0), op, "y"), b.assign("comp", b.idx("a", 0))]
+    elif site == "fma":  # ``op`` is not used: comp = fma(x, y, 0)
+        params = [b.fparam("comp"), b.fparam("x"), b.fparam("y")]
+        body = [b.assign("comp", FMA(b.var("x"), b.var("y"), Const(0.0)))]
     else:
         params, body = [b.fparam("comp"), b.fparam("x")], [b.assign("comp", b.call(op, "x"))]
     return b.kernel(params, body)
@@ -820,6 +823,149 @@ class TestEventSlowPath:
                 self._check(fptype, flush, "call", func, _site_row("call", x, None), events)
             except AssertionError as err:
                 raise AssertionError(f"{case}: {err}") from err
+
+
+# ------------------------------------------------------ event-free lowering
+def _free_sig(result):
+    """``_traced_sig`` without the flag snapshot."""
+    return _traced_sig(dataclasses.replace(result, flags={}))
+
+
+def _off_sig(result):
+    """``_free_sig`` of an event-free run, which must carry no flags."""
+    assert result.flags is None
+    return _free_sig(result)
+
+
+def _batch_free(interpreter, kernel, rows, options, sig):
+    try:
+        return [None if r is None else sig(r) for r in run_batch(interpreter, kernel, rows, options)]
+    except ExecutionError as err:
+        return ("error", str(err))
+
+
+class TestEventFreeLowering:
+    """``events=False`` drops IEEE event inference and nothing else: every
+    value, printed text, outcome, step and cycle count, trace entry, trap
+    and error equals the events-on lowering's and the tree walk's, and
+    ``flags`` is ``None``."""
+
+    @given(seed=seeds, lane=st.sampled_from(sorted(CONFIGS)), data=st.data())
+    @_bit_equality
+    def test_generated_kernels_match_events_on_and_reference(self, seed, lane, data):
+        """Generated kernels on special rows, under every flush mode,
+        traced and untraced, at the default budget and at one below and
+        exactly each row's step count."""
+        cfg = CONFIGS[lane]()
+        program = ProgramGenerator(cfg).generate(seed)
+        rows = _special_rows(cfg, program.kernel, seed, data, n=2)
+        device = get_stack("nvcc").device()
+        interpreter = device.interpreter
+        walker = ReferenceInterpreter(device.mathlib, interpreter.cost_model)
+        for opt in OPTS2:
+            kernel = NvccCompiler().compile(program, opt).kernel
+            for flush in FlushMode:
+                for trace in (False, True):
+                    on = ExecOptions(flush=flush, trace=trace)
+                    off = dataclasses.replace(on, events=False)
+                    for row in rows:
+                        reference = _outcome(walker.run, kernel, row, on, _free_sig)
+                        budgets = [on.max_steps]
+                        if reference[0] not in ("trap", "error"):
+                            steps = reference[4]
+                            budgets += [steps - 1, steps]
+                        for budget in budgets:
+                            tight_on = dataclasses.replace(on, max_steps=budget)
+                            tight_off = dataclasses.replace(off, max_steps=budget)
+                            got = _outcome(interpreter.run, kernel, row, tight_off, _off_sig)
+                            assert got == _outcome(
+                                interpreter.run, kernel, row, tight_on, _free_sig
+                            )
+                            assert got == _outcome(walker.run, kernel, row, tight_on, _free_sig)
+                            assert _batch_free(
+                                interpreter, kernel, [row], tight_off, _off_sig
+                            ) == _batch_free(interpreter, kernel, [row], tight_on, _free_sig)
+
+    @pytest.mark.parametrize("flush", list(FlushMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("lane", sorted(CONFIGS))
+    @pytest.mark.parametrize("site", ["binop", "scalar-aug", "array-aug", "fma", "call"])
+    def test_every_site_on_event_rows(self, site, lane, flush):
+        """Each site that settles a result, on the rows that raise every
+        event (NaN, ±inf, ±0, overflow, a subnormal result the output
+        flush must zero), traced and untraced."""
+        fptype = CONFIGS[lane]().fptype
+        info = np.finfo(fptype.dtype)
+        named = {"max": float(info.max), "tiny": float(info.tiny)}
+        if site == "call":
+            cases = [
+                (func, _site_row("call", x[lane] if isinstance(x, dict) else x, None))
+                for _, func, x, _ in _CALL_EVENTS
+            ]
+        else:
+            cases = [
+                (op, _site_row(site, named.get(x, x), named.get(y, y)))
+                for _, op, x, y, _ in _ARITH_EVENTS
+            ]
+        device = get_stack("nvcc").device()
+        interpreter = device.interpreter
+        walker = ReferenceInterpreter(device.mathlib, interpreter.cost_model)
+        for op, row in cases:
+            kernel = _site_kernel(fptype, site, op)
+            for trace in (False, True):
+                on = ExecOptions(flush=flush, trace=trace)
+                off = dataclasses.replace(on, events=False)
+                got = _outcome(interpreter.run, kernel, row, off, _off_sig)
+                assert got == _outcome(interpreter.run, kernel, row, on, _free_sig), (op, row)
+                assert got == _outcome(walker.run, kernel, row, on, _free_sig), (op, row)
+
+    def test_flag_recording_runner_keeps_reference_flags(self):
+        """A ``record_flags`` runner's sweep records and probe results
+        carry the tree walk's flags in every precision; a plain runner's
+        carry none, and its probes answer a flag-recording call only by
+        executing again."""
+        raised = 0
+        for lane in sorted(CONFIGS):
+            corpus = build_corpus(CONFIGS[lane](inputs_per_program=3), 3, root_seed=17)
+            recording = DifferentialRunner(record_flags=True)
+            plain = DifferentialRunner()
+            for test in corpus.tests:
+                swept = recording.run_sweep(test, OPTS2)
+                for opt in OPTS2:
+                    compiled = recording.compile_pair(test, opt)
+                    devices = (recording.lhs_device, recording.rhs_device)
+                    pair = swept[opt.label]
+                    for runs, device, ck in zip(
+                        (pair.lhs_runs, pair.rhs_runs), devices, compiled
+                    ):
+                        for run in runs:
+                            row = test.inputs[run.input_index].values
+                            (expected,) = reference_rows(
+                                device, ck.kernel, [row], ck.exec_options
+                            )
+                            assert run.flags == expected.flags
+                            raised += any(expected.flags.values())
+                    for idx, vec in enumerate(test.inputs):
+                        try:
+                            probe = recording.run_single(test, opt, idx)
+                        except TrapError:
+                            continue
+                        for result, device, ck in zip(probe[:2], devices, compiled):
+                            (expected,) = reference_rows(
+                                device, ck.kernel, [vec.values], ck.exec_options
+                            )
+                            assert result.flags == expected.flags
+                        free = plain.run_single(test, opt, idx)
+                        assert [r.flags for r in free[:2]] == [None, None]
+                        assert [_free_sig(r) for r in free[:2]] == [
+                            _free_sig(r) for r in probe[:2]
+                        ]
+                        plain.record_flags = True
+                        hits = plain.probe_memo_hits
+                        flagged = plain.run_single(test, opt, idx)
+                        plain.record_flags = False
+                        assert plain.probe_memo_hits == hits
+                        assert [r.flags for r in flagged[:2]] == [r.flags for r in probe[:2]]
+        assert raised  # some run raised an event: the comparison has teeth
 
 
 # ---------------------------------------------------------- artifact cache

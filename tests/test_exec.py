@@ -82,6 +82,12 @@ def _outcome_lines(outcome):
     ]
 
 
+def _outcome_records(outcome):
+    return [
+        r for pair in outcome.pairs.values() for r in (*pair.lhs_runs, *pair.rhs_runs)
+    ]
+
+
 def _twin_chunks(corpus):
     """One chunk per test: the native sweep plus its HIPIFY twin."""
     return [
@@ -482,6 +488,65 @@ class TestExecutionService:
         assert reused.nvcc_executions == executions
         assert _outcome_lines(plain[0]) == _outcome_lines(plain[1])
         assert _outcome_lines(plain[0]) == _outcome_lines(reused)
+
+    def test_flag_recording_requests_never_share_flagless_store_entries(
+        self, fp32_corpus
+    ):
+        """On a shared store, a ``record_flags`` request for content a
+        plain request ran first gets left-side records with flags, equal
+        to a storeless run's, and a plain request after it gets none; each
+        replays only its own kind.  Plain entries keep the bare content
+        key."""
+        test = fp32_corpus.tests[1]
+        flagged = RunnerSpec(record_flags=True)
+        plain_req = SweepRequest(test=test, opts=OPTS2)
+        flag_req = SweepRequest(test=test, opts=OPTS2, runner=flagged)
+        with ExecutionService() as fresh:
+            (expected,) = fresh.run_chunk([flag_req])
+        assert all(r.flags is not None for r in _outcome_records(expected))
+        store = RunStore()
+        with ExecutionService(store=store) as service:
+            (plain,) = service.run_chunk([plain_req])
+            assert store.get(content_id_for(test), "O0", test_id=test.test_id)
+            (first, again) = [service.run_chunk([flag_req])[0] for _ in range(2)]
+            (plain_again,) = service.run_chunk([plain_req])
+        assert _outcome_lines(first) == _outcome_lines(expected)
+        assert _outcome_lines(again) == _outcome_lines(expected)
+        executions = len(OPTS2) * len(test.inputs)
+        assert (first.nvcc_executions, first.nvcc_cache_hits) == (executions, 0)
+        assert (again.nvcc_executions, again.nvcc_cache_hits) == (0, executions)
+        assert (plain_again.nvcc_executions, plain_again.nvcc_cache_hits) == (
+            0,
+            executions,
+        )
+        assert all(r.flags is None for r in _outcome_records(plain_again))
+        assert _outcome_lines(plain_again) == _outcome_lines(plain)
+
+    def test_chunk_renders_each_content_once(self, fp32_corpus, monkeypatch):
+        """A HIPIFY twin and a repeated request share their original's
+        content id without rendering the kernel again; the ids equal
+        ``content_id_for``."""
+        import repro.exec.service as service_mod
+
+        rendered = []
+        original = service_mod.content_text
+
+        def counting(kernel, inputs):
+            rendered.append(kernel.name)
+            return original(kernel, inputs)
+
+        monkeypatch.setattr(service_mod, "content_text", counting)
+        a, b = fp32_corpus.tests[:2]
+        outcomes = ExecutionService().run_chunk(
+            [
+                SweepRequest(test=t, opts=OPTS2, tag=(i,))
+                for i, t in enumerate((a, a.hipified(), b, a, b.hipified()))
+            ]
+        )
+        assert len(rendered) == 2
+        assert [o.content_key for o in outcomes] == [
+            content_id_for(t) for t in (a, a, b, a, b)
+        ]
 
     def test_corpus_spec_resolves_like_the_corpus(self, fp32_corpus):
         spec = CorpusTestSpec(

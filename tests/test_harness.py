@@ -267,15 +267,15 @@ class _TrapAtOpt:
             self._id_suffix
         )
 
-    def execute(self, compiled, inputs, *, trace: bool = False):
+    def execute(self, compiled, inputs, *, trace: bool = False, events: bool = True):
         if self._traps(compiled):
             raise TrapError("synthetic step-budget trap")
-        return self._inner.execute(compiled, inputs, trace=trace)
+        return self._inner.execute(compiled, inputs, trace=trace, events=events)
 
-    def execute_batch(self, compiled, rows):
+    def execute_batch(self, compiled, rows, *, events: bool = True):
         if self._traps(compiled):
             return [None] * len(rows)
-        return self._inner.execute_batch(compiled, rows)
+        return self._inner.execute_batch(compiled, rows, events=events)
 
 
 def _trap_at(monkeypatch, opt_label: str) -> None:
@@ -296,8 +296,8 @@ def _trap_at(monkeypatch, opt_label: str) -> None:
         runner.lhs_device = _TrapAtOpt(runner.lhs_device, opt_label)
         return runner
 
-    def execute_batch(device, compiled, rows, *, memo=None):
-        return device.execute_batch(compiled, rows)
+    def execute_batch(device, compiled, rows, *, memo=None, events=True):
+        return device.execute_batch(compiled, rows, events=events)
 
     monkeypatch.setattr(runner_mod, "DifferentialRunner", factory)
     monkeypatch.setattr(runner_mod, "_execute_batch", execute_batch)

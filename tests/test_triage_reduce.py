@@ -392,9 +392,9 @@ class TestProbePath:
         class CountingDevice(Device):
             calls = 0
 
-            def execute(self, compiled, inputs, *, trace=False):
+            def execute(self, compiled, inputs, *, trace=False, events=True):
                 CountingDevice.calls += 1
-                return super().execute(compiled, inputs, trace=trace)
+                return super().execute(compiled, inputs, trace=trace, events=events)
 
         runner = DifferentialRunner()
         test = fig4_testcase()
@@ -414,7 +414,7 @@ class TestProbePath:
         class TrapDevice(Device):
             calls = 0
 
-            def execute(self, compiled, inputs, *, trace=False):
+            def execute(self, compiled, inputs, *, trace=False, events=True):
                 TrapDevice.calls += 1
                 raise TrapError("synthetic step-budget trap")
 
