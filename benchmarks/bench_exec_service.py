@@ -2,8 +2,8 @@
 
 The workload is the fuzz engine's evaluation shape at default fuzz scale
 — one chunk per program holding the native sweep plus its HIPIFY twin
-(CUDA half replayed from the content-keyed store) — pushed through the
-three execution configurations the redesign enables:
+(CUDA half replayed from the content-keyed store) — pushed through four
+execution configurations:
 
 * ``scalar``    — ``SerialBackend`` with the batch hot path switched OFF:
   every batch runs row by row on the reference tree walk
@@ -12,16 +12,14 @@ three execution configurations the redesign enables:
   baseline the batch speedup is measured against.  The lane still
   shares one execution across opt settings whose kernels came out
   identical, as every runner does;
-* ``serial``    — ``SerialBackend``, cold two-tier ``RunStore`` with a
-  SQLite disk tier (this pass also writes the store the warm mode reads);
+* ``serial``    — ``SerialBackend`` with a cold in-memory ``RunStore``
+  (this pass also fills the store the warm mode replays);
 * ``pool``      — ``ProcessPoolBackend``, the same chunks fanned out to
   pool workers (forked from the already-imported bench process on
   single-threaded Linux, spawned elsewhere);
-* ``bridge``    — ``BridgeBackend`` against an in-process bridge server
-  with 2 local ``repro-worker`` processes: the same chunks leased over
-  HTTP, executed remotely, and merged back in submission order;
-* ``warm``      — ``SerialBackend`` again, reopening the disk store the
-  first pass wrote: every CUDA-side run replays, zero nvcc executions.
+* ``warm``      — ``SerialBackend`` again, handed the very store object
+  the serial pass filled: every CUDA-side run replays, zero nvcc
+  executions.
 
 All modes must produce identical discrepancy sets (the backends'
 ordered-results contract).  On multi-core hosts the pool must beat
@@ -46,15 +44,11 @@ pickle per chunk, so the pool pass carries a small known overhead.
 from __future__ import annotations
 
 import json
-import multiprocessing as mp
 import os
 import sys
 import time
 from pathlib import Path
 
-from repro.bridge.client import BridgeBackend
-from repro.bridge.server import start_server
-from repro.bridge.worker import run_worker
 from repro.exec import (
     ExecutionService,
     ProcessPoolBackend,
@@ -148,11 +142,6 @@ def _run(service, chunks):
 
 def test_exec_service_throughput(results_dir):
     n_programs, chunks = _workload()
-    store_path = results_dir / "exec_service.store.sqlite"
-    scalar_store_path = results_dir / "exec_service.scalar.store.sqlite"
-    for path in (store_path, scalar_store_path):
-        for suffix in ("", "-wal", "-shm"):
-            path.with_name(path.name + suffix).unlink(missing_ok=True)
     workers = max(2, (os.cpu_count() or 2) - 1)
 
     # The batch hot path switched off: the reference tree walk row by
@@ -160,14 +149,13 @@ def test_exec_service_throughput(results_dir):
     # summary JSON is the ratio of this lane to the batched serial lane.
     with reference_batches(), uncached_compiles():
         scalar_s, scalar_t, scalar_keys = _run(
-            ExecutionService(
-                SerialBackend(), RunStore(path=scalar_store_path, max_entries=4096)
-            ),
-            chunks,
+            ExecutionService(SerialBackend(), RunStore(max_entries=4096)), chunks
         )
+    # The warm lane replays this store; 4096 entries hold every
+    # (program, opt) entry of the paper-scale workload, so none is evicted.
+    store = RunStore(max_entries=4096)
     serial_s, serial_t, serial_keys = _run(
-        ExecutionService(SerialBackend(), RunStore(path=store_path, max_entries=4096)),
-        chunks,
+        ExecutionService(SerialBackend(), store), chunks
     )
     # The pool pass runs traced: workers ship span batches back with
     # their results, the backend records the queue/pickle/execute/wait
@@ -182,53 +170,16 @@ def test_exec_service_throughput(results_dir):
         set_tracer(previous)
     records = tracer.records()
 
-    # Bridge pass: a real (if colocated) fleet — in-process HTTP server,
-    # two spawned repro-worker processes pulling leases over the wire.
-    bridge_workers = 2
-    queue_db = results_dir / "exec_service.bridge_queue.sqlite"
-    if queue_db.exists():
-        queue_db.unlink()
-    server = start_server(queue_db, lease_seconds=60.0)
-    ctx = mp.get_context("spawn")
-    procs = [
-        ctx.Process(
-            target=run_worker,
-            args=(server.url,),
-            kwargs=dict(
-                worker_id=f"bench-w{i}",
-                poll_seconds=0.05,
-                max_idle_seconds=60.0,
-            ),
-            daemon=True,
-        )
-        for i in range(bridge_workers)
-    ]
-    for p in procs:
-        p.start()
-    try:
-        bridge_s, bridge_t, bridge_keys = _run(
-            ExecutionService(BridgeBackend(server.url, poll_seconds=1.0)), chunks
-        )
-    finally:
-        for p in procs:
-            p.terminate()
-        for p in procs:
-            p.join(timeout=10)
-        server.close()
-
-    warm_s, warm_t, warm_keys = _run(
-        ExecutionService(SerialBackend(), RunStore(path=store_path, max_entries=4096)),
-        chunks,
-    )
+    warm_s, warm_t, warm_keys = _run(ExecutionService(SerialBackend(), store), chunks)
 
     # Correctness first: every mode finds the same discrepancies and the
     # twin's CUDA half always rides the cache.  The scalar lane is the
     # strongest check — the reference tree walk, no artifact cache, same
     # bits.
-    assert scalar_keys == serial_keys == pool_keys == bridge_keys == warm_keys
-    assert scalar_t == serial_t == pool_t == bridge_t
+    assert scalar_keys == serial_keys == pool_keys == warm_keys
+    assert scalar_t == serial_t == pool_t
     assert serial_t["nvcc_cache_hits"] == serial_t["nvcc_executions"]
-    # The warm store serves the *entire* CUDA side from disk.
+    # The warm store serves the *entire* CUDA side.
     assert warm_t["nvcc_executions"] == 0
     assert warm_t["pair_runs"] == serial_t["pair_runs"]
     # The batched hot path must win at EVERY scale, including CI smoke —
@@ -280,7 +231,6 @@ def test_exec_service_throughput(results_dir):
         ("scalar baseline", scalar_s, scalar_t),
         ("serial (cold store)", serial_s, serial_t),
         (f"pool (workers={workers})", pool_s, pool_t),
-        (f"bridge (workers={bridge_workers})", bridge_s, bridge_t),
         ("serial (warm store)", warm_s, warm_t),
     ]
     lines = [
@@ -321,15 +271,12 @@ def test_exec_service_throughput(results_dir):
         "scalar_seconds": round(scalar_s, 3),
         "serial_seconds": round(serial_s, 3),
         "pool_seconds": round(pool_s, 3),
-        "bridge_seconds": round(bridge_s, 3),
-        "bridge_workers": bridge_workers,
         "warm_seconds": round(warm_s, 3),
         # The two headline ratios (scalar = the reference tree walk row
         # by row + no artifact cache; serial = the batched default).
         "batch_speedup": round(scalar_s / serial_s, 3) if serial_s else None,
         "pool_vs_serial": round(serial_s / pool_s, 3) if pool_s else None,
         "pool_speedup": round(serial_s / pool_s, 3) if pool_s else None,
-        "bridge_speedup": round(serial_s / bridge_s, 3) if bridge_s else None,
         "warm_speedup": round(serial_s / warm_s, 3) if warm_s else None,
         "pool_phase_seconds": phase_totals,
         "pool_wall_attribution": round(attribution, 3),

@@ -12,8 +12,6 @@ under ``benchmarks/results/`` into a single ``trajectory.json``:
 * one entry per pytest-benchmark JSON (min/mean/max seconds per bench);
 * a ``fuzz_smoke`` block summarizing the nightly fuzz ledger (iterations,
   batches, finding count) parsed directly from the JSONL;
-* a ``bridge`` block lifted from the exec-service summary when that run
-  included the bridge lane (seconds / workers / speedup vs serial);
 * a ``fuzz_yield`` block from the bench_fuzz_engine search lane when it
   ran (mcts vs hybrid vs blind novel-signature and oracle-violation
   yield at equal budget).
@@ -21,7 +19,7 @@ under ``benchmarks/results/`` into a single ``trajectory.json``:
 New benches and lanes are gate-safe on first appearance by
 construction: the regression gate compares only pytest-benchmark
 entries present in *both* artifacts, pass-through summaries (the
-exec-service dict, and the ``bridge`` block lifted from it) carry no
+exec-service dict, and the ``hot_path`` block lifted from it) carry no
 comparable timing shape, and ``only_current`` / ``only_baseline``
 benches are recorded but never fail — so adding a lane can never trip
 the >2x gate the night it lands.
@@ -275,20 +273,13 @@ def merge(results_dir: Path) -> Dict[str, object]:
         path = results_dir / filename
         if path.exists():
             benchmarks[name] = _summarize_pytest_benchmark(path)
-    # Lift the bridge lane out of the exec-service summary so the fleet's
-    # trajectory is a first-class block, not a field buried in a
-    # pass-through dict.  Gate-safe: nothing here has the per-bench list
-    # shape ``_bench_means`` folds into the comparison.
+    # Lift the hot-path ratios out of the exec-service summary so they
+    # trend as a first-class block, not fields buried in a pass-through
+    # dict: batch_speedup is the scalar-baseline-vs-batched-serial gain,
+    # pool_vs_serial the pool's gain over batched serial.  Gate-safe:
+    # nothing here has the per-bench list shape ``_bench_means`` folds
+    # into the comparison.
     exec_summary = benchmarks.get("exec_service_bench")
-    if isinstance(exec_summary, dict) and "bridge_seconds" in exec_summary:
-        payload["bridge"] = {
-            "seconds": exec_summary.get("bridge_seconds"),
-            "workers": exec_summary.get("bridge_workers"),
-            "speedup_vs_serial": exec_summary.get("bridge_speedup"),
-        }
-    # Same treatment for the PR-9 hot-path ratios: batch_speedup is the
-    # scalar-baseline-vs-batched-serial gain, pool_vs_serial the pool's
-    # gain over batched serial.  Both trend night over night.
     if isinstance(exec_summary, dict) and "batch_speedup" in exec_summary:
         payload["hot_path"] = {
             "batch_speedup": exec_summary.get("batch_speedup"),
@@ -304,7 +295,7 @@ def merge(results_dir: Path) -> Dict[str, object]:
         skipped.append(FUZZ_LEDGER)
     # The search-strategy yield comparison: mcts vs hybrid vs blind
     # novel-signature and oracle-violation rates at equal budget.
-    # Gate-safe like bridge/hot_path — a dict, not a per-bench list.
+    # Gate-safe like hot_path — a dict, not a per-bench list.
     search_yield = results_dir / SEARCH_YIELD
     if search_yield.exists():
         summary = _summarize_search_yield(search_yield)

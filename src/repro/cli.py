@@ -144,8 +144,6 @@ def _config_from_args(
         ),
         stacks=stacks,
         workers=args.workers if args.workers is not None else base.workers,
-        backend=args.backend,
-        bridge_url=args.bridge_url,
     )
 
 

@@ -5,8 +5,8 @@ same :class:`~repro.exec.service.ExecutionService` through one session
 lifecycle, so they share, declared once here instead of three diverging
 copies:
 
-* :func:`add_execution_args` — the flag block: worker count, backend
-  selection, bridge address, and the telemetry outputs;
+* :func:`add_execution_args` — the flag block: worker count (which
+  alone picks serial or pool) and the telemetry outputs;
 * :func:`resolve_execution_args` — the cross-flag validation every CLI
   must agree on (consistent error text included);
 * :func:`parse_names` — the comma-separated name flags (``--mutations``,
@@ -38,25 +38,13 @@ def add_execution_args(
 ) -> None:
     """Add the execution flags every service-backed CLI shares.
 
-    ``--workers``, ``--backend``, ``--bridge-url``, plus the telemetry
-    pair (``--trace-out`` / ``--metrics-out``).  ``workers_help`` stays
-    per-CLI because each tool documents its own determinism guarantee.
+    ``--workers`` (0 or 1 runs serially, more runs a process pool) plus
+    the telemetry pair (``--trace-out`` / ``--metrics-out``).
+    ``workers_help`` stays per-CLI because each tool documents its own
+    determinism guarantee.
     """
     parser.add_argument(
         "--workers", type=int, default=None, help=workers_help
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["serial", "pool", "bridge"],
-        default=None,
-        help="execution backend (default: serial or pool from --workers; "
-        "bridge routes chunks through a repro-bridge server fleet)",
-    )
-    parser.add_argument(
-        "--bridge-url",
-        metavar="URL",
-        default=None,
-        help="address of a running `repro-bridge serve` (with --backend bridge)",
     )
     add_telemetry_args(parser)
 
@@ -67,10 +55,6 @@ def resolve_execution_args(
     """Validate the shared execution flags (``parser.error`` on misuse)."""
     if args.workers is not None and args.workers < 0:
         parser.error(f"--workers must be >= 0 (got {args.workers})")
-    if args.backend == "bridge" and not args.bridge_url:
-        parser.error("--backend bridge requires --bridge-url")
-    if args.bridge_url and args.backend != "bridge":
-        parser.error("--bridge-url requires --backend bridge")
 
 
 def parse_names(

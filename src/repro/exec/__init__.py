@@ -9,12 +9,11 @@ owns that primitive once, as data plus policy:
 * :mod:`~repro.exec.content` — content keying: structurally identical
   kernels with identical inputs share one identity;
 * :mod:`~repro.exec.store` — the content-keyed :class:`RunStore`
-  (memory LRU + optional SQLite file, :mod:`~repro.exec.disk`);
+  (memory LRU);
 * :mod:`~repro.exec.artifacts` — the structure-keyed compiled-kernel
   :class:`ArtifactCache` (memory LRU);
-* :mod:`~repro.exec.backends` — ordered chunk execution, serial, on a
-  persistent process pool, or through a :mod:`repro.bridge` worker
-  fleet, deterministic at any worker count;
+* :mod:`~repro.exec.backends` — ordered chunk execution, serial or on
+  a persistent process pool, deterministic at any worker count;
 * :mod:`~repro.exec.service` — the :class:`ExecutionService` facade:
   dedup, the one cache rule, dispatch, metrics.
 
@@ -28,7 +27,6 @@ from repro.exec.backends import (
     ProcessPoolBackend,
     SerialBackend,
     make_backend,
-    resolve_backend,
 )
 from repro.exec.content import content_id, content_text, content_id_for
 from repro.exec.service import ExecMetrics, ExecutionService
@@ -52,7 +50,6 @@ __all__ = [
     "make_backend",
     "ProcessPoolBackend",
     "RunnerSpec",
-    "resolve_backend",
     "RunStore",
     "SerialBackend",
     "SweepOutcome",

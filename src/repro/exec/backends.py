@@ -16,21 +16,18 @@ picklable (module-level functions only) under either start method.
 
 **Start method** (decided once, when the pool is created): ``fork`` when
 the parent runs on Linux with a single Python thread, ``spawn``
-otherwise (macOS, Windows, or a parent running a live thread such as an
-in-process bridge server — forking a process that holds another
-thread's locks can deadlock the child).  A forked worker starts from a
-copy of the parent: its imported modules (so it skips re-importing
-``repro`` and NumPy before its first chunk, as a spawned worker must),
-and also every process-global cache, counter and tracer as they stood
-at fork time.  None of that can reach an output, because a worker's
-result is a pure function of its payload: the chunk task builds a
-fresh run store and artifact cache per chunk, reads runner counters as deltas
-(the thread's warm runners and probe memos only memoize pure results), and
-installs its own tracer per chunk; workers end through
-``Pool.terminate`` without touching inherited connections or file
-buffers.
-
-Future backends (async, distributed) implement the same two methods.
+otherwise (macOS, Windows, or a parent running a live thread — forking
+a process that holds another thread's locks can deadlock the child).  A
+forked worker starts from a copy of the parent: its imported modules
+(so it skips re-importing ``repro`` and NumPy before its first chunk,
+as a spawned worker must), and also every process-global cache,
+counter and tracer as they stood at fork time.  None of that can reach
+an output, because a worker's result is a pure function of its payload:
+the chunk task builds a fresh run store and artifact cache per chunk,
+reads runner counters as deltas (the thread's warm runners and probe
+memos only memoize pure results), and installs its own tracer per
+chunk; workers end through ``Pool.terminate`` without touching
+inherited connections or file buffers.
 
 **Telemetry** (active tracer enabled only — the disabled path is the
 original code): the pool backend wraps payloads and the mapped function
@@ -72,7 +69,6 @@ __all__ = [
     "SerialBackend",
     "ProcessPoolBackend",
     "make_backend",
-    "resolve_backend",
 ]
 
 
@@ -233,36 +229,3 @@ def make_backend(workers: Optional[int]) -> "Backend":
         return ProcessPoolBackend(workers)
     return SerialBackend()
 
-
-def resolve_backend(
-    name: Optional[str],
-    workers: Optional[int] = None,
-    bridge_url: Optional[str] = None,
-) -> "Backend":
-    """Resolve a named backend spec (the CLIs' ``--backend`` flag).
-
-    ``None`` is the worker-count rule of :func:`make_backend`, the one
-    every engine uses unless a backend is named.  ``"bridge"`` needs
-    ``bridge_url``; the import is deferred so the exec layer stays
-    bridge-free unless asked.
-    """
-    from repro.errors import HarnessError
-
-    if name is None:
-        return make_backend(workers)
-    if name == "serial":
-        return SerialBackend()
-    if name == "pool":
-        return make_backend(workers if workers and workers > 1 else 2)
-    if name == "bridge":
-        if not bridge_url:
-            raise HarnessError(
-                "--backend bridge needs --bridge-url (the address of a "
-                "running `repro-bridge serve`)"
-            )
-        from repro.bridge.client import BridgeBackend
-
-        return BridgeBackend(bridge_url)
-    raise HarnessError(
-        f"unknown backend {name!r}; expected serial, pool, or bridge"
-    )

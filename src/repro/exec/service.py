@@ -24,8 +24,8 @@ Guarantees:
   flag, opts, runner) are executed once; the duplicate's outcome is the
   original's, rebound to the duplicate's test id, with zero execution
   counters.
-* **One task** — every remote backend (pool or bridge) runs one chunk
-  task, :func:`_execute_task`, one indexed chunk per task with the
+* **One task** — the process-pool backend runs one chunk task,
+  :func:`_execute_task`, one indexed chunk per task with the
   parent's tracing flag riding in the payload; ordered and unordered
   sweeps share one dispatch loop and differ only in ``imap`` versus
   ``imap_unordered``.  Serial backends run each chunk in process
@@ -72,7 +72,6 @@ class ExecMetrics:
     store_hits: int = 0
     store_misses: int = 0
     store_evictions: int = 0
-    store_disk_hits: int = 0
     artifact_hits: int = 0
     artifact_misses: int = 0
     elapsed_seconds: float = 0.0
@@ -108,7 +107,10 @@ class ExecMetrics:
                 "hits": self.store_hits,
                 "misses": self.store_misses,
                 "evictions": self.store_evictions,
-                "disk_hits": self.store_disk_hits,
+                # Always 0 (the store is memory only); the key stays so
+                # the campaign JSON, and every digest over it, keep
+                # their shape.
+                "disk_hits": 0,
             },
             "artifacts": {
                 "hits": self.artifact_hits,
@@ -231,12 +233,11 @@ def _execute_requests(
         view: Optional[BoundRunCache] = None
         if req.reuse:
             # The store caches the pair's *left* side.  Legacy nvcc-lhs
-            # pairs keep the bare content key (pre-registry warm stores
-            # stay hot, and every nvcc-lhs pair replays the same runs);
-            # other left stacks qualify the key so a (hipcc, cpu) pair
-            # can never replay nvcc outcomes as its own.  A flag-recording
-            # runner's entries carry flags, which flag-less ones lack, so
-            # its key is qualified too.
+            # pairs keep the bare content key (every nvcc-lhs pair
+            # replays the same runs); other left stacks qualify the key
+            # so a (hipcc, cpu) pair can never replay nvcc outcomes as
+            # its own.  A flag-recording runner's entries carry flags,
+            # which flag-less ones lack, so its key is qualified too.
             lhs = runner.stacks[0]
             view_key = key if lhs == "nvcc" else f"{lhs}@{key}"
             if runner.record_flags:
@@ -345,9 +346,9 @@ class ExecutionService:
     """The one sweep interface every subsystem executes through.
 
     ``store`` is kept exactly as given: with one, every in-process
-    reuse request replays through it (cross-chunk and, on a SQLite
-    path, cross-session reuse); without one, each chunk gets a private
-    store.  Remote chunks always use private stores.
+    reuse request replays through it (cross-chunk reuse); without one,
+    each chunk gets a private store.  Pool chunks always use private
+    stores.
     """
 
     def __init__(
@@ -460,7 +461,6 @@ class ExecutionService:
         m.store_hits += stats.get("hits", 0)
         m.store_misses += stats.get("misses", 0)
         m.store_evictions += stats.get("evictions", 0)
-        m.store_disk_hits += stats.get("disk_hits", 0)
         m.artifact_hits += stats.get("artifact_hits", 0)
         m.artifact_misses += stats.get("artifact_misses", 0)
         m.lookup_seconds += stats.get("lookup_seconds", 0.0)
@@ -475,13 +475,10 @@ class ExecutionService:
             merged.store_hits += shared["hits"]
             merged.store_misses += shared["misses"]
             merged.store_evictions += shared["evictions"]
-            merged.store_disk_hits += shared["disk_hits"]
         return merged.as_dict()
 
     def close(self) -> None:
         self.backend.close()
-        if self.store is not None:
-            self.store.close()
 
     def __enter__(self) -> "ExecutionService":
         return self

@@ -87,8 +87,8 @@ class RunnerSpec:
         Sharing is sound because a runner's caches are pure memos: what
         it returns never depends on what it ran before.  Callers that
         count work read a runner's execution counters as deltas.  The
-        registry is per thread, so bridge workers running as threads
-        never share counters.
+        registry is per thread, so sessions on two threads never share
+        counters.
         """
         runners = _thread_runners()
         runner = runners.get(self)

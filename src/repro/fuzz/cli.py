@@ -193,8 +193,6 @@ def _config_from_args(
         oracle_relations=oracle_relations,
         stacks=stacks,
         workers=args.workers if args.workers is not None else base.workers,
-        backend=args.backend,
-        bridge_url=args.bridge_url,
         search=args.search,
     )
 

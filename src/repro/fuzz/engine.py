@@ -66,7 +66,7 @@ from repro.exec import (
     ExecutionService,
     SweepOutcome,
     SweepRequest,
-    resolve_backend,
+    make_backend,
 )
 from repro.exec.units import RunnerSpec, built_runners
 from repro.fp.classify import OutcomeClass
@@ -145,11 +145,6 @@ class FuzzConfig:
     #: excluded from :meth:`fingerprint` exactly like the campaign
     #: checkpoint's.
     workers: int = 0
-    #: Execution backend (None = worker-count rule; "serial"/"pool"/
-    #: "bridge").  Pure scheduling, like ``workers`` — excluded from the
-    #: fingerprint.
-    backend: Optional[str] = None
-    bridge_url: Optional[str] = None
     #: iteration-selection strategy.  ``"bandit"`` (the default) is the
     #: flat win-count bandit over mutators; ``"mcts"`` is UCB1 tree
     #: search over IR-edit sequences (:mod:`repro.fuzz.search`), whose
@@ -799,9 +794,7 @@ def run_fuzz(
 
     book, loaded = FindingsLedger.open_session(ledger, config.fingerprint(), resume)
     state: LedgerState = loaded or LedgerState()
-    service = ExecutionService(
-        resolve_backend(config.backend, config.workers, config.bridge_url)
-    )
+    service = ExecutionService(make_backend(config.workers))
     corpus = _LazyCorpus(config)
     evaluator = _Evaluator(config, service)
 
@@ -1014,9 +1007,7 @@ def run_random_session(
     # The control arm honors config.workers too: its chunks stream with
     # no feedback loop, so parallelism never changes the result — only
     # the wall clock, keeping the fuzz-vs-blind timing comparison fair.
-    service = ExecutionService(
-        resolve_backend(config.backend, config.workers, config.bridge_url)
-    )
+    service = ExecutionService(make_backend(config.workers))
     evaluator = _Evaluator(config, service)
     corpus = build_corpus(
         config.generator_config(),

@@ -81,7 +81,7 @@ from repro.exec import (
     ExecutionService,
     SweepOutcome,
     SweepRequest,
-    resolve_backend,
+    make_backend,
 )
 from repro.exec.units import RunnerSpec
 from repro.fp.types import FPType
@@ -167,12 +167,6 @@ class CampaignConfig:
     stacks: Tuple[str, ...] = DEFAULT_STACK_PAIR
     opts: Tuple[OptSetting, ...] = PAPER_OPT_SETTINGS
     workers: int = 0  # 0/1 = serial
-    #: Execution backend: None keeps the worker-count rule (serial or
-    #: pool), "serial"/"pool" force one, "bridge" routes chunks through
-    #: a `repro-bridge` server at :attr:`bridge_url`.  Like ``workers``,
-    #: pure scheduling — excluded from the fingerprint.
-    backend: Optional[str] = None
-    bridge_url: Optional[str] = None
     #: Replay the fp64 arm's nvcc runs for the fp64_hipify arm instead of
     #: re-executing them (see the module docstring's reuse invariant).
     #: Disabling this runs every arm standalone, like the seed engine —
@@ -819,11 +813,9 @@ def run_campaign(
             pending.append(step)
 
     # Multiple pending steps are the only parallelism opportunity; a
-    # single chunk runs in-process under any worker count.  (The bridge
-    # backend is always honoured: its workers live in other processes,
-    # so even one pending step belongs on the fleet when asked for.)
+    # single chunk runs in-process under any worker count.
     workers = config.workers if len(pending) > 1 else 0
-    service = ExecutionService(resolve_backend(config.backend, workers, config.bridge_url))
+    service = ExecutionService(make_backend(workers))
     try:
         chunks = (_step_requests(config, step) for step in pending)
         # Steps are checkpointed the moment they complete — a kill loses

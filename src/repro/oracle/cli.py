@@ -129,8 +129,6 @@ def _config_from_args(
         ulp_bound=args.ulp_bound if args.ulp_bound is not None else base.ulp_bound,
         stacks=stacks,
         workers=args.workers if args.workers is not None else base.workers,
-        backend=args.backend,
-        bridge_url=args.bridge_url,
     )
 
 

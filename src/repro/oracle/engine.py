@@ -32,7 +32,7 @@ from repro.exec import (
     ExecutionService,
     SweepOutcome,
     SweepRequest,
-    resolve_backend,
+    make_backend,
 )
 from repro.exec.units import RunnerSpec
 from repro.fp.types import FPType
@@ -82,11 +82,6 @@ class OracleConfig:
     #: checked independently against its own base.
     stacks: Tuple[str, str] = DEFAULT_STACK_PAIR
     workers: int = 0
-    #: Execution backend (None = worker-count rule; "serial"/"pool"/
-    #: "bridge").  Pure scheduling, like ``workers`` — excluded from the
-    #: fingerprint.
-    backend: Optional[str] = None
-    bridge_url: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.n_programs < 1:
@@ -418,9 +413,7 @@ def run_oracle(
     checked_by_relation: Dict[str, int] = dict(state.checked_by_relation)
     pair_runs = state.pair_runs
 
-    service = ExecutionService(
-        resolve_backend(config.backend, config.workers, config.bridge_url)
-    )
+    service = ExecutionService(make_backend(config.workers))
     try:
         plans = [
             oracle_requests_for(

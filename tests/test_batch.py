@@ -1197,6 +1197,12 @@ def _flatten(service, chunks):
     return out
 
 
+def _store_entries(store):
+    """A run store's entries in store order: each (content key, opt
+    label) with its test-id-neutral outcomes (values as bit patterns)."""
+    return list(store._mem.items())
+
+
 class TestLedgerEquality:
     def _chunks(self, corpus):
         return [
@@ -1207,16 +1213,17 @@ class TestLedgerEquality:
             for t in corpus.tests
         ]
 
-    def test_outcomes_invariant_to_artifact_cache_and_workers(self, tmp_path):
+    def test_outcomes_invariant_to_artifact_cache_and_workers(self):
         """The headline invariant: outcomes are identical with the
         artifact cache on or off, at workers 0, 2, and 4 — and the two
-        serial lanes persist byte-identical run stores.  (Pool workers
-        use chunk-private stores by design, so the parent store file is
-        a serial-lane artifact only.)"""
+        serial lanes fill identical run stores.  (Pool workers use
+        chunk-private stores by design, so the parent store is filled
+        by the serial lanes only.)"""
         corpus = build_corpus(
             GeneratorConfig.fp32(inputs_per_program=2), 6, root_seed=99
         )
         results = {}
+        stores = {}
         lanes = [
             ("on-w0", True, SerialBackend()),
             ("off-w0", False, SerialBackend()),
@@ -1224,10 +1231,8 @@ class TestLedgerEquality:
             ("on-w4", True, ProcessPoolBackend(4)),
         ]
         for label, artifacts, backend in lanes:
-            store_path = tmp_path / f"store-{label}.jsonl"
-            service = ExecutionService(
-                backend=backend, store=RunStore(path=store_path)
-            )
+            stores[label] = RunStore()
+            service = ExecutionService(backend=backend, store=stores[label])
             with contextlib.nullcontext() if artifacts else uncached_compiles():
                 results[label] = _flatten(service, self._chunks(corpus))
             if label == "on-w0":
@@ -1235,32 +1240,30 @@ class TestLedgerEquality:
         baseline = results["on-w0"]
         for label, _, _ in lanes[1:]:
             assert results[label] == baseline, label
-        assert (tmp_path / "store-off-w0.jsonl").read_bytes() == (
-            tmp_path / "store-on-w0.jsonl"
-        ).read_bytes()
+        assert _store_entries(stores["on-w0"])
+        assert _store_entries(stores["off-w0"]) == _store_entries(stores["on-w0"])
 
-    def test_scalar_lane_matches_batched(self, tmp_path):
+    def test_scalar_lane_matches_batched(self):
         """A lane whose every batch runs row by row on the reference tree
-        walk produces the same outcomes and the same persisted store
-        bytes."""
+        walk produces the same outcomes and the same run-store entries."""
         corpus = build_corpus(
             GeneratorConfig.fp32(inputs_per_program=3), 4, root_seed=17
         )
 
-        def lane(label):
+        def lane():
             chunks = [
                 [SweepRequest(test=t, opts=OPTS2, runner=RunnerSpec())]
                 for t in corpus.tests
             ]
-            store_path = tmp_path / f"store-{label}.jsonl"
-            service = ExecutionService(store=RunStore(path=store_path))
-            return _flatten(service, chunks), store_path.read_bytes()
+            store = RunStore()
+            return _flatten(ExecutionService(store=store), chunks), store
 
-        batched, batched_store = lane("batched")
+        batched, batched_store = lane()
         with reference_batches():
-            scalar, scalar_store = lane("scalar")
+            scalar, scalar_store = lane()
         assert batched == scalar
-        assert batched_store == scalar_store
+        assert _store_entries(batched_store)
+        assert _store_entries(batched_store) == _store_entries(scalar_store)
 
     def test_fuzz_ledger_invariant_at_workers_0_2_4(self, tmp_path):
         config = FuzzConfig(

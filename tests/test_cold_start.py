@@ -67,18 +67,16 @@ def _hits(modules: List[str], forbidden: List[str]) -> List[str]:
             [
                 "repro.fuzz",
                 "repro.oracle",
-                "repro.bridge",
                 "repro.telemetry.export",
                 "repro.analysis.triage",
                 "repro.analysis.reduce",
             ],
         ),
-        ("repro.oracle.cli", ["repro.fuzz", "repro.harness.campaign", "repro.bridge"]),
+        ("repro.oracle.cli", ["repro.fuzz", "repro.harness.campaign"]),
         (
             "repro.fuzz.cli",
             [
                 "repro.harness.campaign",
-                "repro.bridge",
                 "repro.telemetry.export",
                 "repro.oracle.relations",
             ],

@@ -2,7 +2,7 @@
 
 The contracts pinned here are the redesign's acceptance criteria:
 content keying (a HIPIFY twin shares its native test's identity), the
-two-tier RunStore's rebinding / LRU eviction / disk round-trip, service
+RunStore's rebinding / bit-exact replay / LRU eviction, service
 dedup of identical work, backend equivalence, and — the headline —
 worker-count invariance of campaign JSON and fuzz ledgers.
 """
@@ -13,16 +13,13 @@ import dataclasses
 import json
 import math
 import os
-import sqlite3
 import struct
 import sys
 import threading
-from pathlib import Path
 
 import pytest
 
 from repro.compilers.options import OptLevel, OptSetting, PAPER_OPT_SETTINGS
-from repro.errors import HarnessError
 from repro.exec import (
     CorpusTestSpec,
     ExecutionService,
@@ -35,7 +32,6 @@ from repro.exec import (
     make_backend,
     content_id_for,
 )
-from repro.exec.store import migrate_jsonl
 from repro.fp.types import FPType
 from repro.fuzz.engine import FuzzConfig, run_fuzz
 from repro.harness.outcomes import RunRecord
@@ -62,16 +58,6 @@ def _record(idx: int, value: float, printed=None, flags=None) -> RunRecord:
         value=value,
         flags=flags,
     )
-
-
-def _write_jsonl(path, entries) -> None:
-    """A ``repro-runstore-v1`` JSONL store: header, one line per entry."""
-    lines = [json.dumps({"kind": "header", "format": "repro-runstore-v1"})]
-    for key, value in entries:
-        bits = struct.unpack("<Q", struct.pack("<d", value))[0]
-        runs = [{"i": 0, "p": repr(value), "b": bits}]
-        lines.append(json.dumps({"kind": "entry", "k": key, "o": "O0", "r": runs}))
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def _outcome_lines(outcome):
@@ -184,113 +170,8 @@ class TestRunStore:
         for i in range(3):
             store.put(f"k{i}", "O0", [_record(0, float(i))])
         assert len(store) == 2 and store.evictions == 1
-        assert store.get("k0", "O0", test_id="t") is None  # evicted, no disk
+        assert store.get("k0", "O0", test_id="t") is None  # evicted
         assert store.get("k2", "O0", test_id="t") is not None
-
-    def test_disk_round_trip(self, tmp_path):
-        path = tmp_path / "store.sqlite"
-        first = RunStore(path=path)
-        first.put(
-            "key", "O0", [_record(0, 2.5, flags={"inexact": 1}), None]
-        )
-        first.close()
-        reopened = RunStore(path=path)
-        out = reopened.get("key", "O0", test_id="fresh")
-        assert out[0].test_id == "fresh" and out[0].value == 2.5
-        assert out[0].flags == {"inexact": 1}
-        assert out[1] is None
-        assert reopened.disk_hits == 1
-
-    def test_evicted_entry_served_from_disk(self, tmp_path):
-        store = RunStore(path=tmp_path / "store.sqlite", max_entries=1)
-        store.put("k0", "O0", [_record(0, 1.0)])
-        store.put("k1", "O0", [_record(0, 2.0)])  # evicts k0 from memory
-        assert store.evictions == 1
-        out = store.get("k0", "O0", test_id="t")
-        assert out is not None and out[0].value == 1.0
-        assert store.disk_hits == 1
-
-    def test_torn_disk_tail_ignored(self, tmp_path):
-        """Importing a JSONL store skips its torn final line and any
-        unparseable line, and the import is idempotent."""
-        jsonl = tmp_path / "store.jsonl"
-        _write_jsonl(jsonl, [("k0", 1.0), ("k1", 2.0)])
-        with jsonl.open("a", encoding="utf-8") as fh:
-            fh.write('{"kind": "entry", "k": "k2"')  # killed mid-append
-        lines = jsonl.read_text(encoding="utf-8").split("\n")
-        lines.insert(2, "not json at all")
-        jsonl.write_text("\n".join(lines), encoding="utf-8")
-        path = tmp_path / "store.sqlite"
-        assert migrate_jsonl(jsonl, path) == 2
-        assert migrate_jsonl(jsonl, path) == 0
-        with RunStore(path=path) as reopened:
-            assert reopened.get("k0", "O0", test_id="t")[0].value == 1.0
-            assert reopened.get("k1", "O0", test_id="t")[0].value == 2.0
-            assert reopened.get("k2", "O0", test_id="t") is None
-
-    def test_append_after_torn_tail_survives_reopen(self, tmp_path):
-        """Entries put after a torn-tail import sit beside the imported
-        ones — a third open has to serve both old and new entries."""
-        jsonl = tmp_path / "store.jsonl"
-        _write_jsonl(jsonl, [("k0", 1.0)])
-        with jsonl.open("a", encoding="utf-8") as fh:
-            fh.write('{"kind": "entry", "k": "torn"')
-        path = tmp_path / "store.sqlite"
-        migrate_jsonl(jsonl, path)
-        second = RunStore(path=path)
-        second.put("k1", "O0", [_record(0, 2.0)])
-        second.close()
-        third = RunStore(path=path)
-        assert third.get("k0", "O0", test_id="t")[0].value == 1.0
-        assert third.get("k1", "O0", test_id="t")[0].value == 2.0
-
-    def test_jsonl_file_is_a_named_error(self, tmp_path):
-        """An old JSONL store opened as the SQLite tier names the import
-        command instead of raising sqlite3.DatabaseError."""
-        jsonl = tmp_path / "store.jsonl"
-        _write_jsonl(jsonl, [("k0", 1.0)])
-        with pytest.raises(HarnessError, match="repro-bridge migrate"):
-            RunStore(path=jsonl)
-
-    def test_corrupt_row_is_a_miss_and_re_executes(self, tmp_path, fp32_corpus):
-        test = fp32_corpus.tests[0]
-        path = tmp_path / "store.sqlite"
-        request = SweepRequest(test=test, opts=OPTS2)
-        with ExecutionService(store=RunStore(path=path)) as warm:
-            (fresh,) = warm.run_chunk([request])
-        with sqlite3.connect(str(path)) as conn:
-            conn.execute("UPDATE runs SET r = '[{\"i\": 0, \"p\"'")
-        conn.close()
-        with ExecutionService(store=RunStore(path=path)) as service:
-            (replayed,) = service.run_chunk([request])
-            assert service.store.disk_hits == 0
-            assert service.store.misses == len(OPTS2)
-        assert replayed.nvcc_executions == fresh.nvcc_executions > 0
-        assert _outcome_lines(replayed) == _outcome_lines(fresh)
-
-    def test_file_with_the_former_artifacts_table_still_replays(
-        self, tmp_path, fp32_corpus
-    ):
-        """Store files written while compiled kernels were persisted
-        carry an ``artifacts`` table next to ``runs``; the run store
-        ignores it and replays the runs."""
-        test = fp32_corpus.tests[1]
-        path = tmp_path / "store.sqlite"
-        request = SweepRequest(test=test, opts=OPTS2)
-        with ExecutionService(store=RunStore(path=path)) as warm:
-            (fresh,) = warm.run_chunk([request])
-        with sqlite3.connect(str(path)) as conn:
-            conn.execute(
-                "CREATE TABLE artifacts (k TEXT PRIMARY KEY, blob BLOB NOT NULL)"
-            )
-            conn.execute("INSERT INTO artifacts VALUES ('k0', x'80')")
-        conn.close()
-        with ExecutionService(store=RunStore(path=path)) as service:
-            (replayed,) = service.run_chunk([request])
-            assert service.store.disk_hits == len(OPTS2)
-        assert fresh.nvcc_executions > 0 and replayed.nvcc_executions == 0
-        assert replayed.nvcc_cache_hits == len(OPTS2) * len(test.inputs)
-        assert _outcome_lines(replayed) == _outcome_lines(fresh)
 
     def test_view_pairs_native_with_twin(self, fp32_corpus):
         """The store view replays a twin's CUDA half bit-identically —
@@ -311,74 +192,84 @@ class TestRunStore:
                 map(key, scratch[label].lhs_runs)
             )
 
+    def test_replays_every_payload_bit_identically(self):
+        """Every neutral field survives a put/get round trip bit for bit:
+        a NaN payload and sign, ±inf, -0.0, the smallest subnormal, IEEE
+        flags and a trapped input, attributed to the requested stack."""
+        entry = [
+            _record(0, _float(0xFFF8000000000001), printed="-nan"),
+            _record(1, math.inf, printed="inf"),
+            _record(2, -math.inf, printed="-inf"),
+            _record(3, -0.0, printed="-0"),
+            _record(4, _float(1), printed="4.94066e-324",
+                    flags={"inexact": 1, "underflow": 1}),
+            None,
+        ]
+        store = RunStore()
+        store.put("ck-fp64-payloads", "O3_FM", entry)
+        out = store.get("ck-fp64-payloads", "O3_FM", test_id="t", compiler="cpu")
+        assert [_replayed(r) for r in out] == [
+            (0, "-nan", 0xFFF8000000000001, None),
+            (1, "inf", 0x7FF0000000000000, None),
+            (2, "-inf", 0xFFF0000000000000, None),
+            (3, "-0", 0x8000000000000000, None),
+            (4, "4.94066e-324", 1, {"inexact": 1, "underflow": 1}),
+            None,
+        ]
+        assert all(r.test_id == "t" and r.compiler == "cpu" for r in out if r)
 
-# ------------------------------------------------------ run-store golden
-#: ``tests/goldens/runstore_v1.jsonl`` — a ``repro-runstore-v1`` JSONL store
-#: written by the JSONL ``RunStore`` disk tier: four entries from a real
-#: nvcc-lhs and cpu-lhs service sweep (so two keys are ``cpu@``-qualified),
-#: then hand-put entries with flags, a trapped input, NaN / ±inf, -0.0 and
-#: a subnormal, then a torn final line appended by hand.  Each expected run
-#: is ``None`` (trapped) or ``(input_index, printed, value_bits, flags)``
-#: exactly as that writer's own reader returned it; the JSONL format is now
-#: only an import source, so this file is its one readable specimen.
-RUNSTORE_GOLDEN = Path(__file__).parent / "goldens" / "runstore_v1.jsonl"
-_REAL = (
-    (0, "8.8762001322964783e-16", 4381996774517112832, None),
-    (1, "0.0007871100096963346", 4560399031724933120, None),
-)
-RUNSTORE_GOLDEN_ENTRIES = {
-    ("ck-fp32-d26d19a4c98774df", "O0"): _REAL,
-    ("ck-fp32-d26d19a4c98774df", "O3_FM"): _REAL,
-    ("cpu@ck-fp32-d26d19a4c98774df", "O0"): _REAL,
-    ("cpu@ck-fp32-d26d19a4c98774df", "O3_FM"): _REAL,
-    ("ck-fp64-00000000golden01", "O0"): (
-        (0, "2.5", 4612811918334230528, {"inexact": 1, "underflow": 0}),
-        None,
-        (2, "4.94066e-324", 1, {"inexact": 1, "underflow": 1}),
-    ),
-    ("ck-fp64-00000000golden01", "O3_FM"): (
-        (0, "-nan", 18444492273895866369, None),
-        (1, "inf", 9218868437227405312, None),
-        (2, "-inf", 18442240474082181120, None),
-    ),
-    ("cpu@ck-fp32-00000000golden02", "O1"): (
-        None,
-        (1, "-0", 9223372036854775808, None),
-        (2, "3.40282e+38", 5183643170566569984, None),
-    ),
-}
-RUNSTORE_GOLDEN_TORN = ("ck-fp64-00000000golden03", "O0")
+    def test_view_for_binds_the_content_id(self, fp32_corpus):
+        view = RunStore().view_for(fp32_corpus.tests[0])
+        assert view.key == content_id_for(fp32_corpus.tests[0])
+
+    def test_max_entries_validated(self):
+        with pytest.raises(ValueError, match="max_entries"):
+            RunStore(max_entries=0)
+
+    def test_get_refreshes_lru_order(self):
+        """A hit makes its entry the most recent, so the next eviction
+        takes the least recently *used* entry, not the oldest put."""
+        store = RunStore(max_entries=2)
+        store.put("k0", "O0", [_record(0, 0.0)])
+        store.put("k1", "O0", [_record(0, 1.0)])
+        assert store.get("k0", "O0", test_id="t") is not None
+        store.put("k2", "O0", [_record(0, 2.0)])
+        assert store.get("k1", "O0", test_id="t") is None
+        assert store.get("k0", "O0", test_id="t")[0].value == 0.0
+
+    def test_entries_are_keyed_by_opt_label(self):
+        store = RunStore()
+        store.put("key", "O0", [_record(0, 1.0)])
+        store.put("key", "O3_FM", [_record(0, 3.0)])
+        assert len(store) == 2
+        assert store.get("key", "O0", test_id="t")[0].value == 1.0
+        (rec,) = store.get("key", "O3_FM", test_id="t")
+        assert rec.value == 3.0 and rec.opt_label == "O3_FM"
+        assert store.get("key", "O1", test_id="t") is None
+        assert store.stats() == {
+            "entries": 2, "hits": 2, "misses": 1, "puts": 2, "evictions": 0,
+        }
+
+    def test_replayed_flags_do_not_alias_the_entry(self):
+        """A caller mutating a replayed record's flags cannot change what
+        the next replay of the same entry returns."""
+        store = RunStore()
+        store.put("key", "O0", [_record(0, 1.0, flags={"inexact": 1})])
+        (first,) = store.get("key", "O0", test_id="a")
+        first.flags["overflow"] = 1
+        (second,) = store.get("key", "O0", test_id="b")
+        assert second.flags == {"inexact": 1}
 
 
-def _replayed(records):
-    return tuple(
-        None
-        if r is None
-        else (
-            r.input_index,
-            r.printed,
-            struct.unpack("<Q", struct.pack("<d", r.value))[0],
-            r.flags,
-        )
-        for r in records
-    )
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
 
-class TestRunStoreGolden:
-    def test_golden_import_is_idempotent(self, tmp_path):
-        path = tmp_path / "store.sqlite"
-        assert migrate_jsonl(RUNSTORE_GOLDEN, path) == len(RUNSTORE_GOLDEN_ENTRIES)
-        assert migrate_jsonl(RUNSTORE_GOLDEN, path) == 0
-
-    def test_golden_replays_bit_identically(self, tmp_path):
-        path = tmp_path / "store.sqlite"
-        migrate_jsonl(RUNSTORE_GOLDEN, path)
-        with RunStore(path=path) as store:
-            for (key, opt), expected in RUNSTORE_GOLDEN_ENTRIES.items():
-                out = store.get(key, opt, test_id="t", compiler="x")
-                assert _replayed(out) == expected, (key, opt)
-            assert store.get(*RUNSTORE_GOLDEN_TORN, test_id="t") is None
-            assert store.disk_hits == len(RUNSTORE_GOLDEN_ENTRIES)
+def _replayed(record):
+    if record is None:
+        return None
+    bits = struct.unpack("<Q", struct.pack("<d", record.value))[0]
+    return (record.input_index, record.printed, bits, record.flags)
 
 
 # ----------------------------------------------------------------- service
@@ -744,6 +635,11 @@ class TestWorkerInvariance:
         pooled = payload(2)
         assert json.dumps(serial, sort_keys=True) == json.dumps(pooled, sort_keys=True)
         assert "exec" in serial and serial["exec"]["nvcc_executions"] > 0
+        # The store block keeps its shape: ``disk_hits`` stays, always 0.
+        for data in (serial, pooled):
+            store = data["exec"]["store"]
+            assert set(store) == {"hits", "misses", "evictions", "disk_hits"}
+            assert store["disk_hits"] == 0
 
     def test_fp16_arm_json_invariant_across_workers(self, tmp_path):
         """The FP16 acceptance bar: --include-fp16 produces the

@@ -353,21 +353,21 @@ class TestBackCompat:
             for n, a in first.arms.items()
         }
 
-    def test_warm_store_replays_nvcc_lhs_pairs_only(self, tmp_path, fp32_corpus):
+    def test_warm_store_replays_nvcc_lhs_pairs_only(self, fp32_corpus):
         """Content keys are stack-independent and the run store caches
         the pair's left side under the bare key for nvcc — so a warm
         pre-registry store serves any nvcc-lhs pair, while a hipcc-lhs
         pair's qualified key misses it."""
         test = fp32_corpus.tests[0]
-        store_path = tmp_path / "store.jsonl"
-        warm = ExecutionService(store=RunStore(path=store_path))
+        store = RunStore()
+        warm = ExecutionService(store=store)
         (legacy,) = warm.run_chunk(
             [SweepRequest(test=test, opts=OPTS2, tag=("warm",))]
         )
         assert legacy.nvcc_executions > 0
         warm.close()
 
-        service = ExecutionService(store=RunStore(path=store_path))
+        service = ExecutionService(store=store)
         nvcc_cpu, hipcc_cpu = service.run_chunk(
             [
                 SweepRequest(

@@ -6,8 +6,8 @@ devices, call memos and probe caches of every session its process ran
 before.  Those caches are pure memos and execution counters are read as
 deltas, so a session's output must not depend on what ran before it.
 Each target session below runs once in a fresh interpreter and once in
-this process after another session, serially, through a process pool
-and (for the campaign) through a bridge fleet of worker threads.
+this process after another session, serially and through a process
+pool.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 import pytest
-
-from test_bridge import _fleet
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -115,20 +113,3 @@ def test_sessions_after_another_session_match_a_fresh_process(
         warm = _warm(name, tmp_path / f"warm-{name}", extra, capsys)
         fresh = _fresh(name, tmp_path / f"fresh-{name}", extra)
         assert warm == fresh, f"{name} at --workers {workers} after another session"
-
-
-def test_bridge_campaign_after_another_session_matches_a_fresh_process(
-    tmp_path, capsys
-):
-    """Bridge workers run as threads of this process: each keeps its own
-    runners, so their execution counters never mix with this thread's."""
-    _warm_up(tmp_path, capsys)
-    fresh = _fresh("campaign", tmp_path / "fresh.json")
-    with _fleet(tmp_path / "fleet", 2) as server:
-        warm = _warm(
-            "campaign",
-            tmp_path / "bridge.json",
-            ("--backend", "bridge", "--bridge-url", server.url),
-            capsys,
-        )
-    assert warm == fresh
