@@ -83,7 +83,7 @@ from __future__ import annotations
 import math
 import operator
 import time
-from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, NoReturn, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -442,7 +442,11 @@ class _Lowering:
         fn, settle, cost = self.arith(expr.op)
         cost += lc + rc
         if settle is None:
-            return self._flushed(lambda fr: fn(left(fr), right(fr))), ticks, cost
+            if self.input is None:
+                plain = self._plain_binop(fn, expr.left, left, expr.right, right)
+            else:
+                plain = lambda fr: fn(left(fr), right(fr))  # noqa: E731
+            return self._flushed(plain), ticks, cost
         sn = self.sn
         nsn = -sn
 
@@ -456,6 +460,82 @@ class _Lowering:
             return settle(fr, raw, x, (l, r))
 
         return binop, ticks, cost
+
+    def _inline(self, expr: Expr) -> Tuple[str, Any]:
+        """How a non-input-flushing site may read ``expr`` without its
+        closure: ``("var", name)`` for a float scalar that needs no cast,
+        ``("const", value)`` for a constant, ``("fn", None)`` otherwise."""
+        cls = type(expr)
+        if cls is VarRef:
+            name = expr.name
+            if name not in self.ints and name not in self.uncast:
+                return "var", name
+        elif cls is Const:
+            return "const", self.T(expr.value)
+        return "fn", None
+
+    def _plain_binop(
+        self, fn: Callable, left_expr: Expr, left: Callable, right_expr: Expr, right: Callable
+    ) -> Callable:
+        """An event-free, non-input-flushing binary site with its
+        float-scalar and constant operands read inline.  A name missing
+        at run time goes back through the operand closures, which fail
+        at their own tick."""
+        lk, lv = self._inline(left_expr)
+        rk, rv = self._inline(right_expr)
+        if lk == "var" and rk == "var":
+
+            def var_var(fr: _Frame):
+                sc = fr.sc
+                a = sc.get(lv)
+                b = sc.get(rv)
+                if a is None or b is None:
+                    return fn(left(fr), right(fr))
+                return fn(a, b)
+
+            return var_var
+        if lk == "var":
+            if rk == "const":
+
+                def var_const(fr: _Frame):
+                    a = fr.sc.get(lv)
+                    if a is None:
+                        return fn(left(fr), rv)
+                    return fn(a, rv)
+
+                return var_const
+
+            def var_fn(fr: _Frame):
+                a = fr.sc.get(lv)
+                if a is None:
+                    a = left(fr)
+                return fn(a, right(fr))
+
+            return var_fn
+        if rk == "var":
+            if lk == "const":
+
+                def const_var(fr: _Frame):
+                    b = fr.sc.get(rv)
+                    if b is None:
+                        return fn(lv, right(fr))
+                    return fn(lv, b)
+
+                return const_var
+
+            def fn_var(fr: _Frame):
+                a = left(fr)
+                b = fr.sc.get(rv)
+                if b is None:
+                    b = right(fr)
+                return fn(a, b)
+
+            return fn_var
+        if lk == "const":
+            return lambda fr: fn(lv, right(fr))
+        if rk == "const":
+            return lambda fr: fn(left(fr), rv)
+        return lambda fr: fn(left(fr), right(fr))
 
     def _fma(self, expr: FMA, pre: int) -> _Lowered:
         a_fn, at, ac = self.operand(expr.a, pre + 1)
@@ -553,9 +633,9 @@ class _Lowering:
         return call, ticks, cost
 
     def _plain_call(self, fns: List[Callable], func: str, variant: str) -> Callable:
-        """An event-free call site: the memoized result, as is.  A
-        one-argument call, the common case, has its own closure; the
-        memo key is the same either way."""
+        """An event-free call site: the memoized result, as is.  One- and
+        two-argument calls, every generated call, have their own
+        closures; the memo key is the same either way."""
         fptype, T = self.fptype, self.T
         if len(fns) == 1:
             (arg,) = fns
@@ -571,6 +651,21 @@ class _Lowering:
                 return result
 
             return call1
+        if len(fns) == 2:
+            first, second = fns
+
+            def call2(fr: _Frame):
+                a = first(fr)
+                b = second(fr)
+                key = (func, variant, bytes(a), bytes(b))
+                memo = fr.memo
+                result = memo.get(key)
+                if result is None:
+                    raw = fr.mathlib.call(func, [float(a), float(b)], fptype, variant)
+                    result = memo[key] = T(raw)
+                return result
+
+            return call2
         head = (func, variant)
 
         def call(fr: _Frame):

@@ -51,7 +51,6 @@ from repro.telemetry.spans import (
     get_tracer,
     set_tracer,
 )
-from repro.varity.testcase import TestCase
 
 __all__ = ["ExecutionService", "ExecMetrics"]
 
@@ -202,7 +201,7 @@ def _execute_requests(
     if store is None:
         store = RunStore()
     artifacts = ArtifactCache()
-    memo: Dict[object, TestCase] = {}
+    memo: Dict[object, Any] = {}
     # One render and hash per distinct (kernel structure, input lines): a
     # HIPIFY twin or an oracle base request reuses its original's id.
     content_ids: Dict[Tuple[object, ...], str] = {}

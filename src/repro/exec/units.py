@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, fields
-from typing import Dict, Optional, Tuple, TYPE_CHECKING, Union
+from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING, Union
 
 from repro.compilers.options import OptSetting
 from repro.harness.runner import PairResult
@@ -147,20 +147,30 @@ class CorpusTestSpec:
     prefix: str = "prog"
     hipify: bool = False
 
-    def resolve(self, memo: Optional[Dict[object, TestCase]] = None) -> TestCase:
-        from repro.varity.corpus import build_corpus_slice
+    def resolve(self, memo: Optional[Dict[object, Any]] = None) -> TestCase:
+        from repro.varity.corpus import CorpusGenerators, build_corpus_slice
 
         # The memo is shared across a whole chunk, which may mix specs
         # from different generator configs; id(gen) keeps them distinct
         # (requests of one arm share the config *object*, pickled or not).
+        # It holds each config's generators too, built once per chunk.
+        if memo is None:
+            memo = {}
         key = (id(self.gen), self.root_seed, self.prefix, self.index)
-        base = memo.get(key) if memo is not None else None
+        base = memo.get(key)
         if base is None:
-            base = build_corpus_slice(
-                self.gen, self.index, self.index + 1, self.root_seed, self.prefix
+            gens_key = (CorpusGenerators, id(self.gen))
+            generators = memo.get(gens_key)
+            if generators is None:
+                generators = memo[gens_key] = CorpusGenerators(self.gen)
+            base = memo[key] = build_corpus_slice(
+                self.gen,
+                self.index,
+                self.index + 1,
+                self.root_seed,
+                self.prefix,
+                generators=generators,
             ).tests[0]
-            if memo is not None:
-                memo[key] = base
         return base.hipified() if self.hipify else base
 
 
@@ -180,7 +190,7 @@ class DerivedTestSpec:
     base: TestCase
     hipify: bool = True
 
-    def resolve(self, memo: Optional[Dict[object, TestCase]] = None) -> TestCase:
+    def resolve(self, memo: Optional[Dict[object, Any]] = None) -> TestCase:
         return self.base.hipified() if self.hipify else self.base
 
 
@@ -198,7 +208,7 @@ class SweepRequest:
     reuse: bool = True
     runner: RunnerSpec = DEFAULT_RUNNER
 
-    def resolve_test(self, memo: Optional[Dict[object, TestCase]] = None) -> TestCase:
+    def resolve_test(self, memo: Optional[Dict[object, Any]] = None) -> TestCase:
         if isinstance(self.test, TestCase):
             return self.test
         return self.test.resolve(memo)

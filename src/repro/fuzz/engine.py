@@ -86,7 +86,7 @@ from repro.stacks import DEFAULT_STACK_PAIR, pair_name, resolve_stacks, stack_pa
 from repro.telemetry.spans import get_tracer
 from repro.utils.rng import derive_seed
 from repro.varity.config import GeneratorConfig
-from repro.varity.corpus import build_corpus, build_corpus_slice
+from repro.varity.corpus import CorpusGenerators, build_corpus, build_corpus_slice
 from repro.varity.testcase import TestCase
 
 if TYPE_CHECKING:  # pragma: no cover - imported only with relations on
@@ -715,9 +715,15 @@ class _LazyCorpus:
 
     def __init__(self, config: FuzzConfig) -> None:
         self._gen_cfg = config.generator_config()
+        self._generators = CorpusGenerators(self._gen_cfg)
         self._root_seed = config.corpus_seed
-        base = build_corpus(
-            self._gen_cfg, config.n_seed_programs, self._root_seed, prefix="fuzzseed"
+        base = build_corpus_slice(
+            self._gen_cfg,
+            0,
+            config.n_seed_programs,
+            self._root_seed,
+            prefix="fuzzseed",
+            generators=self._generators,
         )
         self._tests: Dict[int, TestCase] = dict(enumerate(base.tests))
         self.n_seed_programs = config.n_seed_programs
@@ -726,7 +732,12 @@ class _LazyCorpus:
         test = self._tests.get(index)
         if test is None:
             test = build_corpus_slice(
-                self._gen_cfg, index, index + 1, self._root_seed, prefix="fuzzseed"
+                self._gen_cfg,
+                index,
+                index + 1,
+                self._root_seed,
+                prefix="fuzzseed",
+                generators=self._generators,
             ).tests[0]
             self._tests[index] = test
         return test

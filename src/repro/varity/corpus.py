@@ -4,21 +4,27 @@ A corpus is the generated half of a campaign.  Everything is derived from
 ``(config, root_seed)`` with identity-based seed derivation, so a corpus
 can be *recreated* on another system from the metadata alone — the
 property the paper's Fig. 3 workflow depends on.
+
+Building a generator validates its config and derives its draw tables,
+so a caller that generates many slices of one config builds one
+:class:`CorpusGenerators` and passes it to every
+:func:`build_corpus_slice` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.fp.types import FPType
+from repro.utils.hashing import absorb
 from repro.utils.rng import derive_seed
 from repro.varity.config import GeneratorConfig
 from repro.varity.generator import ProgramGenerator
 from repro.varity.inputs import InputGenerator
 from repro.varity.testcase import TestCase
 
-__all__ = ["Corpus", "build_corpus", "regenerate_test"]
+__all__ = ["Corpus", "CorpusGenerators", "build_corpus", "build_corpus_slice", "regenerate_test"]
 
 
 @dataclass
@@ -56,6 +62,19 @@ class Corpus:
         )
 
 
+class CorpusGenerators:
+    """One config's program and input generators, built once.
+
+    Building validates the config.  The generators read it only then, so
+    the config must not change while this object is in use.
+    """
+
+    def __init__(self, config: GeneratorConfig) -> None:
+        self.config = config
+        self.programs = ProgramGenerator(config)
+        self.inputs = InputGenerator(config)
+
+
 def build_corpus(
     config: GeneratorConfig,
     n_programs: int,
@@ -73,24 +92,30 @@ def build_corpus_slice(
     stop: int,
     root_seed: int,
     prefix: str = "prog",
+    *,
+    generators: Optional[CorpusGenerators] = None,
 ) -> Corpus:
     """Generate the [start, stop) index slice of a corpus.
 
     Seeds are derived from absolute indices, so the union of slices equals
     the full corpus — this is what lets campaign workers regenerate their
-    own chunks instead of receiving pickled programs.
+    own chunks instead of receiving pickled programs.  ``generators``
+    (built from this same ``config``) skips building them again.
     """
-    config.validate()
-    program_gen = ProgramGenerator(config)
-    input_gen = InputGenerator(config)
+    if generators is None:
+        generators = CorpusGenerators(config)
+    elif generators.config is not config:
+        raise ValueError("generators were built from a different config")
+    fptype = config.fptype.value
+    # absorb(derive_seed(r, *a), b) == derive_seed(r, *a, *b)
+    program_seeds = derive_seed(root_seed, "program", fptype)
+    input_seeds = derive_seed(root_seed, "inputs", fptype)
     tests: List[TestCase] = []
     for index in range(start, stop):
-        program_seed = derive_seed(root_seed, "program", config.fptype.value, index)
-        pid = f"{prefix}-{config.fptype.value}-{index:06d}"
-        program = program_gen.generate(program_seed, program_id=pid)
-        input_seed = derive_seed(root_seed, "inputs", config.fptype.value, index)
-        inputs = input_gen.generate_many(
-            program.kernel, input_seed, config.inputs_per_program
+        pid = f"{prefix}-{fptype}-{index:06d}"
+        program = generators.programs.generate(absorb(program_seeds, (index,)), program_id=pid)
+        inputs = generators.inputs.generate_many(
+            program.kernel, absorb(input_seeds, (index,)), config.inputs_per_program
         )
         tests.append(TestCase(program, inputs))
     return Corpus(config=config, root_seed=root_seed, tests=tuple(tests))

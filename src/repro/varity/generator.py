@@ -7,6 +7,13 @@ an optional ``if`` guard, optional (possibly nested) ``var_1``-bounded
 loops with array writes, and math-library calls.  Generation is correct by
 construction (every program passes :func:`repro.ir.validate.validate_kernel`)
 and fully determined by ``(config, seed)``.
+
+Everything a draw needs that depends on the config alone (the grammar's
+draw tables, the literal exponent range and suffix, each math function's
+arity) is derived once, when the generator is built; a generator then
+draws from those for every program.  Configure a
+:class:`~repro.varity.config.GeneratorConfig` completely before building
+a generator from it: changing it afterwards does not reach the tables.
 """
 
 from __future__ import annotations
@@ -35,17 +42,13 @@ from repro.ir.nodes import (
 from repro.ir.program import Kernel, Param, Program
 from repro.ir.types import IRType
 from repro.ir.validate import validate_kernel
+from repro.utils.hashing import absorb
+from repro.utils.rng import derive_seed
 from repro.varity.config import GeneratorConfig
 
 __all__ = ["ProgramGenerator"]
 
 _LOOP_VARS = ("i", "j", "k")
-
-
-def _weighted_choice(rng: random.Random, table: Dict[str, float]) -> str:
-    names = list(table.keys())
-    weights = list(table.values())
-    return rng.choices(names, weights=weights, k=1)[0]
 
 
 class _GenState:
@@ -66,8 +69,16 @@ class ProgramGenerator:
     """Generates random Varity-style programs."""
 
     def __init__(self, config: Optional[GeneratorConfig] = None) -> None:
-        self.config = config or GeneratorConfig()
-        self.config.validate()
+        from repro.devices.mathlib.base import BINARY_FUNCTIONS
+
+        self.config = cfg = config or GeneratorConfig()
+        cfg.validate()
+        self._tables = cfg.grammar.draw_tables()
+        self._arity: Dict[str, int] = {
+            func: 2 if func in BINARY_FUNCTIONS else 1 for func in cfg.grammar.math_functions
+        }
+        self._literal_exponents = cfg.literal_exponent_range
+        self._literal_suffix = cfg.fptype.literal_suffix
 
     # ------------------------------------------------------------------ API
     def generate(self, seed: int, program_id: Optional[str] = None) -> Program:
@@ -93,11 +104,11 @@ class ProgramGenerator:
 
     def generate_many(self, root_seed: int, count: int, prefix: str = "prog") -> List[Program]:
         """Generate ``count`` programs with ids ``{prefix}-{fptype}-{index:06d}``."""
-        from repro.utils.rng import derive_seed
-
+        # absorb(derive_seed(r, *a), b) == derive_seed(r, *a, *b)
+        seeds = derive_seed(root_seed, "program", self.config.fptype.value)
         out = []
         for index in range(count):
-            seed = derive_seed(root_seed, "program", self.config.fptype.value, index)
+            seed = absorb(seeds, (index,))
             pid = f"{prefix}-{self.config.fptype.value}-{index:06d}"
             out.append(self.generate(seed, program_id=pid))
         return out
@@ -186,17 +197,16 @@ class ProgramGenerator:
         return Assign(ArrayRef(arr, index), self._expr(rng, state, self.config.max_expr_depth))
 
     def _aug_comp(self, rng: random.Random, state: _GenState) -> AugAssign:
-        op = _weighted_choice(rng, self.config.grammar.aug_ops)
+        op = self._tables.aug_ops.draw(rng)
         return AugAssign(VarRef("comp"), op, self._expr(rng, state, self.config.max_expr_depth))
 
     # ---------------------------------------------------------- expressions
     def _expr(self, rng: random.Random, state: _GenState, depth: int) -> Expr:
-        g = self.config.grammar
         if depth <= 0:
             return self._leaf(rng, state)
-        production = _weighted_choice(rng, g.normalized_interior())
+        production = self._tables.interior.draw(rng)
         if production == "binop":
-            op = _weighted_choice(rng, g.binop_ops)
+            op = self._tables.binop_ops.draw(rng)
             return BinOp(op, self._expr(rng, state, depth - 1), self._expr(rng, state, depth - 1))
         if production == "call":
             return self._call(rng, state, depth)
@@ -205,16 +215,12 @@ class ProgramGenerator:
         return self._leaf(rng, state)
 
     def _call(self, rng: random.Random, state: _GenState, depth: int) -> Call:
-        from repro.devices.mathlib.base import BINARY_FUNCTIONS
-
-        func = _weighted_choice(rng, self.config.grammar.math_functions)
-        nargs = 2 if func in BINARY_FUNCTIONS else 1
-        args = [self._expr(rng, state, depth - 1) for _ in range(nargs)]
+        func = self._tables.math_functions.draw(rng)
+        args = [self._expr(rng, state, depth - 1) for _ in range(self._arity[func])]
         return Call(func, args)
 
     def _leaf(self, rng: random.Random, state: _GenState) -> Expr:
-        g = self.config.grammar
-        choice = _weighted_choice(rng, g.normalized_leaves())
+        choice = self._tables.leaves.draw(rng)
         if choice == "array" and state.arrays and state.loop_stack:
             return ArrayRef(rng.choice(state.arrays), VarRef(state.loop_stack[-1]))
         if choice == "var" or (choice == "array" and (not state.arrays or not state.loop_stack)):
@@ -222,14 +228,12 @@ class ProgramGenerator:
         return self._literal(rng)
 
     def _literal(self, rng: random.Random) -> Const:
-        cfg = self.config
-        lo, hi = cfg.literal_exponent_range
+        lo, hi = self._literal_exponents
         exponent = rng.randint(lo, hi)
         mantissa = rng.uniform(1.0, 9.9999)
         sign = "-" if rng.random() < 0.5 else "+"
-        digits = cfg.literal_mantissa_digits
-        body = f"{mantissa:.{digits}f}"
-        suffix = cfg.fptype.literal_suffix
+        body = f"{mantissa:.{self.config.literal_mantissa_digits}f}"
+        suffix = self._literal_suffix
         text = f"{sign}{body}E{exponent}{suffix}" if exponent else f"{sign}{body}{suffix}"
         numeric = float(f"{sign}{body}E{exponent}")
         return Const(numeric, text)
@@ -244,7 +248,6 @@ class ProgramGenerator:
         return cond
 
     def _compare(self, rng: random.Random, state: _GenState) -> Compare:
-        g = self.config.grammar
-        op = _weighted_choice(rng, g.compare_ops)
+        op = self._tables.compare_ops.draw(rng)
         depth = max(1, self.config.max_expr_depth - 1)
         return Compare(op, self._expr(rng, state, depth), self._expr(rng, state, depth))

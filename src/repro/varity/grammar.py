@@ -6,14 +6,23 @@ as a tunable dataclass with defaults calibrated to produce programs shaped
 like the paper's figures (Figs. 2, 4, 6): a handful of statements, an
 ``if`` guard, a ``var_1``-bounded loop, one or two math calls, heavy use of
 the accumulator idiom ``comp += …``.
+
+A generator does not draw from these dicts directly: it builds one
+:class:`DrawTable` per weight table when it is constructed (see
+:meth:`GrammarWeights.draw_tables`) and draws from those for every
+program it makes.  Change a ``GrammarWeights`` before building a
+generator from it, never after: the tables are not rebuilt.
 """
 
 from __future__ import annotations
 
+import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict
+from itertools import accumulate
+from typing import Dict, NamedTuple, Tuple
 
-__all__ = ["GrammarWeights"]
+__all__ = ["DrawTable", "GrammarTables", "GrammarWeights"]
 
 
 def _normalized(weights: Dict[str, float]) -> Dict[str, float]:
@@ -21,6 +30,38 @@ def _normalized(weights: Dict[str, float]) -> Dict[str, float]:
     if total <= 0:
         raise ValueError("weights must have positive total")
     return {k: v / total for k, v in weights.items()}
+
+
+class DrawTable:
+    """A weight table prepared once for many weighted draws.
+
+    :meth:`draw` is the body of ``rng.choices(names, weights=weights,
+    k=1)[0]`` (CPython 3.9-3.12) with the cumulative weights, their float
+    total and the bisection bound computed up front: it makes the same
+    single ``rng.random()`` call and returns the same name.
+    """
+
+    __slots__ = ("names", "cum", "total", "hi")
+
+    def __init__(self, weights: Dict[str, float]) -> None:
+        self.names: Tuple[str, ...] = tuple(weights)
+        self.cum = list(accumulate(weights.values()))
+        self.total = self.cum[-1] + 0.0
+        self.hi = len(self.names) - 1
+
+    def draw(self, rng: random.Random) -> str:
+        return self.names[bisect_right(self.cum, rng.random() * self.total, 0, self.hi)]
+
+
+class GrammarTables(NamedTuple):
+    """The draw tables of one :class:`GrammarWeights`."""
+
+    interior: DrawTable
+    binop_ops: DrawTable
+    aug_ops: DrawTable
+    leaves: DrawTable
+    compare_ops: DrawTable
+    math_functions: DrawTable
 
 
 @dataclass
@@ -87,11 +128,20 @@ class GrammarWeights:
         }
     )
 
-    def normalized_interior(self) -> Dict[str, float]:
-        return _normalized(self.expr_interior)
+    def draw_tables(self) -> GrammarTables:
+        """Every weight table as a :class:`DrawTable`, built now.
 
-    def normalized_leaves(self) -> Dict[str, float]:
-        return _normalized(self.expr_leaves)
+        The interior and leaf productions are normalized first, as the
+        generator has always drawn them.
+        """
+        return GrammarTables(
+            interior=DrawTable(_normalized(self.expr_interior)),
+            binop_ops=DrawTable(self.binop_ops),
+            aug_ops=DrawTable(self.aug_ops),
+            leaves=DrawTable(_normalized(self.expr_leaves)),
+            compare_ops=DrawTable(self.compare_ops),
+            math_functions=DrawTable(self.math_functions),
+        )
 
     def validate(self) -> None:
         for name, table in (

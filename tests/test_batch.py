@@ -32,7 +32,7 @@ from repro.errors import ExecutionError, TrapError
 from repro.fp.env import FlushMode
 from repro.fp.types import FPType
 from repro.ir.builder import IRBuilder
-from repro.ir.nodes import FMA, ArrayRef, BinOp, Const, For, IntConst, VarRef
+from repro.ir.nodes import FMA, ArrayRef, BinOp, Call, Const, For, IntConst, VarRef
 from repro.ir.types import IRType
 from repro.exec import (
     ArtifactCache,
@@ -966,6 +966,48 @@ class TestEventFreeLowering:
                         assert plain.probe_memo_hits == hits
                         assert [r.flags for r in flagged[:2]] == [r.flags for r in probe[:2]]
         assert raised  # some run raised an event: the comparison has teeth
+
+
+#: Binary-operation operands by how an event-free site reads them: a
+#: float scalar and a constant inline, anything else through its closure,
+#: and a name no row binds (the inline read misses and falls back).
+_OPERANDS = {
+    "var": lambda: VarRef("x"),
+    "const": lambda: Const(-2.5, "-2.5000"),
+    "fn": lambda: Call("fabs", [VarRef("y")]),
+    "int": lambda: VarRef("n"),
+    "missing": lambda: VarRef("ghost"),
+}
+
+
+class TestInlineOperands:
+    """Event-free binary sites read float-scalar and constant operands
+    inline; every operand shape on either side, with a name missing on
+    either side, matches the tree walk in value, steps and cycles, and
+    fails with the same error at the same trap boundary."""
+
+    @pytest.mark.parametrize("flush", [FlushMode.NONE, FlushMode.FLUSH_OUTPUTS], ids=str)
+    @pytest.mark.parametrize("right", sorted(_OPERANDS))
+    @pytest.mark.parametrize("left", sorted(_OPERANDS))
+    def test_operand_shapes_match_reference(self, left, right, flush):
+        b = IRBuilder(FPType.FP32)
+        kernel = b.kernel(
+            [b.fparam("comp"), b.iparam("n"), b.fparam("x"), b.fparam("y")],
+            [
+                b.aug("comp", "+", BinOp("*", _OPERANDS[left](), _OPERANDS[right]())),
+                b.aug("comp", "-", BinOp("/", _OPERANDS[right](), _OPERANDS[left]())),
+            ],
+        )
+        device = get_stack("nvcc").device()
+        walker = ReferenceInterpreter(device.mathlib, device.interpreter.cost_model)
+        missing = "missing" in (left, right)
+        for row in ((0.5, 3, 1.25, -3.0e-39), (1.0, 2, 3.0e38, 7.0)):
+            for max_steps in (0, 1, 2, 3, 4, 5, 6, 7, 100):
+                on = ExecOptions(flush=flush, max_steps=max_steps)
+                off = dataclasses.replace(on, events=False)
+                lowered = _outcome(device.interpreter.run, kernel, row, off, _off_sig)
+                assert lowered == _outcome(walker.run, kernel, row, on, _free_sig)
+            assert (lowered == ("error", "unknown name 'ghost'")) == missing
 
 
 # ---------------------------------------------------------- artifact cache
