@@ -10,7 +10,7 @@ a chunk runs, never what it computes or the order results come back.
 ``SerialBackend`` runs in-process (and lazily, so streaming callers
 interleave their own work between chunks).  ``ProcessPoolBackend`` owns
 a persistent process pool — created on first use, reused across calls so
-repeated small submissions (the fuzzer's speculation windows) do not pay
+repeated small submissions (the fuzzer's triage fan-outs) do not pay
 process startup each time.  Payloads and the mapped function must be
 picklable (module-level functions only) under either start method.
 

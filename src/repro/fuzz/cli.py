@@ -8,7 +8,7 @@ stacks and prints the novel findings.  Examples::
     repro-fuzz --mutants 400 --ledger findings.jsonl
     repro-fuzz --mutants 800 --ledger findings.jsonl --resume
     repro-fuzz --max-seconds 120 --mutants 100000 --ledger findings.jsonl
-    repro-fuzz --mutants 400 --workers 4      # same ledger, less wall clock
+    repro-fuzz --mutants 400 --workers 2      # pool for baseline + triage
     repro-fuzz --stacks nvcc,hipcc,cpu        # per-pair findings, format-4 ledger
     repro-fuzz --search mcts --coverage-report  # tree search, format-5 ledger
 """
@@ -127,8 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_execution_args(
         parser,
-        workers_help="process-pool size for mutant evaluation (0 = serial; "
-        "the ledger is byte-identical at any worker count)",
+        workers_help="process-pool size for the seed pool's baseline sweep "
+        "and triage fan-out; iterations always evaluate in-process (0 = "
+        "serial; the ledger is byte-identical at any worker count)",
     )
     return parser
 

@@ -29,21 +29,18 @@ same findings as an uninterrupted one.  (A ``max_seconds`` budget can
 stop a session early between iterations; the *prefix* of findings is
 still deterministic.)
 
-Parallelism (``config.workers``): while evaluations come back clean,
-selection state does not change, so the engine *speculates* a window of
-upcoming iterations against the frozen state, evaluates them
-concurrently through the service's process-pool backend, and commits the
-results in iteration order.  The first commit that changes selection
-state invalidates everything speculated after it; those outcomes are
-discarded (their runs are not counted) and speculation restarts from the
-updated state.  The committed trajectory is therefore *exactly* the
-serial one: the ledger is byte-identical at every worker count.  Triage
-of a discrepant mutant's findings fans out over the same pool.
+The loop prepares, evaluates and commits one iteration at a time: each
+evaluation is one in-process chunk, so every selection reads the state
+all earlier iterations left.  ``config.workers`` sizes the process pool
+that sweeps the seed pool's baseline and fans out the triage of a
+program with several discrepancies; neither feeds selection before its
+results are folded in order, so the ledger is byte-identical at every
+worker count.
 
 Accounting: ``pair_runs`` counts compared record pairs in baseline and
-mutation sweeps of *committed* iterations; discarded speculation, triage
-probes, and minimization reruns are excluded, mirroring how the paper's
-run totals count campaign runs, not debugging reruns.
+mutation sweeps; triage probes and minimization reruns are excluded,
+mirroring how the paper's run totals count campaign runs, not debugging
+reruns.
 """
 
 from __future__ import annotations
@@ -139,11 +136,11 @@ class FuzzConfig:
     #: "hipify" arms; extra pairs are tagged by their pair name and their
     #: nvcc-lhs halves replay from the mutant's chunk store).
     stacks: Tuple[str, ...] = DEFAULT_STACK_PAIR
-    #: process-pool size for mutant evaluation (0/1 = serial).  Pure
-    #: scheduling: the committed trajectory — and the ledger — is
-    #: byte-identical at every worker count, which is why ``workers`` is
-    #: excluded from :meth:`fingerprint` exactly like the campaign
-    #: checkpoint's.
+    #: process-pool size for the baseline sweep and triage fan-out (0/1 =
+    #: serial; iterations always evaluate in-process).  Pure scheduling:
+    #: the ledger is byte-identical at every worker count, which is why
+    #: ``workers`` is excluded from :meth:`fingerprint` exactly like the
+    #: campaign checkpoint's.
     workers: int = 0
     #: iteration-selection strategy.  ``"bandit"`` (the default) is the
     #: flat win-count bandit over mutators; ``"mcts"`` is UCB1 tree
@@ -473,9 +470,9 @@ class _Evaluator:
         """Per-relation base + variant requests for one test.
 
         Site choices derive from the test's content-stable id, so a
-        resumed (or speculated-and-discarded) evaluation rebuilds the
-        identical variants.  Construction and applicability policy are
-        the oracle engine's own (:func:`build_relation_requests`).
+        resumed evaluation rebuilds the identical variants.  Construction
+        and applicability policy are the oracle engine's own
+        (:func:`build_relation_requests`).
         """
         if not self.relations:
             return []
@@ -877,20 +874,25 @@ def run_fuzz(
             batch_start = stop
             batch_findings = []
 
-        def commit(
-            p: PreparedIteration,
-            found: _Found,
-            violations: List[RelationViolation],
-        ) -> bool:
-            """Apply one iteration's results in order — counters, triage
-            and findings here, the feedback in the strategy; True when
-            that changed state a later speculated selection reads."""
+        def run_iteration(p: PreparedIteration) -> None:
+            """Evaluate one prepared iteration in-process and fold its
+            results in — counters, triage and findings here, the feedback
+            in the strategy."""
             if p.skip is not None:
                 counter = _SKIP_COUNTERS[p.skip]
                 setattr(result, counter, getattr(result, counter) + 1)
                 strategy.commit_skip(p)
-                return False
+                return
             assert p.test is not None
+            eval_t0 = time.perf_counter_ns() if tracer.enabled else 0
+            found, violations = evaluator.absorb(
+                service.run_chunk(evaluator.chunk_for(p.test))
+            )
+            if tracer.enabled:
+                tracer.record(
+                    evaluate_span, eval_t0, time.perf_counter_ns(),
+                    iteration=p.iteration,
+                )
             evaluated.add(p.content_id)
             if p.kind == "explore":
                 result.fresh_explored += 1
@@ -907,75 +909,25 @@ def run_fuzz(
                 finding = evaluator.build_finding(p, platform_arm, d, sig)
                 findings.append(finding)
                 batch_findings.append(finding)
-            return strategy.commit(p, novel, len(violations), bool(found))
-
-        # Speculation window: how many candidate evaluations are in
-        # flight at once.  1 (serial) trivially matches the reference
-        # trajectory; larger windows commit the same trajectory because
-        # invalidated speculation is discarded uncounted.
-        window = min(config.workers, 16) if config.workers > 1 else 1
+            strategy.commit(p, novel, len(violations), bool(found))
 
         try:
-            i = state.iterations_completed
-            while i < config.max_mutants:
+            for i in range(state.iterations_completed, config.max_mutants):
                 if (
                     config.max_seconds is not None
                     and time.perf_counter() - t0 > config.max_seconds
                 ):
                     stopped_by = "wall-clock"
                     break
-                # Prepare against the committed state: ``overlay`` carries
-                # the window's own content ids so speculated iterations
-                # dedup against each other the way committed ones would.
-                preps: List[PreparedIteration] = []
-                overlay: Set[str] = set()
-                n_eval = 0
-                j = i
-                while j < config.max_mutants and n_eval < window:
-                    p = strategy.prepare(j, evaluated, overlay)
-                    preps.append(p)
-                    if p.test is not None:
-                        n_eval += 1
-                    j += 1
-                outcome_iter = iter(())  # type: ignore[assignment]
-                if n_eval:
-                    outcome_iter = service.run_sweeps(
-                        [
-                            evaluator.chunk_for(p.test)
-                            for p in preps
-                            if p.test is not None
-                        ]
-                    )
-                for p in preps:
-                    found: _Found = []
-                    violations: List[RelationViolation] = []
-                    if p.test is not None:
-                        eval_t0 = time.perf_counter_ns() if tracer.enabled else 0
-                        found, violations = evaluator.absorb(next(outcome_iter))
-                        if tracer.enabled:
-                            tracer.record(
-                                evaluate_span, eval_t0, time.perf_counter_ns(),
-                                iteration=p.iteration,
-                            )
-                    changed = commit(p, found, violations)
-                    i = p.iteration + 1
-                    result.iterations = i
-                    # The flush check runs every iteration — including ones
-                    # that produced nothing — so batch_size bounds the work
-                    # a hard kill can lose even through a dry stretch.
-                    if (i - batch_start) >= config.batch_size:
-                        flush_batch(i)
-                        if progress is not None:
-                            progress("fuzz", i, config.max_mutants)
-                    if changed:
-                        # Every later speculation selected against stale
-                        # state.  Drain and discard (their runs are never
-                        # counted), undo their prepare-time marks, then
-                        # re-speculate.
-                        for _ in outcome_iter:
-                            pass
-                        strategy.invalidate()
-                        break
+                run_iteration(strategy.prepare(i, evaluated))
+                result.iterations = i + 1
+                # The flush check runs every iteration — including ones
+                # that produced nothing — so batch_size bounds the work
+                # a hard kill can lose even through a dry stretch.
+                if (result.iterations - batch_start) >= config.batch_size:
+                    flush_batch(result.iterations)
+                    if progress is not None:
+                        progress("fuzz", result.iterations, config.max_mutants)
             flush_batch(result.iterations)
             if progress is not None and result.iterations:
                 progress("fuzz", result.iterations, config.max_mutants)

@@ -1,9 +1,9 @@
 """Search strategies: how a fuzz session spends its iteration budget.
 
 :func:`repro.fuzz.engine.run_fuzz` owns what every strategy shares — the
-baseline, the speculative evaluation window, counters, triage and
-findings.  A :class:`SearchStrategy` owns the rest: which program to
-evaluate next and what each result teaches it.  ``FuzzConfig.search``
+baseline, evaluation, counters, triage and findings.  A
+:class:`SearchStrategy` owns the rest: which program to evaluate next
+and what each result teaches it.  ``FuzzConfig.search``
 picks one from :data:`STRATEGIES`:
 
 * ``"bandit"`` (:class:`BanditSearch`, the default) — a win-count bandit
@@ -13,9 +13,9 @@ picks one from :data:`STRATEGIES`:
   sequences with a novelty/oracle/coverage reward blend.
 
 The engine builds the strategy once the baseline is known and replays
-the ledger into it.  Then, window by window, it prepares iterations
-ahead and commits them in order, calling ``invalidate`` whenever a
-commit reports that later selections changed.
+the ledger into it.  Then, one iteration at a time, it calls ``prepare``,
+evaluates the candidate and calls ``commit`` (or ``commit_skip``), so
+every selection reads the state all earlier iterations left.
 A third strategy is one class with the protocol's methods plus one
 :data:`STRATEGIES` entry: ``FuzzConfig`` validation, the ``repro-fuzz
 --search`` choices and the ledger fingerprint all read the registry.
@@ -49,32 +49,6 @@ the session actually wants:
 
 ``reward = raw / (1 + raw)`` keeps every simulation's reward in
 ``[0, 1)`` so UCB1's exploration term stays calibrated.
-
-Determinism and the speculative window
---------------------------------------
-
-The engine evaluates a window of upcoming iterations concurrently and
-commits in order (see :mod:`repro.fuzz.engine`).  Classic MCTS breaks
-that — every simulation touches the tree.  The resolution here is to
-split each simulation's state changes by *what they depend on*:
-
-* **Prepare-time** (``prepare``): visit increments (path, root, explore,
-  per-arm) and dead marks (a mutation with no applicable site, a node
-  with nothing left to try).  These depend only on the tree as it
-  stands — never on the new program's evaluation — so speculated
-  iterations may apply them eagerly.  Every change is recorded in an
-  undo delta.
-* **Commit-time** (``commit`` and its resume twin in ``replay``): reward
-  backpropagation, child-node promotion, coverage observation.  These
-  need the evaluation's results and run strictly in iteration order.
-
-A commit whose reward is ``0.0`` changes nothing any later ``prepare``
-reads (no promotion, nothing added to any reward sum), so the engine
-keeps its speculation.  A nonzero reward invalidates the window; the
-engine calls :meth:`MctsSearch.invalidate`, which unwinds the
-outstanding deltas in reverse order, and re-prepares against the updated
-tree.  The committed trajectory is therefore exactly the serial one and
-the ledger stays byte-identical at every worker count.
 
 Resume
 ------
@@ -213,7 +187,7 @@ def replay_lineage(corpus, corpus_index: int, lineage: Sequence[LineageStep]) ->
 
 @dataclass
 class PreparedIteration:
-    """One speculated iteration: everything selection decided, nothing
+    """One prepared iteration: everything selection decided, nothing
     committed.  ``skip`` names the counter a non-evaluable iteration
     lands in; otherwise ``test`` is the candidate to evaluate.
     ``parent`` is the bandit's pool entry (``None`` under tree search)."""
@@ -233,8 +207,8 @@ class PreparedIteration:
 class SearchStrategy(Protocol):
     """What :func:`repro.fuzz.engine.run_fuzz` needs from a strategy
     (see the module docstring for the call order).  Subclasses inherit
-    the no-op ``commit_skip`` and ``invalidate`` and the empty ``stats``
-    and ``coverage_summary``."""
+    the no-op ``commit_skip`` and the empty ``stats`` and
+    ``coverage_summary``."""
 
     def __init__(self, config, corpus, hot_indices: Sequence[int]) -> None:
         """A fresh strategy over ``corpus`` once the baseline is known;
@@ -245,27 +219,18 @@ class SearchStrategy(Protocol):
         """Keys this strategy adds to the ledger fingerprint (a ``format``
         key overrides the base format)."""
 
-    def prepare(
-        self, i: int, evaluated: Set[str], overlay: Set[str]
-    ) -> PreparedIteration:
-        """Select iteration ``i`` against the committed state.
-        ``evaluated`` holds every committed content id and ``overlay``
-        the window's own; a prepared candidate adds its id to
-        ``overlay``."""
+    def prepare(self, i: int, evaluated: Set[str]) -> PreparedIteration:
+        """Select iteration ``i`` against the committed state;
+        ``evaluated`` holds every evaluated content id."""
 
     def commit(
         self, prep: PreparedIteration, novel: int, violations: int, diverged: bool
-    ) -> bool:
+    ) -> None:
         """Fold in an evaluated iteration: its count of novel findings and
-        of oracle violations, and whether it diverged across vendors.
-        True when a later selection could differ."""
+        of oracle violations, and whether it diverged across vendors."""
 
     def commit_skip(self, prep: PreparedIteration) -> None:
         """Fold in a skipped iteration."""
-        return None
-
-    def invalidate(self) -> None:
-        """Undo every prepared-but-uncommitted iteration."""
         return None
 
     def replay(self, state: LedgerState, evaluated: Set[str]) -> None:
@@ -318,10 +283,10 @@ class BanditSearch(SearchStrategy):
     NOVELTY_BONUS`` energy when it carried a novel signature, at
     :data:`PROMOTION_ENERGY` otherwise (a ledgered :class:`Promotion` — AFL's
     "interesting input" queue).  Selection reads only wins and the pool,
-    so :meth:`prepare` touches nothing and :meth:`invalidate` has nothing
-    to undo.  Resume re-runs :meth:`prepare` for every completed
-    iteration and commits the ledgered findings count and promotion,
-    which reconstructs both exactly (see :meth:`replay`).
+    so :meth:`prepare` touches nothing.  Resume re-runs :meth:`prepare`
+    for every completed iteration and commits the ledgered findings
+    count and promotion, which reconstructs both exactly (see
+    :meth:`replay`).
     """
 
     def __init__(self, config, corpus, hot_indices: Sequence[int]) -> None:
@@ -346,9 +311,7 @@ class BanditSearch(SearchStrategy):
     def fingerprint_keys(cls) -> Dict[str, object]:
         return {}  # bandit ledgers keep their pre-search formats 2–4
 
-    def prepare(
-        self, i: int, evaluated: Set[str], overlay: Set[str]
-    ) -> PreparedIteration:
+    def prepare(self, i: int, evaluated: Set[str]) -> PreparedIteration:
         config = self.config
         rng = random.Random(derive_seed(config.seed, "select", i))
         arm = rng.choices(
@@ -362,7 +325,6 @@ class BanditSearch(SearchStrategy):
             test = self.corpus.get(corpus_index)
             content = content_text(test.program.kernel, test.inputs)
             cid = mutant_content_id(config.fptype, content)
-            overlay.add(cid)
             return PreparedIteration(
                 iteration=i,
                 arm=arm,
@@ -397,9 +359,8 @@ class BanditSearch(SearchStrategy):
         if content == parent.content:
             return PreparedIteration(iteration=i, arm=arm, skip="noop")
         cid = mutant_content_id(config.fptype, content)
-        if cid in evaluated or cid in overlay:
+        if cid in evaluated:
             return PreparedIteration(iteration=i, arm=arm, skip="duplicate")
-        overlay.add(cid)
         program = Program(
             program_id=cid, kernel=kernel, seed=mseed, source_note="fuzz mutant"
         )
@@ -417,9 +378,9 @@ class BanditSearch(SearchStrategy):
 
     def commit(
         self, prep: PreparedIteration, novel: int, violations: int, diverged: bool
-    ) -> bool:
+    ) -> None:
         if not diverged and not violations:
-            return False
+            return
         assert prep.test is not None
         entry = _PoolEntry(
             test=prep.test,
@@ -440,7 +401,6 @@ class BanditSearch(SearchStrategy):
             )
             entry.energy = PROMOTION_ENERGY
         self.pool.append(entry)
-        return True
 
     def _reward(self, arm: str, parent: Optional[object], novel: int) -> None:
         """One novelty credit per novel finding, to the arm and the parent."""
@@ -461,7 +421,7 @@ class BanditSearch(SearchStrategy):
             (p.iteration, (p.corpus_index, p.lineage)) for p in state.promotions
         )
         for i in range(state.iterations_completed):
-            p = self.prepare(i, evaluated, set())
+            p = self.prepare(i, evaluated)
             if p.skip is None:
                 evaluated.add(p.content_id)
             if i not in recorded:
@@ -515,12 +475,12 @@ _EXPLORE = object()
 
 
 @dataclass
-class _Outstanding:
-    """A prepared-but-uncommitted iteration's tree bookkeeping: the undo
-    delta, the selection path, and everything commit needs to credit the
-    arm and (when the reward is nonzero) promote the mutant."""
+class _Pending:
+    """The prepared candidate of iteration ``iteration``: the selection
+    path and everything commit needs to credit the arm and (when the
+    reward is nonzero) promote the mutant."""
 
-    delta: List[Tuple[str, object]]
+    iteration: int
     path: List[_Node] = field(default_factory=list)
     node: Optional[_Node] = None  # the expansion site (mutants only)
     arm: str = ""
@@ -551,12 +511,13 @@ class MctsSearch(SearchStrategy):
         self.root_visits = 1
         self.explore_visits = 1
         self.explore_reward = EXPLORE_PRIOR
-        #: cross-node mutation-arm evidence: visits accrue at prepare
-        #: (undo-able), reward only at commit — the prior every node's
-        #: own arm bandit shrinks toward.
+        #: cross-node mutation-arm evidence: visits accrue at prepare,
+        #: reward only at commit — the prior every node's own arm bandit
+        #: shrinks toward.
         self.global_arm_visits: Dict[str, int] = {}
         self.global_arm_reward: Dict[str, float] = {}
-        self._outstanding: Dict[int, _Outstanding] = {}
+        #: the last prepared candidate, until its commit (None after a skip).
+        self._pending: Optional[_Pending] = None
         hot = set(hot_indices)
         for index, test in enumerate(corpus.seed_tests()):
             node = _Node(
@@ -648,21 +609,16 @@ class MctsSearch(SearchStrategy):
         return best
 
     # -------------------------------------------------------------- prepare
-    def prepare(
-        self, i: int, evaluated: Set[str], overlay: Set[str]
-    ) -> PreparedIteration:
+    def prepare(self, i: int, evaluated: Set[str]) -> PreparedIteration:
         """One simulation's select+expand, against the current tree.
 
-        Mutates only prepare-time state (visit counts, dead marks), all
-        recorded in an undo delta; commit-time state (rewards, promoted
-        nodes, coverage, counters) is untouched.  ``overlay`` carries
-        the window's own content ids so speculated iterations dedup
-        against each other exactly as committed ones would.
+        Mutates only what selection alone decides (visit counts, dead
+        marks), none of which depends on the candidate's evaluation;
+        rewards, promoted nodes and coverage wait for :meth:`commit`.
         """
         tracer = get_tracer()
         t0 = time.perf_counter_ns() if tracer.enabled else 0
         rng = random.Random(derive_seed(self.config.seed, "select", i))
-        delta: List[Tuple[str, object]] = []
         while True:
             choice = self._select_root()
             if choice is _EXPLORE:
@@ -671,7 +627,7 @@ class MctsSearch(SearchStrategy):
                         "fuzz.mcts.select", t0, time.perf_counter_ns(),
                         iteration=i, action="explore",
                     )
-                return self._prepare_explore(i, evaluated, overlay, delta)
+                return self._prepare_explore(i, evaluated)
             node = choice
             path = [node]
             while True:
@@ -703,31 +659,20 @@ class MctsSearch(SearchStrategy):
                             iteration=i, action="expand", depth=node.depth,
                         )
                     return self._prepare_expansion(
-                        i, node, path, live, rng, evaluated, overlay, delta
+                        i, node, path, live, rng, evaluated
                     )
                 # No live arm and no live child: the subtree is spent.
                 # Prune and restart from the root — each restart kills
                 # one node, so the walk terminates.
                 node.dead = True
-                delta.append(("dead", node))
                 break
 
-    def _bump_visits(
-        self, path: Sequence[_Node], delta: List[Tuple[str, object]]
-    ) -> None:
+    def _bump_visits(self, path: Sequence[_Node]) -> None:
         self.root_visits += 1
-        delta.append(("root-visit", None))
         for node in path:
             node.visits += 1
-            delta.append(("visit", node))
 
-    def _prepare_explore(
-        self,
-        i: int,
-        evaluated: Set[str],
-        overlay: Set[str],
-        delta: List[Tuple[str, object]],
-    ) -> PreparedIteration:
+    def _prepare_explore(self, i: int, evaluated: Set[str]) -> PreparedIteration:
         """The fresh-generation arm: corpus program ``n_seed_programs + i``
         (the same index rule as the bandit's explore arm, so a finding's
         ``(corpus_index, ())`` replays); promoted to a root child at
@@ -736,15 +681,13 @@ class MctsSearch(SearchStrategy):
         test = self.corpus.get(corpus_index)
         content = content_text(test.program.kernel, test.inputs)
         cid = mutant_content_id(self.config.fptype, content)
-        self._bump_visits((), delta)
+        self._bump_visits(())
         self.explore_visits += 1
-        delta.append(("explore-visit", None))
-        if cid in evaluated or cid in overlay:
-            self._outstanding[i] = _Outstanding(delta=delta)
+        if cid in evaluated:
+            self._pending = None
             return PreparedIteration(iteration=i, arm="explore", skip="duplicate")
-        overlay.add(cid)
-        self._outstanding[i] = _Outstanding(
-            delta=delta,
+        self._pending = _Pending(
+            iteration=i,
             test=test,
             content=content,
             corpus_index=corpus_index,
@@ -770,8 +713,6 @@ class MctsSearch(SearchStrategy):
         live: List[str],
         rng: random.Random,
         evaluated: Set[str],
-        overlay: Set[str],
-        delta: List[Tuple[str, object]],
     ) -> PreparedIteration:
         """Apply one mutation at ``node`` with this iteration's derived
         seed.  A mutation with no applicable site retires that arm (a
@@ -781,9 +722,7 @@ class MctsSearch(SearchStrategy):
         t0 = time.perf_counter_ns() if tracer.enabled else 0
         arm = self._select_arm(node, live)
         node.arm_visits[arm] = node.arm_visits.get(arm, 0) + 1
-        delta.append(("arm-visit", (node, arm)))
         self.global_arm_visits[arm] = self.global_arm_visits.get(arm, 0) + 1
-        delta.append(("global-arm-visit", arm))
         mseed = derive_seed(self.config.seed, "mutant", i)
         donor_index: Optional[int] = None
         donor = None
@@ -803,7 +742,6 @@ class MctsSearch(SearchStrategy):
         if kernel is None:
             skip = "no_site"
             node.dead_arms.add(arm)
-            delta.append(("dead-arm", (node, arm)))
         elif validate_kernel(kernel):
             skip = "invalid"
         else:
@@ -812,25 +750,24 @@ class MctsSearch(SearchStrategy):
                 skip = "noop"
             else:
                 cid = mutant_content_id(self.config.fptype, content)
-                if cid in evaluated or cid in overlay:
+                if cid in evaluated:
                     skip = "duplicate"
-        self._bump_visits(path, delta)
+        self._bump_visits(path)
         if tracer.enabled:
             tracer.record(
                 "fuzz.mcts.expand", t0, time.perf_counter_ns(),
                 iteration=i, mutation=arm, outcome=skip or "mutant",
             )
         if skip is not None:
-            self._outstanding[i] = _Outstanding(delta=delta)
+            self._pending = None
             return PreparedIteration(iteration=i, arm=arm, skip=skip)
-        overlay.add(cid)
         program = Program(
             program_id=cid, kernel=kernel, seed=mseed, source_note="fuzz mutant"
         )
         lineage = node.lineage + (LineageStep(arm, mseed, donor_index),)
         test = TestCase(program, node.test.inputs)
-        self._outstanding[i] = _Outstanding(
-            delta=delta,
+        self._pending = _Pending(
+            iteration=i,
             path=path,
             node=node,
             arm=arm,
@@ -853,18 +790,14 @@ class MctsSearch(SearchStrategy):
     # --------------------------------------------------------------- commit
     def commit(
         self, prep: PreparedIteration, novel: int, violations: int, diverged: bool
-    ) -> bool:
-        """Commit and trace one evaluation.  A zero-reward commit adds
-        nothing tree selection reads, so the speculative window survives
-        it (parallelism improves as the coverage map saturates); a
-        diverged one grows the tree even at zero reward."""
+    ) -> None:
+        """Commit and trace one evaluation."""
         reward = self.commit_evaluated(prep, novel, violations, diverged)
         self._traces.append(
             SearchTrace(
                 prep.iteration, prep.corpus_index, prep.lineage, reward, diverged
             )
         )
-        return reward != 0.0 or diverged
 
     def commit_evaluated(
         self,
@@ -874,17 +807,13 @@ class MctsSearch(SearchStrategy):
         diverged: bool = False,
     ) -> float:
         """Fold one evaluated iteration's results in, in iteration order;
-        returns the blended reward (nonzero ⇒ later speculation is stale)."""
+        returns the blended reward."""
         rec = self._pop(prep)
         assert rec.test is not None
         new_features = self._observe(rec.test)
         reward = blend_reward(novel, violations, new_features)
         self._absorb(rec, reward, diverged, prep.iteration)
         return reward
-
-    def commit_skip(self, prep: PreparedIteration) -> None:
-        """A skipped iteration's prepare-time marks simply stand."""
-        self._pop(prep)
 
     def replay(self, state: LedgerState, evaluated: Set[str]) -> None:
         """Re-run each completed iteration's *selection* against the
@@ -895,7 +824,7 @@ class MctsSearch(SearchStrategy):
         uninterrupted session."""
         trace_by_iter = {t.iteration: t for t in state.search_steps}
         for i in range(state.iterations_completed):
-            p = self.prepare(i, evaluated, set())
+            p = self.prepare(i, evaluated)
             rec = trace_by_iter.get(i)
             if p.skip is not None:
                 if rec is not None:
@@ -915,26 +844,26 @@ class MctsSearch(SearchStrategy):
                 )
             evaluated.add(p.content_id)
             # the recorded reward, with coverage re-observed
-            outstanding = self._pop(p)
-            assert outstanding.test is not None
-            self._observe(outstanding.test)
-            self._absorb(outstanding, rec.reward, rec.diverged, i)
+            pending = self._pop(p)
+            assert pending.test is not None
+            self._observe(pending.test)
+            self._absorb(pending, rec.reward, rec.diverged, i)
 
     def take_batch_records(self) -> Dict[str, Any]:
         # Every format-5 batch line carries the key, empty batches included.
         traces, self._traces = self._traces, []
         return {"search": traces}
 
-    def _pop(self, prep: PreparedIteration) -> _Outstanding:
-        rec = self._outstanding.pop(prep.iteration, None)
-        if rec is None:
+    def _pop(self, prep: PreparedIteration) -> _Pending:
+        rec, self._pending = self._pending, None
+        if rec is None or rec.iteration != prep.iteration:
             raise HarnessError(
                 f"mcts commit without prepare at iteration {prep.iteration}"
             )
         return rec
 
     def _absorb(
-        self, rec: _Outstanding, reward: float, diverged: bool, iteration: int
+        self, rec: _Pending, reward: float, diverged: bool, iteration: int
     ) -> None:
         """Backpropagate the reward and promote the mutant to a tree node
         when it paid — or when it merely diverged, in which case it joins
@@ -977,34 +906,6 @@ class MctsSearch(SearchStrategy):
                 "fuzz.mcts.backprop", t0, time.perf_counter_ns(),
                 iteration=iteration, reward=reward, depth=len(rec.path),
             )
-
-    # ----------------------------------------------------------- invalidate
-    def invalidate(self) -> None:
-        """Unwind every prepared-but-uncommitted iteration, newest first,
-        restoring the tree to the last committed state."""
-        for i in sorted(self._outstanding, reverse=True):
-            rec = self._outstanding.pop(i)
-            for kind, payload in reversed(rec.delta):
-                if kind == "visit":
-                    payload.visits -= 1  # type: ignore[union-attr]
-                elif kind == "root-visit":
-                    self.root_visits -= 1
-                elif kind == "explore-visit":
-                    self.explore_visits -= 1
-                elif kind == "arm-visit":
-                    node, arm = payload  # type: ignore[misc]
-                    node.arm_visits[arm] -= 1
-                    if node.arm_visits[arm] == 0:
-                        del node.arm_visits[arm]
-                elif kind == "global-arm-visit":
-                    self.global_arm_visits[payload] -= 1  # type: ignore[index]
-                    if self.global_arm_visits[payload] == 0:  # type: ignore[index]
-                        del self.global_arm_visits[payload]  # type: ignore[arg-type]
-                elif kind == "dead-arm":
-                    node, arm = payload  # type: ignore[misc]
-                    node.dead_arms.discard(arm)
-                else:  # "dead"
-                    payload.dead = False  # type: ignore[union-attr]
 
     # ---------------------------------------------------------------- stats
     def stats(self) -> Dict[str, object]:

@@ -94,7 +94,11 @@ from repro.utils.rng import derive_seed
 from repro.varity.config import GeneratorConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (oracle uses harness)
-    from repro.oracle.relations import RelationViolation
+    from repro.oracle.engine import _ProgramPlan
+    from repro.oracle.relations import Relation, RelationViolation
+
+    #: an oracle step's per-program plans and the relations they check.
+    _OraclePlans = Tuple[List[_ProgramPlan], List[Relation]]
 
 __all__ = [
     "CampaignConfig",
@@ -582,13 +586,13 @@ def build_plan(config: CampaignConfig) -> List[PlanStep]:
     return steps
 
 
-def _oracle_step_plans(config: CampaignConfig, step: PlanStep):
+def _oracle_step_plans(config: CampaignConfig, step: PlanStep) -> _OraclePlans:
     """The oracle arm's per-program plans for one step's index range.
 
-    Deterministic in (config, step) alone, so requests and results can
-    rebuild the same plans independently (the transforms are cheap; only
-    execution is expensive).  Variants ship as concrete tests — like fuzz
-    mutants, they cannot be regenerated from a generator seed.
+    Built once per step: :func:`_step_requests` returns them beside the
+    chunk and :func:`_oracle_step_result` folds the outcomes against
+    them.  Variants ship as concrete tests — like fuzz mutants, they
+    cannot be regenerated from a generator seed.
     """
     from repro.oracle.engine import oracle_requests_for
     from repro.oracle.relations import RELATION_NAMES, resolve_relations
@@ -610,8 +614,11 @@ def _oracle_step_plans(config: CampaignConfig, step: PlanStep):
     ], relations
 
 
-def _step_requests(config: CampaignConfig, step: PlanStep) -> List[SweepRequest]:
-    """One plan step as one execution-service chunk.
+def _step_requests(
+    config: CampaignConfig, step: PlanStep
+) -> Tuple[List[SweepRequest], Optional[_OraclePlans]]:
+    """One plan step as one execution-service chunk, plus an oracle
+    step's plans (``None`` for every other step).
 
     A fused step interleaves each program's arms back to back — the
     HIPIFY twin and every nvcc-lhs stack-pair arm share the legacy arm's
@@ -622,8 +629,8 @@ def _step_requests(config: CampaignConfig, step: PlanStep) -> List[SweepRequest]
     service dedups the repeated base down to one execution.
     """
     if step.arms == ("oracle",):
-        plans, _ = _oracle_step_plans(config, step)
-        return [req for plan in plans for req in plan.requests]
+        oracle = _oracle_step_plans(config, step)
+        return [req for plan in oracle[0] for req in plan.requests], oracle
     gen = config.generator_config(config.arm_fptype(step.arms[0]))
     root_seed = config.arm_seed(step.arms[0])
     fused = len(step.arms) > 1
@@ -645,15 +652,19 @@ def _step_requests(config: CampaignConfig, step: PlanStep) -> List[SweepRequest]
                     runner=RunnerSpec(stacks=_arm_pair(arm)),
                 )
             )
-    return requests
+    return requests, None
 
 
 def _step_results(
-    config: CampaignConfig, step: PlanStep, outcomes: List[SweepOutcome]
+    config: CampaignConfig,
+    step: PlanStep,
+    outcomes: List[SweepOutcome],
+    oracle: Optional[_OraclePlans],
 ) -> Dict[str, ArmResult]:
-    """Fold one chunk's outcomes back into per-arm results."""
-    if step.arms == ("oracle",):
-        return {"oracle": _oracle_step_result(config, step, outcomes)}
+    """Fold one chunk's outcomes back into per-arm results (``oracle``:
+    the plans :func:`_step_requests` built for an oracle step)."""
+    if oracle is not None:
+        return {"oracle": _oracle_step_result(config, oracle, outcomes)}
     opt_labels = tuple(o.label for o in config.opts)
     results = {
         arm: ArmResult(
@@ -671,7 +682,7 @@ def _step_results(
 
 
 def _oracle_step_result(
-    config: CampaignConfig, step: PlanStep, outcomes: List[SweepOutcome]
+    config: CampaignConfig, oracle: _OraclePlans, outcomes: List[SweepOutcome]
 ) -> ArmResult:
     """Fold an oracle step: run accounting plus relation checking.
 
@@ -682,7 +693,7 @@ def _oracle_step_result(
     """
     from repro.oracle.engine import oracle_check_outcomes
 
-    plans, relations = _oracle_step_plans(config, step)
+    plans, relations = oracle
     out = ArmResult(
         arm="oracle",
         n_programs=len(plans),
@@ -817,7 +828,16 @@ def run_campaign(
     workers = config.workers if len(pending) > 1 else 0
     service = ExecutionService(make_backend(workers))
     try:
-        chunks = (_step_requests(config, step) for step in pending)
+        # Each step's oracle plans wait here for its outcomes: the
+        # chunk generator runs ahead of the results (on the pool's
+        # feeder thread), and builds each step's requests once.
+        oracle_plans: Dict[int, Optional[_OraclePlans]] = {}
+
+        def chunks():
+            for index, step in enumerate(pending):
+                requests, oracle_plans[index] = _step_requests(config, step)
+                yield requests
+
         # Steps are checkpointed the moment they complete — a kill loses
         # at most the steps still in flight, whatever their plan position
         # — while absorption is re-ordered to plan order so the merged
@@ -826,9 +846,9 @@ def run_campaign(
         # keys steps by PlanStep.key, so that never matters.
         buffered: Dict[int, Dict[str, ArmResult]] = {}
         next_absorb = 0
-        for index, outcomes in service.run_sweeps_unordered(chunks):
+        for index, outcomes in service.run_sweeps_unordered(chunks()):
             step = pending[index]
-            arms = _step_results(config, step, outcomes)
+            arms = _step_results(config, step, outcomes, oracle_plans.pop(index))
             if ckpt is not None:
                 ckpt.append_step(step.key, arms)
             buffered[index] = arms

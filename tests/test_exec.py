@@ -694,8 +694,8 @@ class TestWorkerInvariance:
         assert (tmp_path / "serial.jsonl").read_bytes() == (
             tmp_path / "pooled.jsonl"
         ).read_bytes()
-        # Committed accounting is invariant too (discarded speculation is
-        # never counted).
+        # The accounting is invariant too: the pool only changes where
+        # the baseline and triage run.
         for attr in (
             "pair_runs", "nvcc_executions", "nvcc_cache_hits",
             "mutants_run", "fresh_explored", "duplicates", "raw_discrepancies",

@@ -533,6 +533,31 @@ class TestCampaignOracleArm:
         assert "Metamorphic-relation violations" in report
         assert "fastmath-flag" in report
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_each_oracle_program_generated_once(self, monkeypatch, workers):
+        """A step's oracle plans are built once and handed to its result
+        fold: the parent generates each oracle program exactly once."""
+        from repro.varity.generator import ProgramGenerator
+
+        generated = []
+        generate = ProgramGenerator.generate
+
+        def counting(self, seed, program_id=None):
+            program = generate(self, seed, program_id)
+            generated.append(program.program_id)
+            return program
+
+        monkeypatch.setattr(ProgramGenerator, "generate", counting)
+        config = CampaignConfig(
+            seed=2024, n_programs_fp64=2, n_programs_fp32=2,
+            inputs_per_program=2, include_oracle=True, n_programs_oracle=4,
+            workers=workers,
+        )
+        result = run_campaign(config)
+        oracle_ids = [pid for pid in generated if pid.startswith("oracle-")]
+        assert sorted(oracle_ids) == [f"oracle-fp32-{i:06d}" for i in range(4)]
+        assert result.arms["oracle"].n_programs == 4
+
     def test_pre_oracle_fingerprint_unchanged(self):
         with_arm = CampaignConfig(**self.CONFIG)
         without = CampaignConfig(**{**self.CONFIG, "include_oracle": False})

@@ -110,6 +110,20 @@ class TestStrategyRegistry:
         assert run_fuzz(renamed).findings == run_fuzz(short).findings
 
 
+class TestPoolScheduling:
+    @pytest.mark.parametrize("search", ["bandit", "mcts"])
+    def test_pool_throws_no_evaluation_away(self, search):
+        """At workers=2 the service runs exactly one chunk per seed
+        program's baseline sweep and one per evaluated iteration: no
+        chunk is evaluated and then discarded."""
+        config = dataclasses.replace(TINY, search=search, workers=2)
+        result = run_fuzz(config)
+        assert result.mutants_run + result.fresh_explored > 0
+        assert result.exec_metrics["chunks"] == (
+            config.n_seed_programs + result.mutants_run + result.fresh_explored
+        )
+
+
 class TestSearchTrace:
     def test_round_trip(self):
         trace = SearchTrace(
@@ -148,8 +162,8 @@ class TestMctsLedger:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_ledger_worker_invariant(self, mcts_session, tmp_path, workers):
         """The acceptance bar: mcts ledger bytes identical at workers
-        0/2/4 — speculative prepares that get invalidated must leave no
-        trace in the tree."""
+        0/2/4 — the pool's baseline sweep and triage fan-out must leave
+        no trace in the tree."""
         _, path = mcts_session
         pooled = tmp_path / f"pooled{workers}.jsonl"
         run_fuzz(dataclasses.replace(MCTS, workers=workers), ledger=pooled)

@@ -11,9 +11,6 @@ replay path:
 * the whole trajectory — expansion order, skips, rewards — is a pure
   function of ``(seed, tree policy)``: two fresh searches driven
   identically produce identical traces;
-* ``invalidate`` is an exact inverse of speculative ``prepare`` marks:
-  the tree state round-trips (this is what worker-count invariance
-  leans on);
 * coverage extraction is **total**: any generated program, and any
   mutant of one, yields a feature set without raising.
 """
@@ -52,7 +49,7 @@ def _drive(search: MctsSearch, steps: int):
     trace = []
     evaluated: set = set()
     for i in range(steps):
-        p = search.prepare(i, evaluated, set())
+        p = search.prepare(i, evaluated)
         if p.skip is not None:
             search.commit_skip(p)
             trace.append((i, "skip", p.skip, p.arm))
@@ -107,7 +104,7 @@ class TestEditChains:
         config, corpus, search = _make_search(seed)
         evaluated: set = set()
         for i in range(steps):
-            p = search.prepare(i, evaluated, set())
+            p = search.prepare(i, evaluated)
             if p.skip is not None:
                 search.commit_skip(p)
                 continue
@@ -128,25 +125,6 @@ class TestEditChains:
         _, _, second = _make_search(seed)
         assert _drive(first, steps) == _drive(second, steps)
         assert _tree_state(first) == _tree_state(second)
-
-    @given(
-        seed=seeds,
-        committed=st.integers(min_value=0, max_value=10),
-        speculated=st.integers(min_value=1, max_value=8),
-    )
-    @settings(max_examples=12, deadline=None)
-    def test_invalidate_restores_tree_exactly(self, seed, committed, speculated):
-        """Speculative prepares roll back to the last committed tree
-        state — the invariant behind worker-count-invariant ledgers."""
-        _, _, search = _make_search(seed)
-        _drive(search, committed)
-        snapshot = _tree_state(search)
-        evaluated: set = set()
-        overlay: set = set()
-        for i in range(committed, committed + speculated):
-            search.prepare(i, evaluated, overlay)
-        search.invalidate()
-        assert _tree_state(search) == snapshot
 
     @given(seed=seeds)
     @settings(max_examples=10, deadline=None)
